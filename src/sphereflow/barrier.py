@@ -70,7 +70,11 @@ def phi(z, a: float):
     """Comparison profile; symmetric about z = 1/2, zero at z in {0, 1}."""
     if a < 0.0:
         raise DomainError(f"barrier parameter must be >= 0, got {a}")
-    c, _, _ = _cd(z, a)
+    return phi_of_c(np.sin(np.pi * np.asarray(z, dtype=float)) / np.pi, a)
+
+
+def phi_of_c(c, a: float):
+    """phi in terms of c = sin(pi z)/pi: arctan(a c)/a, and c itself at a = 0."""
     if a == 0.0:
         return c
     return np.arctan(a * c) / a

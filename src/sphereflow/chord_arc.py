@@ -13,15 +13,17 @@ to the arc) is the quantity the flow is supposed to keep nonnegative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import barrier
 from .errors import InsufficientData, NotAdmissible, PreconditionViolation
-from .sphere_geometry import DiscreteCurve
+from .sphere_geometry import DiscreteCurve, _pair_blocks
 
 ADMISSIBLE_A_CAP = 1e6
+FILTER_SLACK = 1e-14           # relative to L, see admissible_a
 
 
 @dataclass(frozen=True)
@@ -58,44 +60,52 @@ class ZReport:
     a_eff: float
 
 
-def _pair_data(curve: DiscreteCurve):
-    """(i, j, d, z) over all vertex pairs i < j."""
-    p = curve.points
-    n = curve.n
-    gram = p @ p.T
-    ii, jj = np.triu_indices(n, k=1)
-    d = np.sqrt(np.clip(2.0 - 2.0 * gram[ii, jj], 0.0, 4.0))
+def _separation(curve: DiscreteCurve, i, j) -> np.ndarray:
+    """Normalised shorter-arc separation z = ell/L of vertex pairs i < j."""
     s = curve.cum_lengths
-    arc = s[jj] - s[ii]
     length = curve.length
-    ell = np.minimum(arc, length - arc)
-    return ii, jj, d, ell / length
+    arc = s[j] - s[i]
+    return np.minimum(arc, length - arc) / length
+
+
+def _chords(curve: DiscreteCurve, min_gap: int):
+    """Yield (rows, cols, d, z) per row block of vertex pairs (see _pair_blocks)."""
+    for rows, cols, d2 in _pair_blocks(curve.points, min_gap):
+        yield rows, cols, np.sqrt(d2), _separation(curve, rows, cols)
 
 
 def profile(curve: DiscreteCurve, n_bins: int) -> ChordArcProfile:
-    """Exact pairwise minimum chord per z-bin, bins (k/2m, (k+1)/2m]."""
+    """Exact pairwise minimum chord per z-bin, bins (k/2m, (k+1)/2m].
+
+    Each bin records the first pair (i, j) in row-major upper-triangle
+    order that attains its minimum. O(n^2) time, O(n * block) memory.
+    """
     if n_bins < 16:
         raise PreconditionViolation(f"need at least 16 bins, got {n_bins}")
-    ii, jj, d, z = _pair_data(curve)
     edges = np.linspace(0.0, 0.5, n_bins + 1)
-    idx = np.searchsorted(edges, z, side="left") - 1
-    keep = (idx >= 0) & (idx < n_bins)
-    ii, jj, d, z, idx = ii[keep], jj[keep], d[keep], z[keep], idx[keep]
-
-    psi = np.full(n_bins, np.nan)
+    psi = np.full(n_bins, np.inf)
     pair_i = np.full(n_bins, -1, dtype=int)
     pair_j = np.full(n_bins, -1, dtype=int)
+
+    for rows, cols, d, z in _chords(curve, 1):
+        idx = np.searchsorted(edges, z, side="left") - 1
+        pos = np.flatnonzero((idx >= 0) & (idx < n_bins))
+        idx, d = idx.ravel()[pos], d.ravel()[pos]
+        block_min = np.full(n_bins, np.inf)
+        np.minimum.at(block_min, idx, d)
+        hit = d == block_min[idx]
+        bins, first = np.unique(idx[hit], return_index=True)
+        # strict: on a tie the earlier block, hence the earlier pair, stays
+        better = block_min[bins] < psi[bins]
+        bins, win = bins[better], pos[hit][first[better]]
+        psi[bins] = block_min[bins]
+        pair_i[bins] = rows[win // cols.size, 0]
+        pair_j[bins] = cols[0, win % cols.size]
+
+    empty = pair_i < 0
+    psi[empty] = np.nan
     pair_z = np.full(n_bins, np.nan)
-
-    order = np.lexsort((d, idx))
-    bins_sorted = idx[order]
-    first = np.concatenate(([True], bins_sorted[1:] != bins_sorted[:-1]))
-    sel = order[first]
-    psi[idx[sel]] = d[sel]
-    pair_i[idx[sel]] = ii[sel]
-    pair_j[idx[sel]] = jj[sel]
-    pair_z[idx[sel]] = z[sel]
-
+    pair_z[~empty] = _separation(curve, pair_i[~empty], pair_j[~empty])
     centers = 0.5 * (edges[:-1] + edges[1:])
     for arr in (psi, pair_i, pair_j, pair_z, centers):
         arr.flags.writeable = False
@@ -104,29 +114,20 @@ def profile(curve: DiscreteCurve, n_bins: int) -> ChordArcProfile:
                            mean_spacing=curve.length / curve.n)
 
 
-def _gap_minimiser(curve: DiscreteCurve):
-    """Precompute pair data for repeated min-Z evaluations on one curve."""
-    ii, jj, d, z = _pair_data(curve)
-    n = curve.n
-    gap = jj - ii
-    keep = (gap >= 2) & (gap <= n - 2)
-    ii, jj, d, z = ii[keep], jj[keep], d[keep], z[keep]
-    c = np.sin(np.pi * z) / np.pi
-    length = curve.length
-
-    def evaluate(a_eff: float):
-        prof = c if a_eff == 0.0 else np.arctan(a_eff * c) / a_eff
-        gaps = d - length * prof
-        k = int(np.argmin(gaps))
-        return float(gaps[k]), (int(ii[k]), int(jj[k]))
-
-    return evaluate
-
-
 def min_Z(curve: DiscreteCurve, params: barrier.BarrierParams) -> ZReport:
-    """Minimum gap d - L*phi(ell/L; a_eff) over pairs at cyclic distance >= 2."""
+    """Minimum gap d - L*phi(ell/L; a_eff) over pairs at cyclic distance >= 2.
+
+    On ties the first pair in row-major upper-triangle order is reported.
+    """
     a_eff = params.a_eff
-    value, pair = _gap_minimiser(curve)(a_eff)
+    length = curve.length
+    value, pair = math.inf, (-1, -1)
+    for rows, cols, d, z in _chords(curve, 2):
+        gaps = d - length * barrier.phi(z, a_eff)
+        k = int(np.argmin(gaps))
+        if gaps.flat[k] < value:
+            r, c = divmod(k, cols.size)
+            value, pair = float(gaps.flat[k]), (int(rows[r, 0]), int(cols[0, c]))
     return ZReport(min_value=value, pair=pair, a_eff=a_eff)
 
 
@@ -137,12 +138,32 @@ def admissible_a(curve: DiscreteCurve, tol: float = 1e-3) -> float:
     bisection applies after geometric bracket expansion. Raises
     NotAdmissible if even a = 1e6 fails, which at discrete resolution
     signals a curve too close to self-touching.
+
+    Since phi(z; a) <= phi(z; 0), a pair's gap at any a is at least its gap
+    at a = 0: only pairs below the profile at a = 0 can keep min_Z
+    negative, so one pass collects them and the bisection runs on those
+    alone. Pairs within FILTER_SLACK * L above it are kept too, as rounding
+    of arctan can lift the profile by a few ulp.
     """
-    evaluate = _gap_minimiser(curve)
-    if evaluate(0.0)[0] >= 0.0:
+    length = curve.length
+    d_low, c_low = [], []
+    lowest = math.inf
+    for _, _, d, z in _chords(curve, 2):
+        c = barrier.phi(z, 0.0)
+        gaps = d - length * c
+        lowest = min(lowest, float(np.min(gaps)))
+        low = gaps < FILTER_SLACK * length
+        d_low.append(d[low])
+        c_low.append(c[low])
+    if lowest >= 0.0:
         return 0.0
+    d, c = np.concatenate(d_low), np.concatenate(c_low)
+
+    def admits(a: float) -> bool:
+        return float(np.min(d - length * barrier.phi_of_c(c, a))) >= 0.0
+
     hi = 1.0
-    while evaluate(hi)[0] < 0.0:
+    while not admits(hi):
         hi *= 2.0
         if hi > ADMISSIBLE_A_CAP:
             raise NotAdmissible(
@@ -150,7 +171,7 @@ def admissible_a(curve: DiscreteCurve, tol: float = 1e-3) -> float:
     lo = hi / 2.0 if hi > 1.0 else 0.0
     while hi - lo > tol * hi:
         mid = 0.5 * (lo + hi)
-        if evaluate(mid)[0] >= 0.0:
+        if admits(mid):
             hi = mid
         else:
             lo = mid

@@ -80,12 +80,18 @@ def _finish(name: str, margins: np.ndarray, steps: np.ndarray, tolerance: float,
                       details=details or {})
 
 
-def _record_index(series: DiagnosticsSeries, step: int) -> int:
-    steps = series.column("step").astype(int)
-    hits = np.nonzero(steps == step)[0]
-    if hits.size == 0:
-        raise PreconditionViolation(f"no diagnostics record for checkpoint step {step}")
-    return int(hits[0])
+def _record_rows(series: DiagnosticsSeries):
+    """Lookup step -> index of its first record; built once per check."""
+    rows: dict[int, int] = {}
+    for r, step in enumerate(series.column("step").astype(int).tolist()):
+        rows.setdefault(step, r)
+
+    def index(step: int) -> int:
+        if step not in rows:
+            raise PreconditionViolation(f"no diagnostics record for checkpoint step {step}")
+        return rows[step]
+
+    return index
 
 
 def check_chord_arc(series: DiagnosticsSeries,
@@ -97,9 +103,10 @@ def check_chord_arc(series: DiagnosticsSeries,
     verdict rule is min margin >= 0.
     """
     tau = series.column("tau")
+    record_index = _record_rows(series)
     margins, steps = [], []
     for step, curve in checkpoints:
-        r = _record_index(series, step)
+        r = record_index(step)
         rep = chord_arc.min_Z(curve, BarrierParams(a=a, tau=float(tau[r])))
         eps = EPS_DISC_COEFF * float(np.max(curve.seg_lengths)) ** 2 * curve.length
         margins.append(rep.min_value + eps)
@@ -186,10 +193,11 @@ def check_roundness(series: DiagnosticsSeries,
     tau = series.column("tau")
     if not checkpoints:
         raise PreconditionViolation("no checkpoints to assess")
+    record_index = _record_rows(series)
     max_dev, mean_sq, steps = [], [], []
     c0_sq = 0.0
     for step, curve in checkpoints:
-        r = _record_index(series, step)
+        r = record_index(step)
         if T_est <= t[r]:
             raise PreconditionViolation("T_est must exceed every checkpoint time")
         frame = frame_field(curve)
@@ -202,7 +210,7 @@ def check_roundness(series: DiagnosticsSeries,
         steps.append(step)
 
     fstep, fcurve = checkpoints[-1]
-    r = _record_index(series, fstep)
+    r = record_index(fstep)
     xy, out_of_plane = rescaled_curve(
         FlowState(curve=fcurve, t=float(t[r]), tau=float(tau[r]), step_index=fstep),
         T_est, z_est)
@@ -279,9 +287,10 @@ def check_length_decay(series: DiagnosticsSeries,
     initial record has no rate and is skipped.
     """
     dldt = series.column("dLdt_obs")
+    record_index = _record_rows(series)
     margins, steps = [], []
     for step, curve in checkpoints:
-        r = _record_index(series, step)
+        r = record_index(step)
         if r == 0 or not np.isfinite(dldt[r]):
             continue
         integral = curvature_sq_integral(curve)

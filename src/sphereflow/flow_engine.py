@@ -4,9 +4,14 @@ In ambient coordinates the flow of an arclength-parametrised spherical
 curve is gamma_t = gamma_ss + gamma (the curvature vector splits into the
 stiff diffusion part and a unit-strength reaction). Each step treats
 gamma_ss implicitly (one cyclic tridiagonal solve per coordinate via
-Sherman-Morrison over a banded factorisation), the +gamma term explicitly,
-projects the result back onto the sphere, and resamples to uniform spacing.
-The rescaled clock tau = int L^-2 dt accumulates by trapezoid.
+Sherman-Morrison over a banded factorisation), projects the result back onto
+the sphere, and resamples to uniform spacing. The +gamma term needs no
+arithmetic of its own: it is normal to the sphere, so the projection back
+onto it supplies it, and it is the source of the +1 in the decay rate
+k^2 - 1 of a latitude mode cos(k u) about a great circle. (An explicit
+factor (1 + dt) on the right-hand side would scale every vertex alike, and
+the projection would remove it again.) The rescaled clock tau = int L^-2 dt
+accumulates by trapezoid.
 """
 
 from __future__ import annotations
@@ -124,9 +129,8 @@ def step(state: FlowState, dt: float, *, c_cfl: float = 5.0,
     sub = -dt * alpha
     sup = -dt * beta
     diag = 1.0 + dt * (alpha + beta)
-    rhs = (1.0 + dt) * p
 
-    moved = _solve_cyclic_tridiagonal(sub, diag, sup, sup[-1], sub[0], rhs)
+    moved = _solve_cyclic_tridiagonal(sub, diag, sup, sup[-1], sub[0], p)
     if not np.all(np.isfinite(moved)):
         raise Degenerate("non-finite coordinates after implicit solve")
     new_curve = reparametrize_uniform(make_curve(moved), n)

@@ -23,6 +23,10 @@ from .errors import CoincidentPoints, DegenerateSegment, TooFewVertices
 ON_SPHERE_TOL = 1e-12
 MIN_VERTICES = 8
 
+# Pairwise passes walk the upper triangle in row blocks of about this many
+# (i, j) entries, so their memory is O(n * block) rather than O(n^2).
+_BLOCK_ENTRIES = 1 << 16
+
 
 def _unit_rows(points: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(points, axis=1, keepdims=True)
@@ -237,27 +241,61 @@ def _arc_intersections(a, b, c, d) -> np.ndarray:
     return hit
 
 
+def _pair_blocks(points: np.ndarray, min_gap: int):
+    """Yield (rows, cols, d2) over index pairs i < j at cyclic gap >= min_gap.
+
+    Each block covers rows i0:i1 and columns i0 + min_gap .. n-1: rows has
+    shape (r, 1), cols shape (1, w), and d2[r, c] = |p_i - p_j|^2 for
+    i = rows[r, 0], j = cols[0, c]. Entries outside the pair set (j - i <
+    min_gap or j - i > n - min_gap) are +inf, so they never pass a distance
+    threshold or win a minimum. Blocks come in row order, so row-major order
+    within and across blocks is the upper-triangle order of (i, j).
+
+    d2 is summed coordinate by coordinate in a fixed order (no BLAS), so
+    every entry is bitwise independent of the block size and thread count.
+    """
+    n = points.shape[0]
+    x, y, z = (np.ascontiguousarray(points[:, k]) for k in range(3))
+    i0 = 0
+    while i0 + min_gap < n:
+        j0 = i0 + min_gap
+        width = n - j0
+        # at most width/8 rows keeps the +inf triangle below 1/16 of a block
+        i1 = min(n - min_gap, i0 + max(1, min(_BLOCK_ENTRIES // width, width // 8)))
+        rows = np.arange(i0, i1)[:, None]
+        cols = np.arange(j0, n)[None, :]
+        d2 = x[i0:i1, None] - x[None, j0:]
+        d2 *= d2
+        for coord in (y, z):
+            diff = coord[i0:i1, None] - coord[None, j0:]
+            diff *= diff
+            d2 += diff
+        gap = cols - rows
+        np.putmask(d2, (gap < min_gap) | (gap > n - min_gap), np.inf)
+        yield rows, cols, d2
+        i0 = i1
+
+
 def validate_simple(curve: DiscreteCurve) -> bool:
     """True iff no two non-adjacent segments (as minor great arcs) intersect.
 
-    All-pairs test with a midpoint-distance prefilter; adjacent segments
-    (sharing a vertex) are skipped.
+    A midpoint prefilter keeps the segment pairs whose chord midpoints lie
+    within the sum of half-lengths (plus slack), as every intersecting pair
+    does; the exact great-arc test then decides on those. Adjacent segments
+    (sharing a vertex) are skipped. O(n^2) time, O(n * block) memory.
     """
     p = curve.points
-    n = curve.n
     q = np.roll(p, -1, axis=0)
     mids = 0.5 * (p + q)
     ds = curve.seg_lengths
 
-    # Pairs closer than the sum of half-lengths (plus slack) can intersect.
-    d2 = np.sum((mids[:, None, :] - mids[None, :, :]) ** 2, axis=2)
-    reach = 0.5 * (ds[:, None] + ds[None, :]) + 1e-9
-    ii, jj = np.nonzero(d2 <= reach * reach)
-    keep = ii < jj
-    ii, jj = ii[keep], jj[keep]
-    gap = jj - ii
-    nonadj = (gap >= 2) & (gap <= n - 2)
-    ii, jj = ii[nonadj], jj[nonadj]
+    ii, jj = [], []
+    for rows, cols, d2 in _pair_blocks(mids, 2):
+        reach = 0.5 * (ds[rows] + ds[cols]) + 1e-9
+        r, c = np.nonzero(d2 <= reach * reach)
+        ii.append(rows[r, 0])
+        jj.append(cols[0, c])
+    ii, jj = np.concatenate(ii), np.concatenate(jj)
     if ii.size == 0:
         return True
     hits = _arc_intersections(p[ii], q[ii], p[jj], q[jj])

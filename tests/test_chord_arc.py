@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from sphereflow import chord_arc, generators
+from sphereflow import barrier, chord_arc, generators
 from sphereflow import sphere_geometry as sg
 from sphereflow.barrier import BarrierParams
 from sphereflow.errors import InsufficientData, NotAdmissible, PreconditionViolation
@@ -174,3 +176,120 @@ class TestCubicFit:
         prof = chord_arc.profile(generators.great_circle_curve((0, 0, 1), 64), 16)
         with pytest.raises(InsufficientData):
             chord_arc.cubic_fit(prof)
+
+
+# entries per row block of the pairwise kernel: one row per block, a few,
+# many, and one block for the whole triangle
+BLOCK_ENTRIES = (1, 3, 64, 1 << 30)
+
+
+@pytest.fixture(scope="module")
+def generic():
+    # no symmetry, so minima are not tied to round-off
+    return generators.fourier_perturbed_curve((0, 0, 1), [0, 2, 3], [0.45, 0.08, 0.05],
+                                              96, seed=5)
+
+
+@pytest.fixture(scope="module", params=["generic", "parallel"])
+def any_curve(request, generic):
+    # a parallel ties every pair at one index gap to round-off, so which
+    # tied pair gets reported depends on the tie rule alone
+    if request.param == "parallel":
+        return generators.parallel_curve(np.pi / 3, 96)
+    return generic
+
+
+def kernel_outputs(curve):
+    prof = chord_arc.profile(curve, 64)
+    reps = [chord_arc.min_Z(curve, BarrierParams(a)) for a in (0.0, 1.0, 20.0)]
+    return {"psi": prof.psi, "pair_i": prof.pair_i, "pair_j": prof.pair_j,
+            "pair_z": prof.pair_z,
+            "min_Z": np.array([r.min_value for r in reps]),
+            "min_Z_pairs": np.array([r.pair for r in reps]),
+            "admissible_a": np.array([chord_arc.admissible_a(curve, tol=1e-6)])}
+
+
+class TestPairwiseKernel:
+    @pytest.mark.parametrize("entries", BLOCK_ENTRIES)
+    def test_bitwise_independent_of_block_size(self, any_curve, monkeypatch, entries):
+        ref = kernel_outputs(any_curve)
+        monkeypatch.setattr(sg, "_BLOCK_ENTRIES", entries)
+        out = kernel_outputs(any_curve)
+        for key, val in ref.items():
+            assert out[key].tobytes() == val.tobytes(), key
+
+    @pytest.mark.parametrize("entries", BLOCK_ENTRIES)
+    def test_profile_brute_force(self, generic, monkeypatch, entries):
+        monkeypatch.setattr(sg, "_BLOCK_ENTRIES", entries)
+        # 64 bins over n = 96 vertices leave some bins empty
+        prof = chord_arc.profile(generic, 64)
+        p, s, L, n = generic.points, generic.cum_lengths, generic.length, generic.n
+        edges = np.linspace(0.0, 0.5, 65)
+        oracle = np.full(64, np.nan)
+        for i in range(n):
+            for j in range(i + 1, n):
+                arc = s[j] - s[i]
+                k = int(np.searchsorted(edges, min(arc, L - arc) / L, side="left")) - 1
+                d = float(np.linalg.norm(p[i] - p[j]))
+                if 0 <= k < 64 and (np.isnan(oracle[k]) or d < oracle[k]):
+                    oracle[k] = d
+        assert np.any(prof.empty_bins)
+        assert np.array_equal(prof.empty_bins, np.isnan(oracle))
+        full = ~prof.empty_bins
+        assert np.max(np.abs(prof.psi[full] - oracle[full])) <= 1e-12
+        # every recorded pair sits in its bin and attains the bin minimum
+        for k in np.nonzero(full)[0]:
+            i, j = int(prof.pair_i[k]), int(prof.pair_j[k])
+            assert 0 <= i < j < n
+            assert edges[k] < prof.pair_z[k] <= edges[k + 1]
+            assert abs(float(np.linalg.norm(p[i] - p[j])) - prof.psi[k]) <= 1e-12
+
+    @pytest.mark.parametrize("entries", BLOCK_ENTRIES)
+    def test_min_Z_brute_force(self, generic, monkeypatch, entries):
+        monkeypatch.setattr(sg, "_BLOCK_ENTRIES", entries)
+        p, s, L, n = generic.points, generic.cum_lengths, generic.length, generic.n
+        for a in (0.0, 1.0, 20.0):
+            best, pair = np.inf, None
+            for i in range(n):
+                for j in range(i + 2, n):
+                    if j - i > n - 2:
+                        continue
+                    arc = s[j] - s[i]
+                    z = min(arc, L - arc) / L
+                    gap = float(np.linalg.norm(p[i] - p[j])) - L * float(barrier.phi(z, a))
+                    if gap < best:
+                        best, pair = gap, (i, j)
+            rep = chord_arc.min_Z(generic, BarrierParams(a))
+            assert rep.pair == pair
+            assert abs(rep.min_value - best) <= 1e-13
+
+    def test_admissible_a_matches_unfiltered_bisection(self, perturbed):
+        # the bisection of the definition, with min_Z over all pairs each time
+        def admits(a):
+            return chord_arc.min_Z(perturbed, BarrierParams(a)).min_value >= 0.0
+
+        assert not admits(0.0)
+        hi = 1.0
+        while not admits(hi):
+            hi *= 2.0
+        lo = hi / 2.0 if hi > 1.0 else 0.0
+        while hi - lo > 1e-4 * hi:
+            mid = 0.5 * (lo + hi)
+            hi, lo = (mid, lo) if admits(mid) else (hi, mid)
+        assert chord_arc.admissible_a(perturbed, tol=1e-4) == hi
+
+    @pytest.mark.parametrize("fn", ["profile", "min_Z", "validate_simple"])
+    def test_memory_is_per_block(self, fn):
+        # an n x n float64 array alone is 33.5 MB at n = 2048
+        curve = generators.fourier_perturbed_curve((0, 0, 1), [0, 2, 3],
+                                                   [0.45, 0.08, 0.05], 2048, seed=3)
+        call = {"profile": lambda: chord_arc.profile(curve, 256),
+                "min_Z": lambda: chord_arc.min_Z(curve, BarrierParams(1.0)),
+                "validate_simple": lambda: sg.validate_simple(curve)}[fn]
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from sphereflow import generators
 from sphereflow import sphere_geometry as sg
@@ -166,12 +168,107 @@ def figure_eight(n=256):
                                           np.sin(phi)]))
 
 
+# entries per row block of the pairwise kernel: one row per block, a few,
+# many, and one block for the whole triangle
+BLOCK_ENTRIES = (1, 3, 64, 1 << 30)
+
+
+@pytest.fixture(params=BLOCK_ENTRIES)
+def block_entries(request, monkeypatch):
+    monkeypatch.setattr(sg, "_BLOCK_ENTRIES", request.param)
+    return request.param
+
+
+def all_pairs_simple(curve) -> bool:
+    """validate_simple without the prefilter: the exact test on every pair."""
+    n = curve.n
+    p, q = curve.points, np.roll(curve.points, -1, axis=0)
+    ii, jj = np.triu_indices(n, k=2)
+    keep = jj - ii <= n - 2
+    ii, jj = ii[keep], jj[keep]
+    return not bool(np.any(sg._arc_intersections(p[ii], q[ii], p[jj], q[jj])))
+
+
+def dumbbell():
+    return generators.fourier_perturbed_curve((0, 0, 1), [2], [1.35], 512)
+
+
+def wobbly_curve(n, winding, lon_amp, lat_amps, phases):
+    """Longitude winding*u + lon_amp sin(u), latitude from modes 1 and 2."""
+    u = 2 * np.pi * np.arange(n) / n
+    lam = winding * u + lon_amp * np.sin(u + phases[0])
+    phi = (lat_amps[0] * np.sin(u + phases[1])
+           + lat_amps[1] * np.sin(2 * u + phases[2]))
+    return np.column_stack([np.cos(phi) * np.cos(lam), np.cos(phi) * np.sin(lam), np.sin(phi)])
+
+
+class TestPairBlocks:
+    @pytest.mark.parametrize("min_gap", [1, 2, 3])
+    def test_covers_each_pair_once_in_order(self, block_entries, min_gap):
+        rng = np.random.default_rng(4)
+        pts = rng.normal(size=(13, 3))
+        n = pts.shape[0]
+        seen, d2_seen = [], []
+        for rows, cols, d2 in sg._pair_blocks(pts, min_gap):
+            assert d2.shape == (rows.size, cols.size)
+            r, c = np.nonzero(np.isfinite(d2))
+            seen.extend(zip(rows[r, 0].tolist(), cols[0, c].tolist()))
+            d2_seen.extend(d2[r, c].tolist())
+        expect = [(i, j) for i in range(n) for j in range(i + 1, n)
+                  if min(j - i, n - (j - i)) >= min_gap]
+        assert seen == expect
+        direct = [float(np.sum((pts[i] - pts[j]) ** 2)) for i, j in expect]
+        assert d2_seen == direct
+
+
 class TestValidateSimple:
     def test_equator(self):
         assert sg.validate_simple(sg.make_curve(equator(128)))
 
     def test_figure_eight(self):
         assert not sg.validate_simple(figure_eight())
+
+    @pytest.mark.parametrize("make, simple", [
+        (lambda: sg.make_curve(equator(128)), True),
+        (figure_eight, False),
+        (dumbbell, True),
+    ])
+    def test_matches_unfiltered_oracle(self, block_entries, make, simple):
+        curve = make()
+        assert sg.validate_simple(curve) == all_pairs_simple(curve) == simple
+
+    def test_crossing_split_across_blocks(self, monkeypatch):
+        # the figure-eight's crossing segments lie half a curve apart; at 64
+        # entries per block their rows fall in different blocks
+        curve = figure_eight()
+        n = curve.n
+        p, q = curve.points, np.roll(curve.points, -1, axis=0)
+        ii, jj = np.triu_indices(n, k=2)
+        hit = (jj - ii <= n - 2) & sg._arc_intersections(p[ii], q[ii], p[jj], q[jj])
+        monkeypatch.setattr(sg, "_BLOCK_ENTRIES", 64)
+        starts = [int(rows[0, 0]) for rows, _, _ in sg._pair_blocks(curve.points, 2)]
+        block_of = np.searchsorted(starts, np.arange(n), side="right")
+        assert np.any(hit) and np.all(block_of[ii[hit]] != block_of[jj[hit]])
+        assert not sg.validate_simple(curve)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(16, 96), winding=st.sampled_from([0, 1]),
+           lon_amp=st.floats(0.0, 2.5), lat1=st.floats(0.0, 0.8), lat2=st.floats(0.0, 0.8),
+           phases=st.lists(st.floats(0.0, 2 * np.pi), min_size=3, max_size=3),
+           entries=st.sampled_from(BLOCK_ENTRIES))
+    def test_matches_unfiltered_oracle_family(self, monkeypatch, n, winding, lon_amp,
+                                              lat1, lat2, phases, entries):
+        # winding 0: ovals when mode 1 dominates the latitude, figure-eights
+        # when mode 2 does; winding 1: perturbed great circles, looped once
+        # the longitude turns back (lon_amp > 1)
+        assume(winding == 1 or lon_amp > 0.1)
+        try:
+            curve = sg.make_curve(wobbly_curve(n, winding, lon_amp, (lat1, lat2), phases))
+        except DegenerateSegment:
+            assume(False)
+        monkeypatch.setattr(sg, "_BLOCK_ENTRIES", entries)
+        assert sg.validate_simple(curve) == all_pairs_simple(curve)
 
     def test_perturbed_great_circle_with_sampling_oracle(self):
         c = generators.fourier_perturbed_curve((0, 0, 1), [2, 3], [0.07, 0.03], 128, seed=3)
