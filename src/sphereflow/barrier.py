@@ -112,6 +112,13 @@ def dphi_da(z, a: float):
     return (c / d - np.arctan(a * c) / a) / a
 
 
+def curvature_bound(L, a: float, tau):
+    """Bound on max kappa_bar^2 = 1 + kappa^2 at length L and rescaled time tau:
+    (2 pi / L)^2 (1 + (2 a^2 / pi^2) e^{-8 pi^2 tau}). Vectorised over L, tau."""
+    return (2.0 * np.pi / L) ** 2 * (1.0 + (2.0 * a * a / np.pi ** 2)
+                                     * np.exp(-2.0 * FOUR_PI_SQ * tau))
+
+
 def h(d):
     """Spherical distance of a chord: h(d) = arccos(1 - d^2/2), d in [0, 2]."""
     arr = np.asarray(d, dtype=float)

@@ -34,7 +34,8 @@ class Degenerate(SphereFlowError):
 
 
 class NonConvergent(SphereFlowError):
-    """The flow reached t_max without a classifiable outcome."""
+    """The flow reached t_max without a classifiable outcome, or a resample
+    did not reach uniform spacing."""
 
 
 class InsufficientData(SphereFlowError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import chord_arc
-from .barrier import BarrierParams
+from .barrier import BarrierParams, curvature_bound
 from .errors import PreconditionViolation
 from .flow_engine import DiagnosticsSeries, FlowState, rescaled_curve
 from .sphere_geometry import DiscreteCurve, curvature_sq_integral, frame_field, total_space_curvature
@@ -119,7 +119,7 @@ def check_curvature_bound(series: DiagnosticsSeries, a: float) -> BoundCheck:
     L = series.column("L")
     tau = series.column("tau")
     kmax = series.column("max_abs_kappa")
-    bound = (TWO_PI / L) ** 2 * (1.0 + (2.0 * a * a / math.pi ** 2) * np.exp(-8.0 * math.pi ** 2 * tau))
+    bound = curvature_bound(L, a, tau)
     margins = (bound - (kmax ** 2 + 1.0)) / bound
     return _finish("curvature_bound", margins, series.column("step"), CURVATURE_TOL, {"a": a})
 

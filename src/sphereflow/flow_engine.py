@@ -3,15 +3,18 @@
 In ambient coordinates the flow of an arclength-parametrised spherical
 curve is gamma_t = gamma_ss + gamma (the curvature vector splits into the
 stiff diffusion part and a unit-strength reaction). Each step treats
-gamma_ss implicitly (one cyclic tridiagonal solve per coordinate via
-Sherman-Morrison over a banded factorisation), projects the result back onto
-the sphere, and resamples to uniform spacing. The +gamma term needs no
-arithmetic of its own: it is normal to the sphere, so the projection back
-onto it supplies it, and it is the source of the +1 in the decay rate
-k^2 - 1 of a latitude mode cos(k u) about a great circle. (An explicit
-factor (1 + dt) on the right-hand side would scale every vertex alike, and
-the projection would remove it again.) The rescaled clock tau = int L^-2 dt
-accumulates by trapezoid.
+gamma_ss implicitly, projects the result back onto the sphere, and resamples
+to uniform spacing. A step starts from uniformly spaced vertices (a
+non-uniform input is resampled first), so the implicit matrix I - dt*Delta_h
+with spacing h = L/n is circulant and the discrete Fourier transform
+diagonalises it: one rfft, a division by
+lambda_k = 1 + (4 dt / h^2) sin^2(pi k / n), and one irfft. The +gamma term
+needs no arithmetic of its own: it is normal to the sphere, so the
+projection back onto it supplies it, and it is the source of the +1 in the
+decay rate k^2 - 1 of a latitude mode cos(k u) about a great circle. (An
+explicit factor (1 + dt) on the right-hand side would scale every vertex
+alike, and the projection would remove it again.) The rescaled clock
+tau = int L^-2 dt accumulates by trapezoid.
 """
 
 from __future__ import annotations
@@ -20,14 +23,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from . import chord_arc, generators
-from .barrier import BarrierParams
+from .barrier import FOUR_PI_SQ, BarrierParams, curvature_bound
 from .config import RunConfig
 from .errors import Degenerate, InsufficientData, NonConvergent, NotSimple, SelfIntersection, StepTooLarge
 from .sphere_geometry import (
     DiscreteCurve,
+    _is_uniform,
     frame_field,
     make_curve,
     orthonormal_basis,
@@ -36,7 +39,6 @@ from .sphere_geometry import (
 )
 
 HARD_LENGTH_FLOOR = 1e-8
-FOUR_PI_SQ = 4.0 * math.pi ** 2
 
 
 @dataclass(frozen=True)
@@ -83,59 +85,38 @@ def dt_max(state: FlowState, c_cfl: float = 5.0) -> float:
     return c_cfl * float(np.min(state.curve.seg_lengths)) ** 2
 
 
-def _solve_cyclic_tridiagonal(sub, diag, sup, corner_lo, corner_hi, rhs):
-    """Solve the cyclic tridiagonal system A x = rhs (rhs may be (n, k)).
+def _solve_circulant(points: np.ndarray, dt: float, h: float) -> np.ndarray:
+    """Solve (I - dt*Delta_h) x = points for (n, 3) points, where Delta_h is
+    the cyclic second difference (x_{i-1} - 2 x_i + x_{i+1}) / h^2.
 
-    corner_lo = A[n-1, 0], corner_hi = A[0, n-1]. Sherman-Morrison reduces
-    to one banded solve with an extra right-hand column.
+    The matrix is circulant, so the DFT diagonalises it with eigenvalues
+    lambda_k = 1 + (4 dt / h^2) sin^2(pi k / n).
     """
-    n = diag.size
-    gamma = -diag[0]
-    b = diag.copy()
-    b[0] -= gamma
-    b[-1] -= corner_lo * corner_hi / gamma
-
-    ab = np.zeros((3, n))
-    ab[0, 1:] = sup[:-1]
-    ab[1, :] = b
-    ab[2, :-1] = sub[1:]
-
-    u = np.zeros((n, 1))
-    u[0, 0] = gamma
-    u[-1, 0] = corner_lo
-    stacked = np.hstack([rhs, u])
-    sol = solve_banded((1, 1), ab, stacked)
-    y, zv = sol[:, :-1], sol[:, -1]
-
-    vy = y[0] + (corner_hi / gamma) * y[-1]
-    vz = 1.0 + zv[0] + (corner_hi / gamma) * zv[-1]
-    return y - np.outer(zv, vy / vz)
+    n = points.shape[0]
+    lam = 1.0 + (4.0 * dt / (h * h)) * np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 2
+    return np.fft.irfft(np.fft.rfft(points, axis=0) / lam[:, None], n=n, axis=0)
 
 
 def step(state: FlowState, dt: float, *, c_cfl: float = 5.0,
          check_simple: bool = False) -> FlowState:
-    """One semi-implicit flow step of size dt, then projection and resampling."""
+    """One semi-implicit flow step of size dt, then projection and resampling.
+
+    The solve needs uniform spacing; a non-uniform input curve is resampled
+    to its own vertex count first.
+    """
     cap = dt_max(state, c_cfl)
     if dt > cap * (1.0 + 1e-12):
         raise StepTooLarge(f"dt={dt:.3e} exceeds cap {cap:.3e}")
     curve = state.curve
-    p = curve.points
+    if not _is_uniform(curve.seg_lengths):
+        curve = reparametrize_uniform(curve, curve.n)
     n = curve.n
-    ds = curve.seg_lengths
-    ds_prev = np.roll(ds, 1)
-
-    alpha = 2.0 / (ds_prev * (ds_prev + ds))   # couples x_{i-1}
-    beta = 2.0 / (ds * (ds_prev + ds))         # couples x_{i+1}
-    sub = -dt * alpha
-    sup = -dt * beta
-    diag = 1.0 + dt * (alpha + beta)
-
-    moved = _solve_cyclic_tridiagonal(sub, diag, sup, sup[-1], sub[0], p)
+    moved = _solve_circulant(curve.points, dt, curve.length / n)
     if not np.all(np.isfinite(moved)):
         raise Degenerate("non-finite coordinates after implicit solve")
-    new_curve = reparametrize_uniform(make_curve(moved), n)
+    new_curve = reparametrize_uniform(moved, n)
 
-    L_old, L_new = curve.length, new_curve.length
+    L_old, L_new = state.curve.length, new_curve.length
     if L_new < HARD_LENGTH_FLOOR:
         raise Degenerate(f"length collapsed to {L_new:.3e}")
     if check_simple and not validate_simple(new_curve):
@@ -156,9 +137,8 @@ def symmetrize(curve: DiscreteCurve) -> DiscreteCurve:
 
 
 def _curvature_bound_margin(max_kappa_sq: float, L: float, a: float, tau: float) -> float:
-    bound = (2.0 * math.pi / L) ** 2 * (1.0 + (2.0 * a * a / math.pi ** 2)
-                                        * math.exp(-2.0 * FOUR_PI_SQ * tau))
-    return (bound - (max_kappa_sq + 1.0)) / bound
+    bound = curvature_bound(L, a, tau)
+    return float((bound - (max_kappa_sq + 1.0)) / bound)
 
 
 def _target_n(n0: int, L0: float, L: float, n_floor: int) -> int:
@@ -170,7 +150,9 @@ def run(cfg: RunConfig) -> tuple[DiagnosticsSeries, Outcome]:
     """Integrate from the configured initial curve until shrink-out,
     great-circle plateau, or t_max; classify the outcome.
 
-    Raises NonConvergent when t_max arrives without a classifiable state.
+    Raises NonConvergent when t_max arrives without a classifiable state or
+    a resample does not converge, with the partial diagnostics attached as
+    its `series`.
     """
     curve = generators.initial_curve(cfg)
     if not validate_simple(curve):
@@ -200,40 +182,44 @@ def run(cfg: RunConfig) -> tuple[DiagnosticsSeries, Outcome]:
     kappa_max = record(state, math.nan, with_z=True)
 
     finished = None
-    while finished is None:
-        # The spatial cap keeps the stencil resolved; the curvature cap keeps
-        # dt a fixed fraction of the flow timescale 1/kappa_bar^2, which near
-        # extinction bounds the accumulated timing drift proportionally at
-        # every scale (per-step defect is O(dt^2 kappa_bar^2)).
-        dt = min(cfg.dt, dt_max(state, cfg.c_cfl),
-                 cfg.dt_curvature_frac / (1.0 + kappa_max * kappa_max))
-        check = (state.step_index + 1) % cfg.simple_every == 0
-        new_state = step(state, dt, c_cfl=cfg.c_cfl, check_simple=check)
-        if cfg.symmetrize:
-            new_state = FlowState(curve=symmetrize(new_state.curve), t=new_state.t,
-                                  tau=new_state.tau, step_index=new_state.step_index)
-        dldt = (new_state.curve.length - state.curve.length) / dt
+    try:
+        while finished is None:
+            # The spatial cap keeps the stencil resolved; the curvature cap keeps
+            # dt a fixed fraction of the flow timescale 1/kappa_bar^2, which near
+            # extinction bounds the accumulated timing drift proportionally at
+            # every scale (per-step defect is O(dt^2 kappa_bar^2)).
+            dt = min(cfg.dt, dt_max(state, cfg.c_cfl),
+                     cfg.dt_curvature_frac / (1.0 + kappa_max * kappa_max))
+            check = (state.step_index + 1) % cfg.simple_every == 0
+            new_state = step(state, dt, c_cfl=cfg.c_cfl, check_simple=check)
+            if cfg.symmetrize:
+                new_state = FlowState(curve=symmetrize(new_state.curve), t=new_state.t,
+                                      tau=new_state.tau, step_index=new_state.step_index)
+            dldt = (new_state.curve.length - state.curve.length) / dt
 
-        resized = _target_n(n0, L0, new_state.curve.length, cfg.n_floor)
-        if resized < new_state.curve.n:
-            new_state = FlowState(curve=reparametrize_uniform(new_state.curve, resized),
-                                  t=new_state.t, tau=new_state.tau,
-                                  step_index=new_state.step_index)
+            resized = _target_n(n0, L0, new_state.curve.length, cfg.n_floor)
+            if resized < new_state.curve.n:
+                new_state = FlowState(curve=reparametrize_uniform(new_state.curve, resized),
+                                      t=new_state.t, tau=new_state.tau,
+                                      step_index=new_state.step_index)
 
-        state = new_state
-        shrunk = state.curve.length < cfg.l_floor
-        timed_out = state.t >= cfg.t_max
-        with_z = state.step_index % cfg.z_every == 0 or shrunk or timed_out
-        kappa_max = record(state, dldt, with_z)
+            state = new_state
+            shrunk = state.curve.length < cfg.l_floor
+            timed_out = state.t >= cfg.t_max
+            with_z = state.step_index % cfg.z_every == 0 or shrunk or timed_out
+            kappa_max = record(state, dldt, with_z)
 
-        plateau = state.step_index >= 10 and kappa_max < cfg.gc_kappa_tol
-        if shrunk:
-            finished = "shrunk"
-        elif plateau or timed_out:
-            finished = "flat"
+            plateau = state.step_index >= 10 and kappa_max < cfg.gc_kappa_tol
+            if shrunk:
+                finished = "shrunk"
+            elif plateau or timed_out:
+                finished = "flat"
 
-        if state.step_index % cfg.checkpoint_every == 0 or finished is not None:
-            series.checkpoints.append((state.step_index, state.curve))
+            if state.step_index % cfg.checkpoint_every == 0 or finished is not None:
+                series.checkpoints.append((state.step_index, state.curve))
+    except NonConvergent as exc:  # a resample that did not converge
+        exc.series = series
+        raise
 
     if finished == "shrunk":
         T_est, rms = _extinction_fit(series)

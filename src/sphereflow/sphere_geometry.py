@@ -18,24 +18,23 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CoincidentPoints, DegenerateSegment, TooFewVertices
+from .errors import CoincidentPoints, DegenerateSegment, NonConvergent, TooFewVertices
 
 ON_SPHERE_TOL = 1e-12
 MIN_VERTICES = 8
 
+# A resample stops when max ds - min ds <= _UNIFORM_RTOL * mean ds, or after
+# _MAX_PASSES interpolation passes. Past n ~ 8000 the spread of
+# |p_{i+1} - p_i| bottoms out at about 9 ulp of a unit coordinate, above the
+# relative target (equator 8192 -> 16384 ends at 5.2e-12 of the mean), so a
+# resample that ends within _ROUNDOFF_SPREAD has converged to round-off.
+_UNIFORM_RTOL = 1e-12
+_MAX_PASSES = 10
+_ROUNDOFF_SPREAD = 64 * np.finfo(float).eps
+
 # Pairwise passes walk the upper triangle in row blocks of about this many
 # (i, j) entries, so their memory is O(n * block) rather than O(n^2).
 _BLOCK_ENTRIES = 1 << 16
-
-
-def _unit_rows(points: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(points, axis=1, keepdims=True)
-    if np.any(norms == 0.0) or not np.all(np.isfinite(norms)):
-        raise DegenerateSegment("zero or non-finite vertex cannot be projected to the sphere")
-    # leave already-unit rows untouched so ingest/serialise round-trips are
-    # bitwise stable (dividing by 1 +/- 1 ulp would still flip low bits)
-    needs = np.abs(norms - 1.0) > 1e-13
-    return np.where(needs, points / norms, points)
 
 
 @dataclass(frozen=True)
@@ -55,8 +54,7 @@ class DiscreteCurve:
     @cached_property
     def seg_lengths(self) -> np.ndarray:
         """ds_i = |p_{i+1} - p_i| with cyclic wrap, shape (n,)."""
-        diffs = np.roll(self.points, -1, axis=0) - self.points
-        return np.linalg.norm(diffs, axis=1)
+        return _segment_lengths(_closed_rows(self.points))
 
     @cached_property
     def cum_lengths(self) -> np.ndarray:
@@ -103,25 +101,84 @@ class ChordData:
     ell: float
 
 
+def _closed_rows(points: np.ndarray) -> np.ndarray:
+    """(3, n+1) coordinate rows of an (n, 3) vertex array, vertex 0 repeated last."""
+    n = points.shape[0]
+    rows = np.empty((3, n + 1))
+    rows[:, :n] = points.T
+    rows[:, n] = rows[:, 0]
+    return rows
+
+
+def _project_rows(rows: np.ndarray) -> None:
+    """Scale each vertex (column) of coordinate rows onto the unit sphere, in place."""
+    sq = rows * rows
+    norms = np.sqrt((sq[0] + sq[1]) + sq[2])
+    if not (norms.min() > 0.0 and norms.max() < np.inf):
+        raise DegenerateSegment("zero or non-finite vertex cannot be projected to the sphere")
+    # leave already-unit vertices untouched so ingest/serialise round-trips are
+    # bitwise stable (dividing by 1 +/- 1 ulp would still flip low bits)
+    np.divide(rows, norms, out=rows, where=np.abs(norms - 1.0) > 1e-13)
+
+
+def _segment_lengths(rows: np.ndarray) -> np.ndarray:
+    """|p_{i+1} - p_i| from closed coordinate rows, summed coordinate by coordinate.
+
+    Raises DegenerateSegment where consecutive vertices coincide.
+    """
+    d = rows[:, 1:] - rows[:, :-1]
+    d *= d
+    ds = np.sqrt((d[0] + d[1]) + d[2])
+    if ds.min() < 1e-14:
+        bad = int(np.argmin(ds))
+        raise DegenerateSegment(f"vertices {bad} and {(bad + 1) % ds.size} coincide")
+    return ds
+
+
+def _curve(rows: np.ndarray, ds: np.ndarray) -> DiscreteCurve:
+    """DiscreteCurve from closed coordinate rows, with seg_lengths already known."""
+    pts = rows[:, :-1].T.copy()
+    pts.flags.writeable = False
+    curve = DiscreteCurve(points=pts)
+    curve.__dict__["seg_lengths"] = ds   # where cached_property keeps its value
+    return curve
+
+
+def _vertex_rows(points) -> np.ndarray:
+    """Closed coordinate rows of an (n >= 8, 3) vertex array, projected."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise DegenerateSegment(f"expected (n, 3) vertex array, got shape {pts.shape}")
+    if pts.shape[0] < MIN_VERTICES:
+        raise TooFewVertices(f"need at least {MIN_VERTICES} vertices, got {pts.shape[0]}")
+    rows = _closed_rows(pts)
+    _project_rows(rows)
+    return rows
+
+
 def make_curve(points) -> DiscreteCurve:
     """Build a DiscreteCurve, projecting every vertex onto the unit sphere.
 
     Raises TooFewVertices for n < 8 and DegenerateSegment if consecutive
     vertices coincide after projection.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise DegenerateSegment(f"expected (n, 3) vertex array, got shape {pts.shape}")
-    if pts.shape[0] < MIN_VERTICES:
-        raise TooFewVertices(f"need at least {MIN_VERTICES} vertices, got {pts.shape[0]}")
-    pts = _unit_rows(pts)
-    gaps = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
-    if np.any(gaps < 1e-14):
-        bad = int(np.argmin(gaps))
-        raise DegenerateSegment(f"vertices {bad} and {(bad + 1) % pts.shape[0]} coincide")
-    pts = pts.copy()
-    pts.flags.writeable = False
-    return DiscreteCurve(points=pts)
+    rows = _vertex_rows(points)
+    return _curve(rows, _segment_lengths(rows))
+
+
+_NEXT = np.array([1, 2, 0])   # coordinate k+1 (mod 3)
+_PREV = np.array([2, 0, 1])   # coordinate k-1 (mod 3)
+
+
+def _cyclic_neighbours(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(prev, next) with prev[..., i] = a[..., i-1] and next[..., i] = a[..., i+1], cyclic."""
+    prev = np.empty_like(a)
+    prev[..., 1:] = a[..., :-1]
+    prev[..., 0] = a[..., -1]
+    nxt = np.empty_like(a)
+    nxt[..., :-1] = a[..., 1:]
+    nxt[..., -1] = a[..., 0]
+    return prev, nxt
 
 
 def frame_field(curve: DiscreteCurve) -> FrameField:
@@ -133,27 +190,33 @@ def frame_field(curve: DiscreteCurve) -> FrameField:
     Second order accurate on smoothly-spaced vertices, exact on uniformly
     sampled circles.
     """
-    p = curve.points
     ds = curve.seg_lengths
-    p_next = np.roll(p, -1, axis=0)
-    p_prev = np.roll(p, 1, axis=0)
-    ds_prev = np.roll(ds, 1)
+    p_mid = curve.points.T.copy()
+    p_prev, p_next = _cyclic_neighbours(p_mid)
+    ds_prev = _cyclic_neighbours(ds)[0]
 
-    t_raw = p_next - p_prev
-    t_raw = t_raw - np.sum(t_raw * p, axis=1, keepdims=True) * p
-    t_norm = np.linalg.norm(t_raw, axis=1, keepdims=True)
-    if np.any(t_norm < 1e-14):
+    t = p_next - p_prev
+    tp = t * p_mid
+    t -= ((tp[0] + tp[1]) + tp[2]) * p_mid
+    tt = t * t
+    t_norm = np.sqrt((tt[0] + tt[1]) + tt[2])
+    if t_norm.min() < 1e-14:
         raise DegenerateSegment("tangent stencil collapsed (coincident neighbours)")
-    tangent = t_raw / t_norm
+    t /= t_norm
 
-    normal = np.cross(tangent, p)
+    # np.cross(tangent, p), component by component
+    normal = t.take(_NEXT, axis=0) * p_mid.take(_PREV, axis=0)
+    normal -= t.take(_PREV, axis=0) * p_mid.take(_NEXT, axis=0)
 
     # 3-point second derivative on nonuniform spacing, then add gamma.
     inv = 2.0 / (ds_prev + ds)
-    gamma_ss = (inv[:, None]) * ((p_next - p) / ds[:, None] - (p - p_prev) / ds_prev[:, None])
-    kappa = -np.sum((gamma_ss + p) * normal, axis=1)
+    g = inv * ((p_next - p_mid) / ds - (p_mid - p_prev) / ds_prev)
+    g += p_mid
+    g *= normal
+    kappa = -((g[0] + g[1]) + g[2])
     kappa_bar = np.sqrt(1.0 + kappa * kappa)
 
+    tangent, normal = t.T, normal.T
     for arr in (tangent, normal, kappa, kappa_bar):
         arr.flags.writeable = False
     return FrameField(tangent=tangent, normal=normal, kappa=kappa, kappa_bar=kappa_bar, ds=ds)
@@ -182,37 +245,69 @@ def chord_data(curve: DiscreteCurve, i: int, j: int) -> ChordData:
     return ChordData(d=d, rho=rho, w=w, ell=ell)
 
 
-def reparametrize_uniform(curve: DiscreteCurve, n_out: int) -> DiscreteCurve:
+def _is_uniform(ds: np.ndarray) -> bool:
+    """The resample's stopping rule: max ds - min ds <= _UNIFORM_RTOL * mean ds."""
+    return bool(ds.max() - ds.min() <= _UNIFORM_RTOL * (ds.sum() / ds.size))
+
+
+def reparametrize_uniform(curve, n_out: int) -> DiscreteCurve:
     """Resample to n_out vertices at equal polygon-arclength spacing.
 
-    New vertices are linearly interpolated along the polygon (anchored at
-    vertex 0) and re-projected onto the sphere. Projection perturbs the
-    spacing at O(ds^2), so the resample iterates to its fixed point.
-    Idempotent on already uniform curves; length is preserved to O(n^-2).
+    curve is a DiscreteCurve or an (n, 3) vertex array, which is first
+    projected onto the sphere as make_curve does. New vertices are linearly
+    interpolated along the polygon (anchored at vertex 0) and re-projected
+    onto the sphere. Projection perturbs the spacing at O(ds^2), so the
+    resample iterates to its fixed point on plain coordinate arrays and
+    builds one curve at the end. Idempotent on already uniform curves;
+    length is preserved to O(n^-2).
+
+    Raises NonConvergent when the spacing is still not uniform after
+    _MAX_PASSES passes, unless what is left of its spread is round-off.
     """
-    out_curve = curve
-    for _ in range(10):
-        ds = out_curve.seg_lengths
-        if out_curve.n == n_out and (ds.max() - ds.min()) <= 1e-12 * ds.mean():
-            return out_curve
-        s = out_curve.cum_lengths
-        closed = np.vstack([out_curve.points, out_curve.points[:1]])
-        targets = np.arange(n_out) * (out_curve.length / n_out)
-        pts = np.empty((n_out, 3))
+    if n_out < MIN_VERTICES:
+        raise TooFewVertices(f"need at least {MIN_VERTICES} vertices, got {n_out}")
+    if isinstance(curve, DiscreteCurve):
+        if curve.n == n_out and _is_uniform(curve.seg_lengths):
+            return curve
+        rows, ds = _closed_rows(curve.points), curve.seg_lengths
+    else:
+        rows = _vertex_rows(curve)
+        ds = _segment_lengths(rows)
+        if ds.size == n_out and _is_uniform(ds):
+            return _curve(rows, ds)
+    for _ in range(_MAX_PASSES):
+        cum = np.empty(ds.size + 1)
+        cum[0] = 0.0
+        np.cumsum(ds, out=cum[1:])
+        targets = np.arange(n_out) * (float(cum[-1]) / n_out)
+        rows_in, rows = rows, np.empty((3, n_out + 1))
         for k in range(3):
-            pts[:, k] = np.interp(targets, s, closed[:, k])
-        out_curve = make_curve(pts)
-    return out_curve
+            rows[k, :n_out] = np.interp(targets, cum, rows_in[k])
+        rows[:, n_out] = rows[:, 0]
+        _project_rows(rows)
+        ds = _segment_lengths(rows)
+        if _is_uniform(ds):
+            return _curve(rows, ds)
+    spread = ds.max() - ds.min()
+    if spread > max(_UNIFORM_RTOL * ds.mean(), _ROUNDOFF_SPREAD):
+        raise NonConvergent(
+            f"resample to {n_out} vertices did not converge in {_MAX_PASSES} passes: "
+            f"spacing spread {spread / ds.mean():.3e} of the mean")
+    return _curve(rows, ds)
 
 
 def _arc_intersections(a, b, c, d) -> np.ndarray:
     """Whether minor great-circle arcs (a->b) and (c->d) intersect, rowwise."""
+    # Unit plane normals: the sign tests below compare products with n1 and n2
+    # against fixed tolerances, so those products must not scale with the
+    # arc's length (with |a x b| = 2e-10, -1e-15 would allow 5e-6 rad).
     n1 = np.cross(a, b)
+    n1 /= np.maximum(np.linalg.norm(n1, axis=1), 1e-300)[:, None]
     n2 = np.cross(c, d)
+    n2 /= np.maximum(np.linalg.norm(n2, axis=1), 1e-300)[:, None]
     g = np.cross(n1, n2)
     gn = np.linalg.norm(g, axis=1)
-    scale = np.linalg.norm(n1, axis=1) * np.linalg.norm(n2, axis=1)
-    generic = gn > 1e-12 * np.maximum(scale, 1e-300)
+    generic = gn > 1e-12
 
     hit = np.zeros(a.shape[0], dtype=bool)
 

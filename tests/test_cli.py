@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sphereflow import cli, generators, run_io
+from sphereflow import sphere_geometry as sg
 from sphereflow.config import config_from_dict, load_config
 from sphereflow.errors import ConfigParseError
 
@@ -64,6 +69,29 @@ class TestSimulate:
     def test_bad_dt_is_config_error(self, tmp_path):
         cfgp = write_config(tmp_path / "cfg.json", dt=-1.0)
         assert cli.main(["simulate", "--config", str(cfgp)]) == 2
+
+    def test_nonconverging_resample_writes_error_run(self, tmp_path, monkeypatch):
+        c = generators.fourier_perturbed_curve((0, 0, 1), [2, 3], [0.2, 0.1], 128, seed=8)
+        run_io.write_curve_csv(c, tmp_path / "start.csv")
+        cfgp = write_config(tmp_path / "cfg.json", n=128, dt=1e-4, t_max=0.05,
+                            generator={"kind": "from_file", "path": str(tmp_path / "start.csv")})
+        monkeypatch.setattr(sg, "_MAX_PASSES", 1)
+        assert cli.main(["simulate", "--config", str(cfgp), "--out", str(tmp_path / "run")]) == 1
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["outcome"]["kind"] == "error"
+        assert "did not converge" in manifest["outcome"]["error"]
+        rows = (tmp_path / "run" / "diagnostics.csv").read_text().splitlines()
+        assert len(rows) >= 2
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys, sphereflow.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestVerify:

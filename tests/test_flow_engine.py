@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sphereflow import flow_engine, generators
+from sphereflow import flow_engine, generators, run_io
 from sphereflow import sphere_geometry as sg
 from sphereflow.config import GeneratorSpec, RunConfig
 from sphereflow.errors import InsufficientData, NonConvergent, SelfIntersection, StepTooLarge
@@ -77,6 +77,56 @@ class TestStep:
         assert abs(st.tau - tau) < 1e-15
 
 
+def cyclic_laplacian(ds):
+    """Dense 3-point second difference on cyclic spacing ds (x_{i+1} - x_i = ds_i)."""
+    n = ds.size
+    ds_prev = np.roll(ds, 1)
+    alpha = 2.0 / (ds_prev * (ds_prev + ds))
+    beta = 2.0 / (ds * (ds_prev + ds))
+    lap = np.zeros((n, n))
+    for i in range(n):
+        lap[i, (i - 1) % n] += alpha[i]
+        lap[i, (i + 1) % n] += beta[i]
+        lap[i, i] -= alpha[i] + beta[i]
+    return lap
+
+
+class TestCirculantSolve:
+    @pytest.mark.parametrize("n", [8, 9, 64, 512])
+    def test_matches_dense_solve(self, n):
+        rng = np.random.default_rng(n)
+        p = rng.normal(size=(n, 3))
+        h = 2 * np.pi / n
+        for dt in (1e-6, 5.0 * h * h):
+            lap = cyclic_laplacian(np.full(n, h))
+            expect = np.linalg.solve(np.eye(n) - dt * lap, p)
+            assert np.max(np.abs(flow_engine._solve_circulant(p, dt, h) - expect)) < 1e-13
+
+    def test_uniform_spacing_to_tolerance_is_enough(self):
+        # a resampled curve is uniform to 1e-12 of ds, not exactly; the
+        # circulant solve with h = L/n agrees with the solve on its own ds
+        c = generators.fourier_perturbed_curve((0, 0, 1), [1, 3], [0.2, 0.1], 512, seed=7,
+                                               antipodal_symmetric=True)
+        ds = c.seg_lengths
+        assert 0.0 < ds.max() - ds.min() <= sg._UNIFORM_RTOL * ds.mean()
+        dt = flow_engine.dt_max(state_of(c))
+        expect = np.linalg.solve(np.eye(c.n) - dt * cyclic_laplacian(ds), c.points)
+        got = flow_engine._solve_circulant(c.points, dt, c.length / c.n)
+        assert np.max(np.abs(got - expect)) < 1e-13
+
+    def test_nonuniform_input_is_resampled_first(self):
+        n = 256
+        u = 2 * np.pi * np.arange(n) / n
+        u = u + 0.4 * np.sin(u)
+        clustered = sg.make_curve(np.column_stack([0.7 * np.cos(u), 0.7 * np.sin(u),
+                                                   np.full(n, np.sqrt(1 - 0.49))]))
+        uniform = sg.reparametrize_uniform(clustered, n)
+        assert uniform is not clustered
+        a = flow_engine.step(state_of(clustered), 1e-5).curve.points
+        b = flow_engine.step(state_of(uniform), 1e-5).curve.points
+        assert np.array_equal(a, b)
+
+
 class TestSymmetrize:
     def test_antipodal_curve_unchanged(self):
         c = generators.fourier_perturbed_curve((0, 0, 1), [1, 3], [0.1, 0.05], 128,
@@ -113,6 +163,18 @@ class TestRun:
         assert list(steps) == list(range(len(steps)))
         tau = series.column("tau")
         assert np.all(np.diff(tau) > 0)
+
+    def test_nonconverging_resample_attaches_partial_series(self, tmp_path, monkeypatch):
+        # a uniform non-circular start: the file needs no resample, the steps do
+        c = generators.fourier_perturbed_curve((0, 0, 1), [2, 3], [0.2, 0.1], 128, seed=8)
+        run_io.write_curve_csv(c, tmp_path / "start.csv")
+        gen = GeneratorSpec(kind="from_file", path=str(tmp_path / "start.csv"))
+        cfg = RunConfig(generator=gen, n=128, dt=1e-4, t_max=0.05)
+        monkeypatch.setattr(sg, "_MAX_PASSES", 1)
+        with pytest.raises(NonConvergent, match="did not converge in 1 passes") as info:
+            flow_engine.run(cfg)
+        steps = info.value.series.column("step")
+        assert steps.size >= 1 and list(steps) == list(range(steps.size))
 
     def test_nonconvergent_attaches_partial_series(self):
         gen = GeneratorSpec(kind="fourier_perturbed", axis=(0, 0, 1),

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from sphereflow import generators
+from sphereflow import generators, run_io
 from sphereflow import sphere_geometry as sg
-from sphereflow.errors import CoincidentPoints, DegenerateSegment, TooFewVertices
+from sphereflow.errors import CoincidentPoints, DegenerateSegment, NonConvergent, TooFewVertices
 
 
 def equator(n):
@@ -44,6 +44,102 @@ class TestMakeCurve:
         c = sg.make_curve(equator(64))
         with pytest.raises(ValueError):
             c.points[0, 0] = 2.0
+
+
+# Reference versions of make_curve, reparametrize_uniform and frame_field on
+# (n, 3) arrays with np.roll, np.cross and np.linalg.norm. The package
+# computes them on coordinate rows and must match them bit for bit.
+def ref_make_points(points):
+    pts = np.asarray(points, dtype=float)
+    norms = np.linalg.norm(pts, axis=1, keepdims=True)
+    pts = np.where(np.abs(norms - 1.0) > 1e-13, pts / norms, pts)
+    assert np.all(ref_seg_lengths(pts) >= 1e-14)
+    return pts
+
+
+def ref_seg_lengths(p):
+    return np.linalg.norm(np.roll(p, -1, axis=0) - p, axis=1)
+
+
+def ref_reparametrize_uniform(points, n_out):
+    p = ref_make_points(points)
+    for _ in range(10):
+        ds = ref_seg_lengths(p)
+        if p.shape[0] == n_out and (ds.max() - ds.min()) <= 1e-12 * ds.mean():
+            return p
+        s = np.concatenate([[0.0], np.cumsum(ds)])
+        closed = np.vstack([p, p[:1]])
+        targets = np.arange(n_out) * (float(s[-1]) / n_out)
+        pts = np.empty((n_out, 3))
+        for k in range(3):
+            pts[:, k] = np.interp(targets, s, closed[:, k])
+        p = ref_make_points(pts)
+    return p
+
+
+def ref_frame_field(p):
+    ds = ref_seg_lengths(p)
+    p_next, p_prev, ds_prev = np.roll(p, -1, axis=0), np.roll(p, 1, axis=0), np.roll(ds, 1)
+    t_raw = p_next - p_prev
+    t_raw = t_raw - np.sum(t_raw * p, axis=1, keepdims=True) * p
+    tangent = t_raw / np.linalg.norm(t_raw, axis=1, keepdims=True)
+    normal = np.cross(tangent, p)
+    inv = 2.0 / (ds_prev + ds)
+    gamma_ss = inv[:, None] * ((p_next - p) / ds[:, None] - (p - p_prev) / ds_prev[:, None])
+    kappa = -np.sum((gamma_ss + p) * normal, axis=1)
+    return tangent, normal, kappa, np.sqrt(1.0 + kappa * kappa), ds
+
+
+def clustered_points(seed, n):
+    """Seeded perturbed curve with clustered vertices, off the sphere by up to 10%."""
+    rng = np.random.default_rng(seed)
+    u = 2 * np.pi * np.arange(n) / n
+    lon = u + 0.4 * np.sin(u + rng.uniform(0, 2 * np.pi))
+    lat = 0.3 * np.sin(2 * lon + rng.uniform(0, 2 * np.pi)) + 0.1 * np.cos(3 * lon)
+    pts = np.column_stack([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)])
+    return pts * rng.uniform(0.9, 1.1, size=(n, 1))
+
+
+def reference_inputs():
+    """Seeded perturbed, clustered parallel and read-from-file vertex arrays."""
+    out = [clustered_points(seed, n) for seed, n in [(1, 64), (2, 201), (3, 512), (4, 1024)]]
+    for n in (96, 512):
+        u = 2 * np.pi * np.arange(n) / n
+        u = u + 0.4 * np.sin(u)
+        r, z = np.sin(np.pi / 3), np.cos(np.pi / 3)
+        out.append(np.column_stack([r * np.cos(u), r * np.sin(u), np.full(n, z)]))
+    return out
+
+
+def read_back(points, tmp_path):
+    """Vertex array as read_curve_csv parses it after write_curve_csv."""
+    path = tmp_path / "curve.csv"
+    run_io.write_curve_csv(sg.make_curve(points), path)
+    return np.loadtxt(path, delimiter=",", skiprows=1)
+
+
+class TestComponentRowsMatchReference:
+    def test_make_curve_and_seg_lengths(self):
+        for pts in reference_inputs():
+            c = sg.make_curve(pts)
+            assert np.array_equal(c.points, ref_make_points(pts))
+            assert np.array_equal(c.seg_lengths, ref_seg_lengths(c.points))
+
+    def test_frame_field(self, tmp_path):
+        curves = [sg.make_curve(pts) for pts in reference_inputs()]
+        curves += [sg.reparametrize_uniform(pts, pts.shape[0]) for pts in reference_inputs()]
+        curves.append(sg.make_curve(read_back(clustered_points(7, 300), tmp_path)))
+        for c in curves:
+            f = sg.frame_field(c)
+            got = (f.tangent, f.normal, f.kappa, f.kappa_bar, f.ds)
+            for a, b in zip(got, ref_frame_field(c.points)):
+                assert np.array_equal(a, b)
+
+    def test_read_back_curves_resample(self, tmp_path):
+        for seed in (8, 9):
+            pts = read_back(clustered_points(seed, 257), tmp_path)
+            assert np.array_equal(sg.reparametrize_uniform(sg.make_curve(pts), 257).points,
+                                  ref_reparametrize_uniform(pts, 257))
 
 
 class TestFrameField:
@@ -158,6 +254,38 @@ class TestReparametrize:
         r2 = sg.reparametrize_uniform(r1, 200)
         assert np.max(np.linalg.norm(r2.points - r1.points, axis=1)) < 1e-10
 
+    def test_accepts_vertex_array(self):
+        pts = 1.5 * clustered_points(5, 128)
+        r = sg.reparametrize_uniform(pts, 128)
+        assert np.array_equal(r.points, sg.reparametrize_uniform(sg.make_curve(pts), 128).points)
+        assert np.array_equal(r.seg_lengths, np.linalg.norm(
+            np.roll(r.points, -1, axis=0) - r.points, axis=1))
+
+    @pytest.mark.parametrize("n_out_of_n", [lambda n: n, lambda n: n // 2, lambda n: 2 * n])
+    def test_bitwise_equal_to_reference(self, n_out_of_n):
+        for pts in reference_inputs():
+            n_out = n_out_of_n(pts.shape[0])
+            expect = ref_reparametrize_uniform(pts, n_out)
+            assert np.array_equal(sg.reparametrize_uniform(pts, n_out).points, expect)
+            assert np.array_equal(
+                sg.reparametrize_uniform(sg.make_curve(pts), n_out).points, expect)
+
+    def test_pass_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(sg, "_MAX_PASSES", 1)
+        with pytest.raises(NonConvergent, match="spacing spread"):
+            sg.reparametrize_uniform(sg.make_curve(clustered_points(0, 256)), 256)
+        # an already uniform curve needs no pass
+        c = sg.make_curve(equator(256))
+        assert sg.reparametrize_uniform(c, 256) is c
+
+    def test_roundoff_spread_is_converged(self):
+        # past n ~ 8000 the spacing cannot reach the 1e-12 relative target;
+        # what is left is round-off, which is not an error
+        r = sg.reparametrize_uniform(sg.make_curve(equator(4096)), 8192)
+        ds = r.seg_lengths
+        assert ds.max() - ds.min() > sg._UNIFORM_RTOL * ds.mean()
+        assert ds.max() - ds.min() <= sg._ROUNDOFF_SPREAD
+
 
 def figure_eight(n=256):
     u = 2 * np.pi * np.arange(n) / n
@@ -257,6 +385,10 @@ class TestValidateSimple:
            lon_amp=st.floats(0.0, 2.5), lat1=st.floats(0.0, 0.8), lat2=st.floats(0.0, 0.8),
            phases=st.lists(st.floats(0.0, 2 * np.pi), min_size=3, max_size=3),
            entries=st.sampled_from(BLOCK_ENTRIES))
+    # a 2e-10-long segment and one about 1.98 away from it: the exact test
+    # reports no crossing only if its on-arc tolerances scale with the arcs
+    @example(n=26, winding=0, lon_amp=2.0, lat1=1e-9, lat2=0.0, phases=[0.0, 1.0, 0.0],
+             entries=64)
     def test_matches_unfiltered_oracle_family(self, monkeypatch, n, winding, lon_amp,
                                               lat1, lat2, phases, entries):
         # winding 0: ovals when mode 1 dominates the latitude, figure-eights
