@@ -20,10 +20,10 @@ import numpy as np
 
 from . import barrier
 from .errors import InsufficientData, NotAdmissible, PreconditionViolation
-from .sphere_geometry import DiscreteCurve, _pair_blocks
+from .sphere_geometry import DiscreteCurve, _cyclic_shifts, _gap_blocks, _gap_pairs
 
 ADMISSIBLE_A_CAP = 1e6
-FILTER_SLACK = 1e-14           # relative to L, see admissible_a
+FILTER_SLACK = 1e-14           # relative to L, see min_Z and admissible_a
 
 
 @dataclass(frozen=True)
@@ -68,41 +68,54 @@ def _separation(curve: DiscreteCurve, i, j) -> np.ndarray:
     return np.minimum(arc, length - arc) / length
 
 
-def _chords(curve: DiscreteCurve, min_gap: int):
-    """Yield (rows, cols, d, z) per row block of vertex pairs (see _pair_blocks)."""
-    for rows, cols, d2 in _pair_blocks(curve.points, min_gap):
-        yield rows, cols, np.sqrt(d2), _separation(curve, rows, cols)
+def _chords(curve: DiscreteCurve, k_min: int):
+    """Yield (k, d, z) per block of cyclic index gaps (see _gap_blocks).
+
+    d is the chord and z the separation of each pair in the block. The arc
+    |s_{(i+k) mod n} - s_i| is s[j] - s[i] for the pair taken as i < j, bit
+    for bit, so z is what _separation gives.
+    """
+    s = curve.cum_lengths[:-1]
+    length = curve.length
+    s_shifted = _cyclic_shifts(s)
+    for k, d2 in _gap_blocks(curve.points, k_min):
+        arc = np.abs(s_shifted[k[0]:k[-1] + 1] - s)
+        yield k, np.sqrt(d2), np.minimum(arc, length - arc) / length
 
 
 def profile(curve: DiscreteCurve, n_bins: int) -> ChordArcProfile:
     """Exact pairwise minimum chord per z-bin, bins (k/2m, (k+1)/2m].
 
-    Each bin records the first pair (i, j) in row-major upper-triangle
-    order that attains its minimum. O(n^2) time, O(n * block) memory.
+    Each bin records, of the pairs i < j that attain its minimum, the first
+    in (i, j) order. O(n^2) time, O(n + block) memory.
     """
     if n_bins < 16:
         raise PreconditionViolation(f"need at least 16 bins, got {n_bins}")
     edges = np.linspace(0.0, 0.5, n_bins + 1)
+    n = curve.n
+    no_pair = n * n                  # pair (i, j) has key i * n + j < n^2
     psi = np.full(n_bins, np.inf)
-    pair_i = np.full(n_bins, -1, dtype=int)
-    pair_j = np.full(n_bins, -1, dtype=int)
+    key = np.full(n_bins, no_pair)
 
-    for rows, cols, d, z in _chords(curve, 1):
+    for k, d, z in _chords(curve, 1):
         idx = np.searchsorted(edges, z, side="left") - 1
+        if 2 * k[-1] == n:
+            idx[-1, n // 2:] = -1    # the repeated half of gap n/2
         pos = np.flatnonzero((idx >= 0) & (idx < n_bins))
         idx, d = idx.ravel()[pos], d.ravel()[pos]
         block_min = np.full(n_bins, np.inf)
         np.minimum.at(block_min, idx, d)
         hit = d == block_min[idx]
-        bins, first = np.unique(idx[hit], return_index=True)
-        # strict: on a tie the earlier block, hence the earlier pair, stays
-        better = block_min[bins] < psi[bins]
-        bins, win = bins[better], pos[hit][first[better]]
-        psi[bins] = block_min[bins]
-        pair_i[bins] = rows[win // cols.size, 0]
-        pair_j[bins] = cols[0, win % cols.size]
+        i, j = _gap_pairs(n, k, pos[hit])
+        block_key = np.full(n_bins, no_pair)
+        np.minimum.at(block_key, idx[hit], i * n + j)
+        better = (block_min < psi) | ((block_min == psi) & (block_key < key))
+        psi[better] = block_min[better]
+        key[better] = block_key[better]
 
-    empty = pair_i < 0
+    empty = key == no_pair
+    pair_i = np.where(empty, -1, key // n)
+    pair_j = np.where(empty, -1, key % n)
     psi[empty] = np.nan
     pair_z = np.full(n_bins, np.nan)
     pair_z[~empty] = _separation(curve, pair_i[~empty], pair_j[~empty])
@@ -117,18 +130,45 @@ def profile(curve: DiscreteCurve, n_bins: int) -> ChordArcProfile:
 def min_Z(curve: DiscreteCurve, params: barrier.BarrierParams) -> ZReport:
     """Minimum gap d - L*phi(ell/L; a_eff) over pairs at cyclic distance >= 2.
 
-    On ties the first pair in row-major upper-triangle order is reported.
+    On ties the first pair i < j in (i, j) order is reported.
+
+    Only the pairs that a bound per cyclic gap k cannot rule out get their
+    exact gap. With e_i = s_i - i L/n, the drift of the arclength from
+    uniform, every pair at gap k has |z - k/n| <= dz = (max e - min e)/L,
+    and phi increases on [0, 1/2]; so its gap lies between d - L phi(z_hi)
+    and d - L phi(z_lo) for z_lo, z_hi = k/n -+ dz. The shortest chord at
+    each gap then bounds min Z from above, and a pair can attain the minimum
+    only if d <= bound + L phi(z_hi). FILTER_SLACK * L on the bound and on
+    the cut covers rounding. On the resampled curves of a flow run dz is
+    1e-15 to 1e-14, and about n pairs, not n^2/2, get an exact gap.
     """
     a_eff = params.a_eff
-    length = curve.length
-    value, pair = math.inf, (-1, -1)
-    for rows, cols, d, z in _chords(curve, 2):
-        gaps = d - length * barrier.phi(z, a_eff)
-        k = int(np.argmin(gaps))
-        if gaps.flat[k] < value:
-            r, c = divmod(k, cols.size)
-            value, pair = float(gaps.flat[k]), (int(rows[r, 0]), int(cols[0, c]))
-    return ZReport(min_value=value, pair=pair, a_eff=a_eff)
+    n, length = curve.n, curve.length
+    s = curve.cum_lengths
+    drift = s[:-1] - np.arange(n) * (length / n)
+    dz = float(np.max(drift) - np.min(drift)) / length
+    slack = FILTER_SLACK * length
+    bound = value = math.inf
+    key = -1
+    for k, d2 in _gap_blocks(curve.points, 2):
+        z = k / n
+        d2_min = np.min(d2, axis=1)
+        shortest = np.sqrt(d2_min) - length * barrier.phi(np.maximum(z - dz, 0.0), a_eff)
+        bound = min(bound, float(np.min(shortest)) + slack)
+        reach = bound + length * barrier.phi(np.minimum(z + dz, 0.5), a_eff) + slack
+        reach2 = np.where(reach > 0.0, reach * reach, -1.0)
+        live = np.flatnonzero(d2_min <= reach2)
+        if live.size == 0:
+            continue
+        r, i = np.nonzero(d2[live] <= reach2[live, None])
+        flat = live[r] * n + i
+        i, j = _gap_pairs(n, k, flat)
+        gaps = np.sqrt(d2.ravel()[flat]) - length * barrier.phi(_separation(curve, i, j), a_eff)
+        best = gaps.min()
+        best_key = int((i * n + j)[gaps == best].min())
+        if best < value or (best == value and best_key < key):
+            value, key = float(best), best_key
+    return ZReport(min_value=value, pair=divmod(key, n), a_eff=a_eff)
 
 
 def admissible_a(curve: DiscreteCurve, tol: float = 1e-3) -> float:
@@ -142,17 +182,19 @@ def admissible_a(curve: DiscreteCurve, tol: float = 1e-3) -> float:
     Since phi(z; a) <= phi(z; 0), a pair's gap at any a is at least its gap
     at a = 0: only pairs below the profile at a = 0 can keep min_Z
     negative, so one pass collects them and the bisection runs on those
-    alone. Pairs within FILTER_SLACK * L above it are kept too, as rounding
-    of arctan can lift the profile by a few ulp.
+    alone. Each trial a that fails drops the pairs whose gap there exceeds
+    FILTER_SLACK * L, as every later trial is larger. Pairs within that
+    slack are kept, as rounding of arctan can lift the profile by a few ulp.
     """
     length = curve.length
+    slack = FILTER_SLACK * length
     d_low, c_low = [], []
     lowest = math.inf
-    for _, _, d, z in _chords(curve, 2):
+    for _, d, z in _chords(curve, 2):
         c = barrier.phi(z, 0.0)
         gaps = d - length * c
         lowest = min(lowest, float(np.min(gaps)))
-        low = gaps < FILTER_SLACK * length
+        low = gaps < slack
         d_low.append(d[low])
         c_low.append(c[low])
     if lowest >= 0.0:
@@ -160,7 +202,13 @@ def admissible_a(curve: DiscreteCurve, tol: float = 1e-3) -> float:
     d, c = np.concatenate(d_low), np.concatenate(c_low)
 
     def admits(a: float) -> bool:
-        return float(np.min(d - length * barrier.phi_of_c(c, a))) >= 0.0
+        nonlocal d, c
+        gaps = d - length * barrier.phi_of_c(c, a)
+        if float(np.min(gaps)) >= 0.0:
+            return True
+        keep = gaps <= slack
+        d, c = d[keep], c[keep]
+        return False
 
     hi = 1.0
     while not admits(hi):

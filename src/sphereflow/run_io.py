@@ -75,15 +75,23 @@ def read_diagnostics_csv(path) -> DiagnosticsSeries:
         header = fh.readline().strip()
         if header != DIAGNOSTICS_HEADER:
             raise ConfigParseError(f"{path}: unexpected diagnostics header {header!r}")
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) != 8:
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
                 continue
-            series.records.append(DiagnosticsRecord(
-                step=int(parts[0]), t=float(parts[1]), tau=float(parts[2]),
-                L=float(parts[3]), max_abs_kappa=float(parts[4]),
-                min_Z=float(parts[5]), dLdt_obs=float(parts[6]),
-                curv_margin=float(parts[7])))
+            parts = line.split(",")
+            if len(parts) != 8:
+                raise ConfigParseError(
+                    f"{path}, line {lineno}: expected 8 fields, got {len(parts)}")
+            try:
+                record = DiagnosticsRecord(
+                    step=int(parts[0]), t=float(parts[1]), tau=float(parts[2]),
+                    L=float(parts[3]), max_abs_kappa=float(parts[4]),
+                    min_Z=float(parts[5]), dLdt_obs=float(parts[6]),
+                    curv_margin=float(parts[7]))
+            except ValueError as exc:
+                raise ConfigParseError(f"{path}, line {lineno}: {exc}") from None
+            series.records.append(record)
     return series
 
 
@@ -175,6 +183,15 @@ def checkpoint_name(step: int) -> str:
     return f"step_{step:08d}.csv"
 
 
+def _checkpoint_step(rel: str) -> int:
+    """Step of a manifest path checkpoints/step_<step>.csv (see checkpoint_name)."""
+    name = rel[len("checkpoints/"):]
+    digits = name[len("step_"):-len(".csv")]
+    if not (name.startswith("step_") and name.endswith(".csv") and digits.isdigit()):
+        raise ConfigParseError(f"manifest lists {rel!r}, which is not a checkpoint name")
+    return int(digits)
+
+
 @dataclass
 class RunArtifacts:
     config: RunConfig
@@ -234,7 +251,10 @@ def utc_now() -> str:
 
 
 def load_run(run_dir) -> RunArtifacts:
-    """Load manifest, diagnostics, and checkpoints for verification."""
+    """Load manifest, diagnostics, and the checkpoints the manifest lists.
+
+    Raises MissingArtifacts when a listed file is absent.
+    """
     run_dir = Path(run_dir)
     manifest_path = run_dir / "manifest.json"
     diag_path = run_dir / "diagnostics.csv"
@@ -243,13 +263,16 @@ def load_run(run_dir) -> RunArtifacts:
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     cfg = config_from_dict(manifest["config"])
     series = read_diagnostics_csv(diag_path)
-    ckpt_dir = run_dir / "checkpoints"
-    if not ckpt_dir.is_dir():
-        raise MissingArtifacts(f"{run_dir} has no checkpoints directory")
-    for name in sorted(os.listdir(ckpt_dir)):
-        if name.startswith("step_") and name.endswith(".csv"):
-            step = int(name[5:-4])
-            series.checkpoints.append((step, read_curve_csv(ckpt_dir / name)))
+    # only the checkpoints the manifest names: a rerun with another cadence
+    # can leave stale files next to them
+    for entry in manifest.get("files", []):
+        rel = entry["path"]
+        if not rel.startswith("checkpoints/"):
+            continue
+        step = _checkpoint_step(rel)
+        if not (run_dir / rel).is_file():
+            raise MissingArtifacts(f"{run_dir} lacks {rel}, which its manifest lists")
+        series.checkpoints.append((step, read_curve_csv(run_dir / rel)))
     if not series.checkpoints:
         raise MissingArtifacts(f"{run_dir} has no checkpoint curves")
     return RunArtifacts(config=cfg, series=series, manifest=manifest, run_dir=run_dir)

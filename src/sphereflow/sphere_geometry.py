@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CoincidentPoints, DegenerateSegment, NonConvergent, TooFewVertices
 
@@ -32,9 +33,9 @@ _UNIFORM_RTOL = 1e-12
 _MAX_PASSES = 10
 _ROUNDOFF_SPREAD = 64 * np.finfo(float).eps
 
-# Pairwise passes walk the upper triangle in row blocks of about this many
-# (i, j) entries, so their memory is O(n * block) rather than O(n^2).
-_BLOCK_ENTRIES = 1 << 16
+# Pairwise passes walk the cyclic index gaps in blocks of about this many
+# (gap, vertex) entries, so their memory is O(n + block) rather than O(n^2).
+_GAP_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -336,63 +337,87 @@ def _arc_intersections(a, b, c, d) -> np.ndarray:
     return hit
 
 
-def _pair_blocks(points: np.ndarray, min_gap: int):
-    """Yield (rows, cols, d2) over index pairs i < j at cyclic gap >= min_gap.
+def _cyclic_shifts(a: np.ndarray) -> np.ndarray:
+    """Read-only (n, n) view of a 1-D array: row k holds a[(i + k) mod n] at i."""
+    return sliding_window_view(np.concatenate([a, a[:-1]]), a.size)
 
-    Each block covers rows i0:i1 and columns i0 + min_gap .. n-1: rows has
-    shape (r, 1), cols shape (1, w), and d2[r, c] = |p_i - p_j|^2 for
-    i = rows[r, 0], j = cols[0, c]. Entries outside the pair set (j - i <
-    min_gap or j - i > n - min_gap) are +inf, so they never pass a distance
-    threshold or win a minimum. Blocks come in row order, so row-major order
-    within and across blocks is the upper-triangle order of (i, j).
 
-    d2 is summed coordinate by coordinate in a fixed order (no BLAS), so
-    every entry is bitwise independent of the block size and thread count.
+def _gap_blocks(points: np.ndarray, k_min: int):
+    """Yield (k, d2) over the cyclic index gaps k = k_min .. n // 2, in order.
+
+    k has shape (r,) and d2 shape (r, n), with d2[r, i] = |p_i - p_j|^2 for
+    j = (i + k[r]) mod n. Each unordered pair at cyclic gap
+    min(|i - j|, n - |i - j|) >= k_min appears once: at even n, entries
+    i >= n/2 of gap n/2 repeat entries i < n/2, so they are +inf and never
+    pass a distance threshold or win a minimum.
+
+    d2 is summed coordinate by coordinate, (dx^2 + dy^2) + dz^2, from views
+    of the doubled coordinate arrays (no gather, no BLAS), so every entry is
+    bitwise independent of the block size and of the order of i and j.
     """
     n = points.shape[0]
-    x, y, z = (np.ascontiguousarray(points[:, k]) for k in range(3))
-    i0 = 0
-    while i0 + min_gap < n:
-        j0 = i0 + min_gap
-        width = n - j0
-        # at most width/8 rows keeps the +inf triangle below 1/16 of a block
-        i1 = min(n - min_gap, i0 + max(1, min(_BLOCK_ENTRIES // width, width // 8)))
-        rows = np.arange(i0, i1)[:, None]
-        cols = np.arange(j0, n)[None, :]
-        d2 = x[i0:i1, None] - x[None, j0:]
+    half = n // 2
+    coords = [np.ascontiguousarray(points[:, c]) for c in range(3)]
+    shifted = [_cyclic_shifts(c) for c in coords]
+    per_block = max(1, _GAP_BLOCK_ENTRIES // n)
+    for k0 in range(k_min, half + 1, per_block):
+        k1 = min(k0 + per_block, half + 1)
+        d2 = shifted[0][k0:k1] - coords[0]
         d2 *= d2
-        for coord in (y, z):
-            diff = coord[i0:i1, None] - coord[None, j0:]
+        for view, coord in zip(shifted[1:], coords[1:]):
+            diff = view[k0:k1] - coord
             diff *= diff
             d2 += diff
-        gap = cols - rows
-        np.putmask(d2, (gap < min_gap) | (gap > n - min_gap), np.inf)
-        yield rows, cols, d2
-        i0 = i1
+        if k1 > half and n % 2 == 0:
+            d2[-1, half:] = np.inf
+        yield np.arange(k0, k1), d2
+
+
+def _gap_pairs(n: int, k: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex pairs (i < j) at flat positions of a (k.size, n) _gap_blocks block."""
+    row, i = np.divmod(flat, n)
+    j = (i + k[row]) % n
+    return np.minimum(i, j), np.maximum(i, j)
+
+
+def _simple_candidates(curve: DiscreteCurve) -> tuple[np.ndarray, np.ndarray]:
+    """Non-adjacent segment pairs (i < j) that the exact crossing test must see.
+
+    A pair is kept when its chord midpoints lie within the sum of half-lengths
+    plus 1e-9, as every intersecting pair does. Pairs come in (i, j) order.
+    """
+    p = curve.points
+    mids = 0.5 * (p + np.roll(p, -1, axis=0))
+    ds = curve.seg_lengths
+    n = curve.n
+    # 0.5 (ds_i + ds_j) + 1e-9 <= max ds + 1e-9 holds after rounding too, so
+    # this cut keeps every pair the per-pair rule below keeps
+    widest = float(np.max(ds)) + 1e-9
+    ii, jj = [], []
+    for k, d2 in _gap_blocks(mids, 2):
+        flat = np.flatnonzero(d2 <= widest * widest)
+        i, j = _gap_pairs(n, k, flat)
+        reach = 0.5 * (ds[i] + ds[j]) + 1e-9
+        keep = d2.ravel()[flat] <= reach * reach
+        ii.append(i[keep])
+        jj.append(j[keep])
+    ii, jj = np.concatenate(ii), np.concatenate(jj)
+    order = np.argsort(ii * n + jj)
+    return ii[order], jj[order]
 
 
 def validate_simple(curve: DiscreteCurve) -> bool:
     """True iff no two non-adjacent segments (as minor great arcs) intersect.
 
-    A midpoint prefilter keeps the segment pairs whose chord midpoints lie
-    within the sum of half-lengths (plus slack), as every intersecting pair
-    does; the exact great-arc test then decides on those. Adjacent segments
-    (sharing a vertex) are skipped. O(n^2) time, O(n * block) memory.
+    A midpoint prefilter (_simple_candidates) keeps the segment pairs that
+    could intersect; the exact great-arc test then decides on those. Adjacent
+    segments (sharing a vertex) are skipped. O(n^2) time, O(n + block) memory.
     """
-    p = curve.points
-    q = np.roll(p, -1, axis=0)
-    mids = 0.5 * (p + q)
-    ds = curve.seg_lengths
-
-    ii, jj = [], []
-    for rows, cols, d2 in _pair_blocks(mids, 2):
-        reach = 0.5 * (ds[rows] + ds[cols]) + 1e-9
-        r, c = np.nonzero(d2 <= reach * reach)
-        ii.append(rows[r, 0])
-        jj.append(cols[0, c])
-    ii, jj = np.concatenate(ii), np.concatenate(jj)
+    ii, jj = _simple_candidates(curve)
     if ii.size == 0:
         return True
+    p = curve.points
+    q = np.roll(p, -1, axis=0)
     hits = _arc_intersections(p[ii], q[ii], p[jj], q[jj])
     return not bool(np.any(hits))
 

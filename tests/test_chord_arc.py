@@ -2,8 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import row_block_reference as row_blocks
 
-from sphereflow import barrier, chord_arc, generators
+from sphereflow import barrier, chord_arc, flow_engine, generators
 from sphereflow import sphere_geometry as sg
 from sphereflow.barrier import BarrierParams
 from sphereflow.errors import InsufficientData, NotAdmissible, PreconditionViolation
@@ -178,9 +179,9 @@ class TestCubicFit:
             chord_arc.cubic_fit(prof)
 
 
-# entries per row block of the pairwise kernel: one row per block, a few,
-# many, and one block for the whole triangle
-BLOCK_ENTRIES = (1, 3, 64, 1 << 30)
+# entries per block of the cyclic-gap kernel: one gap per block at n = 96,
+# five gaps, and one block for all gaps
+BLOCK_ENTRIES = (1, 3, 64, 500, 1 << 30)
 
 
 @pytest.fixture(scope="module")
@@ -206,21 +207,22 @@ def kernel_outputs(curve):
             "pair_z": prof.pair_z,
             "min_Z": np.array([r.min_value for r in reps]),
             "min_Z_pairs": np.array([r.pair for r in reps]),
-            "admissible_a": np.array([chord_arc.admissible_a(curve, tol=1e-6)])}
+            "admissible_a": np.array([chord_arc.admissible_a(curve, tol=1e-6)]),
+            "simple_candidates": np.stack(sg._simple_candidates(curve))}
 
 
 class TestPairwiseKernel:
     @pytest.mark.parametrize("entries", BLOCK_ENTRIES)
     def test_bitwise_independent_of_block_size(self, any_curve, monkeypatch, entries):
         ref = kernel_outputs(any_curve)
-        monkeypatch.setattr(sg, "_BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(sg, "_GAP_BLOCK_ENTRIES", entries)
         out = kernel_outputs(any_curve)
         for key, val in ref.items():
             assert out[key].tobytes() == val.tobytes(), key
 
     @pytest.mark.parametrize("entries", BLOCK_ENTRIES)
     def test_profile_brute_force(self, generic, monkeypatch, entries):
-        monkeypatch.setattr(sg, "_BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(sg, "_GAP_BLOCK_ENTRIES", entries)
         # 64 bins over n = 96 vertices leave some bins empty
         prof = chord_arc.profile(generic, 64)
         p, s, L, n = generic.points, generic.cum_lengths, generic.length, generic.n
@@ -246,7 +248,7 @@ class TestPairwiseKernel:
 
     @pytest.mark.parametrize("entries", BLOCK_ENTRIES)
     def test_min_Z_brute_force(self, generic, monkeypatch, entries):
-        monkeypatch.setattr(sg, "_BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(sg, "_GAP_BLOCK_ENTRIES", entries)
         p, s, L, n = generic.points, generic.cum_lengths, generic.length, generic.n
         for a in (0.0, 1.0, 20.0):
             best, pair = np.inf, None
@@ -280,16 +282,115 @@ class TestPairwiseKernel:
 
     @pytest.mark.parametrize("fn", ["profile", "min_Z", "validate_simple"])
     def test_memory_is_per_block(self, fn):
-        # an n x n float64 array alone is 33.5 MB at n = 2048
-        curve = generators.fourier_perturbed_curve((0, 0, 1), [0, 2, 3],
-                                                   [0.45, 0.08, 0.05], 2048, seed=3)
-        call = {"profile": lambda: chord_arc.profile(curve, 256),
-                "min_Z": lambda: chord_arc.min_Z(curve, BarrierParams(1.0)),
-                "validate_simple": lambda: sg.validate_simple(curve)}[fn]
-        tracemalloc.start()
-        try:
-            call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16e6
+        # an n x n float64 array alone is 33.5 MB at n = 2048; on the clustered
+        # curve the per-gap bound of min_Z is loose and keeps more pairs
+        for curve in (generators.fourier_perturbed_curve((0, 0, 1), [0, 2, 3],
+                                                         [0.45, 0.08, 0.05], 2048, seed=3),
+                      clustered(2048)):
+            call = {"profile": lambda: chord_arc.profile(curve, 256),
+                    "min_Z": lambda: chord_arc.min_Z(curve, BarrierParams(1.0)),
+                    "validate_simple": lambda: sg.validate_simple(curve)}[fn]
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16e6
+
+    def test_min_Z_evaluates_about_n_gaps_on_a_flow_checkpoint(self, monkeypatch):
+        # the great_circle_pipeline start curve after 25 flow steps: uniform
+        # spacing, n = 512, antipodal symmetry (pairs tie in twos)
+        curve = generators.fourier_perturbed_curve((0, 0, 1), [1, 3], [0.2, 0.1], 512,
+                                                   antipodal_symmetric=True, seed=7)
+        state = flow_engine.FlowState(curve=curve, t=0.0, tau=0.0, step_index=0)
+        for _ in range(25):
+            state = flow_engine.step(state, flow_engine.dt_max(state))
+        params = BarrierParams(2.0, state.tau)
+        expect = row_blocks.min_Z(state.curve, params)
+        evaluated = []
+        phi = barrier.phi
+
+        def counting_phi(z, a):
+            evaluated.append(np.size(z))
+            return phi(z, a)
+
+        monkeypatch.setattr(barrier, "phi", counting_phi)
+        rep = chord_arc.min_Z(state.curve, params)
+        assert (rep.min_value, rep.pair) == (expect.min_value, expect.pair)
+        assert sum(evaluated) < 4 * state.curve.n
+
+
+def clustered(n, amp=0.4):
+    """A parallel-like curve sampled at u = t + amp sin t: ds varies by about 2 amp."""
+    t = 2 * np.pi * np.arange(n) / n
+    u = t + amp * np.sin(t)
+    theta = np.pi / 3 + 0.2 * np.sin(2 * u)
+    return sg.make_curve(np.column_stack([np.sin(theta) * np.cos(u),
+                                          np.sin(theta) * np.sin(u), np.cos(theta)]))
+
+
+def jittered(n, seed):
+    """A parallel with every vertex moved by up to 1% of the spacing, not resampled."""
+    rng = np.random.default_rng(seed)
+    pts = generators.parallel_curve(np.pi / 3, n).points
+    return sg.make_curve(pts + rng.uniform(-1.0, 1.0, size=pts.shape) * (0.01 * 2 * np.pi / n))
+
+
+def perturbed_curve(n):
+    """Perturbed great circle, resampled as in a flow run where the resample
+    converges (n >= 16), else as sampled at uniform parameter steps."""
+    if n >= 16:
+        return generators.fourier_perturbed_curve((0, 0, 1), [0, 2, 3], [0.45, 0.08, 0.05],
+                                                  n, seed=5)
+    u = 2 * np.pi * np.arange(n) / n
+    lat = 0.45 + 0.08 * np.cos(2 * u + 1.0) + 0.05 * np.cos(3 * u + 2.0)
+    return sg.make_curve(np.column_stack([np.cos(lat) * np.cos(u),
+                                          np.cos(lat) * np.sin(u), np.sin(lat)]))
+
+
+ORACLE_CURVES = {
+    "parallel": lambda n: generators.parallel_curve(np.pi / 3, n),
+    "great_circle": lambda n: generators.great_circle_curve((0.2, -0.3, 1.0), n),
+    "jittered": lambda n: jittered(n, seed=n),
+    "clustered": clustered,
+    "perturbed": perturbed_curve,
+}
+
+
+@pytest.fixture(scope="module", params=[8, 9, 16, 17, 255, 256, 1024])
+def oracle_n(request):
+    return request.param
+
+
+class TestMatchesRowBlocks:
+    """Bitwise agreement with the row-block walk over all pairs i < j."""
+
+    @pytest.fixture(params=sorted(ORACLE_CURVES))
+    def curve(self, request, oracle_n):
+        return ORACLE_CURVES[request.param](oracle_n)
+
+    def test_clustered_spacing_spread(self, oracle_n):
+        ds = clustered(oracle_n).seg_lengths
+        assert ds.max() - ds.min() >= 0.5 * ds.mean()
+
+    def test_min_Z(self, curve):
+        for a in (0.0, 0.3, 1.0, 2.013671875, 20.0):
+            got = chord_arc.min_Z(curve, BarrierParams(a))
+            want = row_blocks.min_Z(curve, BarrierParams(a))
+            assert got.pair == want.pair
+            assert np.float64(got.min_value).tobytes() == np.float64(want.min_value).tobytes()
+
+    def test_validate_simple_candidates(self, curve):
+        got, want = sg._simple_candidates(curve), row_blocks.simple_candidates(curve)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert sg.validate_simple(curve) == row_blocks.validate_simple(curve)
+
+    def test_profile(self, curve):
+        bins = 16 if curve.n < 64 else 256
+        got, want = chord_arc.profile(curve, bins), row_blocks.profile(curve, bins)
+        for name in ("psi", "pair_i", "pair_j", "pair_z", "z_centers"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_admissible_a(self, curve):
+        assert chord_arc.admissible_a(curve, tol=1e-6) == row_blocks.admissible_a(curve, tol=1e-6)

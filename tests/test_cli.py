@@ -105,6 +105,35 @@ class TestVerify:
     def test_empty_dir(self, tmp_path):
         assert cli.main(["verify", "--run", str(tmp_path)]) == 3
 
+    def test_force_rerun_loads_only_manifest_checkpoints(self, tmp_path, monkeypatch):
+        # a rerun with another cadence leaves the first run's checkpoints on disk
+        run = tmp_path / "run"
+        for every in (50, 70):
+            cfgp = write_config(tmp_path / "cfg.json", n=128, dt=4e-4, checkpoint_every=every)
+            argv = ["simulate", "--config", str(cfgp), "--out", str(run)]
+            assert cli.main(argv + (["--force"] if every == 70 else [])) == 0
+        manifest = json.loads((run / "manifest.json").read_text())
+        listed = {f["path"] for f in manifest["files"] if f["path"].startswith("checkpoints/")}
+        on_disk = {f"checkpoints/{p.name}" for p in (run / "checkpoints").iterdir()}
+        assert "checkpoints/step_00000050.csv" in on_disk - listed
+        loaded = []
+        read_curve_csv = run_io.read_curve_csv
+
+        def recording_read(path):
+            loaded.append(Path(path).relative_to(run).as_posix())
+            return read_curve_csv(path)
+
+        monkeypatch.setattr(run_io, "read_curve_csv", recording_read)
+        assert cli.main(["verify", "--run", str(run)]) == 0
+        assert sorted(loaded) == sorted(listed)
+
+    def test_missing_listed_checkpoint(self, tmp_path):
+        cfgp = write_config(tmp_path / "cfg.json", n=128, dt=4e-4, checkpoint_every=500)
+        run = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(cfgp), "--out", str(run)]) == 0
+        (run / "checkpoints" / "step_00000500.csv").unlink()
+        assert cli.main(["verify", "--run", str(run)]) == 3
+
     def test_report(self, completed_run, capsys):
         assert cli.main(["report", "--run", str(completed_run)]) == 0
         out = capsys.readouterr().out

@@ -68,3 +68,20 @@ def test_lockfile_exclusive(tmp_path):
     # released on exit
     with run_io.RunDirLock(tmp_path / ".lock"):
         pass
+
+
+def test_diagnostics_reader_rejects_truncated_row(tmp_path):
+    path = tmp_path / "diagnostics.csv"
+    path.write_text(run_io.DIAGNOSTICS_HEADER + "\n"
+                    "0,0.0,0.0,6.2,1.0,nan,0.0,0.1\n"
+                    "25,0.05,0.001,6.1,1.0,0.2\n"
+                    "50,0.1,0.002,6.0,1.0,nan,0.0,0.1\n")
+    with pytest.raises(ConfigParseError, match=r"diagnostics\.csv, line 3: expected 8 fields"):
+        run_io.read_diagnostics_csv(path)
+
+
+def test_diagnostics_reader_rejects_unparsable_field(tmp_path):
+    path = tmp_path / "diagnostics.csv"
+    path.write_text(run_io.DIAGNOSTICS_HEADER + "\n0,0.0,0.0,6.2,1.0,nan,0.0,0.x\n")
+    with pytest.raises(ConfigParseError, match="line 2"):
+        run_io.read_diagnostics_csv(path)

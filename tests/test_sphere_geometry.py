@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import row_block_reference as row_blocks
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -296,14 +297,14 @@ def figure_eight(n=256):
                                           np.sin(phi)]))
 
 
-# entries per row block of the pairwise kernel: one row per block, a few,
-# many, and one block for the whole triangle
-BLOCK_ENTRIES = (1, 3, 64, 1 << 30)
+# entries per block of the cyclic-gap kernel: one gap per block at every n
+# here, a few gaps at small n, a few at n up to 96, and one block for all gaps
+BLOCK_ENTRIES = (1, 3, 64, 500, 1 << 30)
 
 
 @pytest.fixture(params=BLOCK_ENTRIES)
 def block_entries(request, monkeypatch):
-    monkeypatch.setattr(sg, "_BLOCK_ENTRIES", request.param)
+    monkeypatch.setattr(sg, "_GAP_BLOCK_ENTRIES", request.param)
     return request.param
 
 
@@ -315,6 +316,12 @@ def all_pairs_simple(curve) -> bool:
     keep = jj - ii <= n - 2
     ii, jj = ii[keep], jj[keep]
     return not bool(np.any(sg._arc_intersections(p[ii], q[ii], p[jj], q[jj])))
+
+
+def assert_candidates_match_row_blocks(curve):
+    """The prefilter keeps the same segment pairs, in the same order, as the row-block walk."""
+    got, want = sg._simple_candidates(curve), row_blocks.simple_candidates(curve)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def dumbbell():
@@ -334,19 +341,37 @@ class TestPairBlocks:
     @pytest.mark.parametrize("min_gap", [1, 2, 3])
     def test_covers_each_pair_once_in_order(self, block_entries, min_gap):
         rng = np.random.default_rng(4)
-        pts = rng.normal(size=(13, 3))
-        n = pts.shape[0]
-        seen, d2_seen = [], []
-        for rows, cols, d2 in sg._pair_blocks(pts, min_gap):
-            assert d2.shape == (rows.size, cols.size)
-            r, c = np.nonzero(np.isfinite(d2))
-            seen.extend(zip(rows[r, 0].tolist(), cols[0, c].tolist()))
-            d2_seen.extend(d2[r, c].tolist())
-        expect = [(i, j) for i in range(n) for j in range(i + 1, n)
-                  if min(j - i, n - (j - i)) >= min_gap]
-        assert seen == expect
-        direct = [float(np.sum((pts[i] - pts[j]) ** 2)) for i, j in expect]
-        assert d2_seen == direct
+        for n in (13, 14):    # odd, and even with the repeated half of gap n/2
+            pts = rng.normal(size=(n, 3))
+            seen, d2_seen, ks = [], [], []
+            for k, d2 in sg._gap_blocks(pts, min_gap):
+                assert d2.shape == (k.size, n)
+                r, i = np.nonzero(np.isfinite(d2))
+                j = (i + k[r]) % n
+                seen.extend(zip(i.tolist(), j.tolist()))
+                d2_seen.extend(d2[r, i].tolist())
+                ks.extend(k.tolist())
+            # gaps in increasing order, each gap's pairs in order of their first vertex
+            assert ks == list(range(min_gap, n // 2 + 1))
+            expect = [(i, (i + k) % n) for k in ks for i in range(n)
+                      if not (2 * k == n and i >= k)]
+            assert seen == expect
+            # every unordered pair at cyclic gap >= min_gap, once
+            unordered = sorted((min(i, j), max(i, j)) for i, j in seen)
+            assert unordered == [(i, j) for i in range(n) for j in range(i + 1, n)
+                                 if min(j - i, n - (j - i)) >= min_gap]
+            direct = [float(np.sum((pts[i] - pts[j]) ** 2)) for i, j in expect]
+            assert d2_seen == direct
+
+    def test_gap_pairs_inverts_flat_positions(self):
+        n = 11
+        k = np.array([3, 4, 5])
+        flat = np.arange(k.size * n)
+        i, j = sg._gap_pairs(n, k, flat)
+        assert np.all(i < j)
+        row, first = np.divmod(flat, n)
+        assert np.array_equal(np.sort(np.stack([first, (first + k[row]) % n]), axis=0),
+                              np.stack([i, j]))
 
 
 class TestValidateSimple:
@@ -364,19 +389,26 @@ class TestValidateSimple:
     def test_matches_unfiltered_oracle(self, block_entries, make, simple):
         curve = make()
         assert sg.validate_simple(curve) == all_pairs_simple(curve) == simple
+        assert_candidates_match_row_blocks(curve)
 
     def test_crossing_split_across_blocks(self, monkeypatch):
-        # the figure-eight's crossing segments lie half a curve apart; at 64
-        # entries per block their rows fall in different blocks
+        # the figure-eight's crossing segments lie exactly half a curve apart:
+        # gap n/2, the last block, which also holds the repeated half of that
+        # gap; the crossing must be found through its one finite entry
         curve = figure_eight()
         n = curve.n
         p, q = curve.points, np.roll(curve.points, -1, axis=0)
         ii, jj = np.triu_indices(n, k=2)
         hit = (jj - ii <= n - 2) & sg._arc_intersections(p[ii], q[ii], p[jj], q[jj])
-        monkeypatch.setattr(sg, "_BLOCK_ENTRIES", 64)
-        starts = [int(rows[0, 0]) for rows, _, _ in sg._pair_blocks(curve.points, 2)]
-        block_of = np.searchsorted(starts, np.arange(n), side="right")
-        assert np.any(hit) and np.all(block_of[ii[hit]] != block_of[jj[hit]])
+        assert np.any(hit) and np.all(jj[hit] - ii[hit] == n // 2)
+        monkeypatch.setattr(sg, "_GAP_BLOCK_ENTRIES", 4 * n)
+        mids = 0.5 * (p + q)
+        blocks = list(sg._gap_blocks(mids, 2))
+        k, d2 = blocks[-1]
+        assert len(blocks) > 1 and k[-1] == n // 2
+        assert np.all(np.isfinite(d2[-1, ii[hit]])) and np.all(np.isinf(d2[-1, jj[hit]]))
+        cand_i, cand_j = sg._simple_candidates(curve)
+        assert np.array_equal(np.sort(cand_i * n + cand_j), np.unique(cand_i * n + cand_j))
         assert not sg.validate_simple(curve)
 
     @settings(max_examples=60, deadline=None,
@@ -399,8 +431,9 @@ class TestValidateSimple:
             curve = sg.make_curve(wobbly_curve(n, winding, lon_amp, (lat1, lat2), phases))
         except DegenerateSegment:
             assume(False)
-        monkeypatch.setattr(sg, "_BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(sg, "_GAP_BLOCK_ENTRIES", entries)
         assert sg.validate_simple(curve) == all_pairs_simple(curve)
+        assert_candidates_match_row_blocks(curve)
 
     def test_perturbed_great_circle_with_sampling_oracle(self):
         c = generators.fourier_perturbed_curve((0, 0, 1), [2, 3], [0.07, 0.03], 128, seed=3)
