@@ -45,11 +45,11 @@ def _fail(exc: SphereFlowError) -> int:
 def cmd_simulate(config_path, out_dir=None, force: bool = False) -> int:
     cfg = load_config(config_path)
     run_dir = run_io.resolve_run_dir(cfg, out_dir)
-    if (run_dir / "manifest.json").exists() and not force:
-        raise RunDirLocked(f"{run_dir} already holds a run (use --force to overwrite)")
     run_dir.mkdir(parents=True, exist_ok=True)
     started = run_io.utc_now()
     with run_io.RunDirLock(run_dir / ".lock"):
+        if (run_dir / "manifest.json").exists() and not force:
+            raise RunDirLocked(f"{run_dir} already holds a run (use --force to overwrite)")
         try:
             series, outcome = flow_engine.run(cfg)
             manifest = run_io.write_run(run_dir, cfg, series, outcome,

@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -162,15 +163,35 @@ def resolve_run_dir(cfg: RunConfig, explicit=None) -> Path:
 
 @dataclass
 class RunDirLock:
+    """Exclusive ownership of a run directory through a lockfile.
+
+    The lockfile holds the owner's pid, host and start time as JSON, and
+    RunDirLocked names them.
+    """
+
     path: Path
 
     def __enter__(self):
         try:
             fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            raise RunDirLocked(f"{self.path.parent} is owned by another process") from None
-        os.close(fd)
+            raise RunDirLocked(f"{self.path.parent} is owned by {self._owner()}") from None
+        try:
+            with os.fdopen(fd, "w") as f:
+                json.dump({"pid": os.getpid(), "host": platform.node(),
+                           "started_at": utc_now()}, f)
+        except BaseException:
+            os.unlink(self.path)
+            raise
         return self
+
+    def _owner(self) -> str:
+        try:
+            owner = json.loads(self.path.read_text())
+            return (f"pid {owner['pid']} on host {owner['host']}, "
+                    f"started {owner['started_at']} (lockfile {self.path})")
+        except (OSError, ValueError, KeyError, TypeError):
+            return f"another process (lockfile {self.path} names no owner)"
 
     def __exit__(self, *exc):
         try:

@@ -25,12 +25,15 @@ ON_SPHERE_TOL = 1e-12
 MIN_VERTICES = 8
 
 # A resample stops when max ds - min ds <= _UNIFORM_RTOL * mean ds, or after
-# _MAX_PASSES interpolation passes. Past n ~ 8000 the spread of
-# |p_{i+1} - p_i| bottoms out at about 9 ulp of a unit coordinate, above the
-# relative target (equator 8192 -> 16384 ends at 5.2e-12 of the mean), so a
-# resample that ends within _ROUNDOFF_SPREAD has converged to round-off.
+# _MAX_PASSES interpolation passes. The spread shrinks about 5x a pass, and
+# coarse curves (n = 8 to 12) need up to 15 passes. Past n ~ 8000 the spread
+# of |p_{i+1} - p_i| bottoms out at about 9 ulp of a unit coordinate, above
+# the relative target (equator 8192 -> 16384 ends at 5.2e-12 of the mean), so
+# a resample whose spread is within _ROUNDOFF_SPREAD after _ROUNDOFF_PASSES
+# passes has converged to round-off and stops there.
 _UNIFORM_RTOL = 1e-12
-_MAX_PASSES = 10
+_MAX_PASSES = 20
+_ROUNDOFF_PASSES = 10
 _ROUNDOFF_SPREAD = 64 * np.finfo(float).eps
 
 # Pairwise passes walk the cyclic index gaps in blocks of about this many
@@ -263,7 +266,8 @@ def reparametrize_uniform(curve, n_out: int) -> DiscreteCurve:
     length is preserved to O(n^-2).
 
     Raises NonConvergent when the spacing is still not uniform after
-    _MAX_PASSES passes, unless what is left of its spread is round-off.
+    _MAX_PASSES passes. A resample whose spread is round-off after
+    _ROUNDOFF_PASSES passes stops there.
     """
     if n_out < MIN_VERTICES:
         raise TooFewVertices(f"need at least {MIN_VERTICES} vertices, got {n_out}")
@@ -276,7 +280,7 @@ def reparametrize_uniform(curve, n_out: int) -> DiscreteCurve:
         ds = _segment_lengths(rows)
         if ds.size == n_out and _is_uniform(ds):
             return _curve(rows, ds)
-    for _ in range(_MAX_PASSES):
+    for passes in range(1, _MAX_PASSES + 1):
         cum = np.empty(ds.size + 1)
         cum[0] = 0.0
         np.cumsum(ds, out=cum[1:])
@@ -287,14 +291,12 @@ def reparametrize_uniform(curve, n_out: int) -> DiscreteCurve:
         rows[:, n_out] = rows[:, 0]
         _project_rows(rows)
         ds = _segment_lengths(rows)
-        if _is_uniform(ds):
+        if _is_uniform(ds) or (passes >= _ROUNDOFF_PASSES
+                               and ds.max() - ds.min() <= _ROUNDOFF_SPREAD):
             return _curve(rows, ds)
-    spread = ds.max() - ds.min()
-    if spread > max(_UNIFORM_RTOL * ds.mean(), _ROUNDOFF_SPREAD):
-        raise NonConvergent(
-            f"resample to {n_out} vertices did not converge in {_MAX_PASSES} passes: "
-            f"spacing spread {spread / ds.mean():.3e} of the mean")
-    return _curve(rows, ds)
+    raise NonConvergent(
+        f"resample to {n_out} vertices did not converge in {_MAX_PASSES} passes: "
+        f"spacing spread {(ds.max() - ds.min()) / ds.mean():.3e} of the mean")
 
 
 def _arc_intersections(a, b, c, d) -> np.ndarray:

@@ -57,6 +57,34 @@ class TestSimulate:
         cfgp = write_config(tmp_path / "cfg.json", output_dir=str(completed_run))
         assert cli.main(["simulate", "--config", str(cfgp)]) == 5
 
+    def test_locked_run_dir_names_owner(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        owner = {"pid": 4242, "host": "node-7", "started_at": "2026-01-02T03:04:05+00:00"}
+        (run_dir / ".lock").write_text(json.dumps(owner))
+        cfgp = write_config(tmp_path / "cfg.json", output_dir=str(run_dir))
+        capsys.readouterr()
+        assert cli.main(["simulate", "--config", str(cfgp)]) == 5
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "RunDirLocked"
+        assert "pid 4242 on host node-7" in err["message"]
+        assert owner["started_at"] in err["message"]
+        # the owner's lock stays, and nothing is written
+        assert json.loads((run_dir / ".lock").read_text()) == owner
+        assert sorted(p.name for p in run_dir.iterdir()) == [".lock"]
+
+    def test_lock_is_taken_before_the_manifest_check(self, completed_run, tmp_path, capsys):
+        # a run dir that holds a run and is locked reports its owner
+        (completed_run / ".lock").write_text(json.dumps(
+            {"pid": 4243, "host": "node-8", "started_at": "2026-01-02T03:04:05+00:00"}))
+        try:
+            cfgp = write_config(tmp_path / "cfg.json", output_dir=str(completed_run))
+            capsys.readouterr()
+            assert cli.main(["simulate", "--config", str(cfgp)]) == 5
+            assert "pid 4243 on host node-8" in json.loads(capsys.readouterr().out)["message"]
+        finally:
+            (completed_run / ".lock").unlink()
+
     def test_equator_great_circle(self, tmp_path):
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps({

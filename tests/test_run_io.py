@@ -1,4 +1,8 @@
+import datetime as _dt
+import json
 import math
+import os
+import platform
 
 import numpy as np
 import pytest
@@ -68,6 +72,26 @@ def test_lockfile_exclusive(tmp_path):
     # released on exit
     with run_io.RunDirLock(tmp_path / ".lock"):
         pass
+
+
+def test_lockfile_names_its_owner(tmp_path):
+    with run_io.RunDirLock(tmp_path / ".lock"):
+        owner = json.loads((tmp_path / ".lock").read_text())
+        assert owner["pid"] == os.getpid()
+        assert owner["host"] == platform.node()
+        assert _dt.datetime.fromisoformat(owner["started_at"]).tzinfo is not None
+        with pytest.raises(RunDirLocked, match=f"pid {os.getpid()} on host "):
+            with run_io.RunDirLock(tmp_path / ".lock"):
+                pass
+
+
+def test_lockfile_without_owner(tmp_path):
+    # a lockfile from a process that died before writing it
+    (tmp_path / ".lock").write_text("")
+    with pytest.raises(RunDirLocked, match="names no owner"):
+        with run_io.RunDirLock(tmp_path / ".lock"):
+            pass
+    assert (tmp_path / ".lock").exists()
 
 
 def test_diagnostics_reader_rejects_truncated_row(tmp_path):

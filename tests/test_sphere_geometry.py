@@ -279,6 +279,14 @@ class TestReparametrize:
         c = sg.make_curve(equator(256))
         assert sg.reparametrize_uniform(c, 256) is c
 
+    @pytest.mark.parametrize("n", [8, 9, 10, 11, 12, 14])
+    def test_coarse_curves_converge(self, n):
+        # the spread shrinks about 5x a pass; these need 11 to 15 passes
+        c = generators.fourier_perturbed_curve((0, 0, 1), [0, 2, 3], [0.45, 0.08, 0.05],
+                                               n, seed=5)
+        assert c.n == n
+        assert sg._is_uniform(c.seg_lengths)
+
     def test_roundoff_spread_is_converged(self):
         # past n ~ 8000 the spacing cannot reach the 1e-12 relative target;
         # what is left is round-off, which is not an error
