@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import barrier
-from .errors import DegenerateSegment, InsufficientData, NotAdmissible, PreconditionViolation
+from .errors import InsufficientData, NotAdmissible, PreconditionViolation
 from .sphere_geometry import DiscreteCurve, _cyclic_shifts, _gap_blocks, _gap_pairs
 
 ADMISSIBLE_A_CAP = 1e6
@@ -80,35 +80,21 @@ def _chords(curve: DiscreteCurve, k_min: int):
     |s_{(i+k) mod n} - s_i| is s[j] - s[i] for the pair taken as i < j, bit
     for bit, so z is what _separation gives.
     """
-    s_shifted = _cyclic_shifts(curve.cum_lengths[:-1])
+    s = curve.cum_lengths[:-1]
+    length = curve.length
+    s_shifted = _cyclic_shifts(s)
     for k, d2 in _gap_blocks(curve.points, k_min):
-        rows = slice(k[0], k[-1] + 1)
-        yield k, np.sqrt(d2, out=d2), _row_separations(s_shifted, curve.length, rows)
-
-
-def _row_separations(s_shifted: np.ndarray, length: float, rows) -> np.ndarray:
-    """z of every pair (i, (i + k) mod n) for the gaps k in rows, shape (r, n).
-
-    s_shifted is _cyclic_shifts of s = cum_lengths[:-1], so row 0 is s.
-    """
-    arc = np.abs(s_shifted[rows] - s_shifted[0])
-    np.minimum(arc, length - arc, out=arc)
-    arc /= length
-    return arc
-
-
-def _first_key(n: int, k: np.ndarray, flat: np.ndarray) -> int:
-    """Key i * n + j of the first pair i < j at flat positions of a block."""
-    i, j = _gap_pairs(n, k, flat)
-    return int((i * n + j).min())
+        arc = np.abs(s_shifted[k[0]:k[-1] + 1] - s)
+        yield k, np.sqrt(d2), np.minimum(arc, length - arc) / length
 
 
 def _bin_index(z: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Bin k of each z in (0, 1/2] with edges[k] < z <= edges[k + 1].
+    """Bin k of each z in [0, 1/2] with edges[k] < z <= edges[k + 1].
 
     This is searchsorted(edges, z, side="left") - 1 for edges =
     linspace(0, 1/2, m + 1), taken from t = z * 2m by truncation where t is
     not within _BIN_GUARD * m of an integer, and from searchsorted where it is.
+    z = 0 is such a z (t = 0) and gets -1, as from searchsorted.
 
     Why the guard holds, with u = 2^-53 the unit roundoff: linspace makes
     edges[k] = fl(k * fl(0.5/m)) = (k/2m)(1 + d1)(1 + d2), edges[m] = 1/2,
@@ -137,19 +123,16 @@ def profile(curve: DiscreteCurve, n_bins: int) -> ChordArcProfile:
     Each bin records, of the pairs i < j that attain its minimum, the first
     in (i, j) order. O(n^2) time, O(n + block) memory.
 
-    Every pair has z in (0, 1/2]: with the cumulative arclength strictly
-    increasing (checked; _segment_lengths refuses segments shorter than
-    1e-14, which only an L of 128 or more can round away) every arc and
-    every L - arc is positive, and min(arc, L - arc) <= L/2 holds after
-    rounding. So every pair falls in a bin, and only the repeated half of
-    gap n/2 (the last entries of the last block) is cut.
+    Every pair has z in [0, 1/2]: min(arc, L - arc) <= L/2 holds after
+    rounding. z = 0 only where the cumulative arclength stalls, which
+    segments of at least 1e-14 (_segment_lengths) allow only for L of 128
+    or more; such a pair lies in no bin, and _bin_index gives it -1, which
+    lands in a spare last slot of the block arrays that is dropped. So only
+    the repeated half of gap n/2 (the last entries of the last block) is cut.
     """
     if not 16 <= n_bins <= PROFILE_MAX_BINS:
         raise PreconditionViolation(
             f"need 16 to {PROFILE_MAX_BINS} bins, got {n_bins}")
-    s = curve.cum_lengths
-    if not np.all(s[1:] > s[:-1]):
-        raise DegenerateSegment("a segment is shorter than the arclength's rounding")
     edges = np.linspace(0.0, 0.5, n_bins + 1)
     n = curve.n
     no_pair = n * n                  # pair (i, j) has key i * n + j < n^2
@@ -160,12 +143,13 @@ def profile(curve: DiscreteCurve, n_bins: int) -> ChordArcProfile:
         idx, d = _bin_index(z, edges).ravel(), d.ravel()
         if 2 * k[-1] == n:           # the repeated half of gap n/2
             idx, d = idx[:-(n // 2)], d[:-(n // 2)]
-        block_min = np.full(n_bins, np.inf)
+        block_min = np.full(n_bins + 1, np.inf)  # idx -1 (z = 0) is slot n_bins
         np.minimum.at(block_min, idx, d)
         hit = np.flatnonzero(d == block_min[idx])
         i, j = _gap_pairs(n, k, hit)
-        block_key = np.full(n_bins, no_pair)
+        block_key = np.full(n_bins + 1, no_pair)
         np.minimum.at(block_key, idx[hit], i * n + j)
+        block_min, block_key = block_min[:-1], block_key[:-1]
         better = (block_min < psi) | ((block_min == psi) & (block_key < key))
         psi[better] = block_min[better]
         key[better] = block_key[better]
@@ -198,11 +182,6 @@ def min_Z(curve: DiscreteCurve, params: barrier.BarrierParams) -> ZReport:
     only if d <= bound + L phi(z_hi). FILTER_SLACK * L on the bound and on
     the cut covers rounding. On the resampled curves of a flow run dz is
     1e-15 to 1e-14, and about n pairs, not n^2/2, get an exact gap.
-
-    On unevenly spaced curves dz is wide and the cut keeps most pairs. A gap
-    where more than half of the pairs pass is then evaluated whole from the
-    shifted arc view, as _chords does, rather than gathered pair by pair;
-    the pairs this adds fail the cut, so they can neither win nor tie.
     """
     a_eff = params.a_eff
     n, length = curve.n, curve.length
@@ -210,8 +189,8 @@ def min_Z(curve: DiscreteCurve, params: barrier.BarrierParams) -> ZReport:
     drift = s[:-1] - np.arange(n) * (length / n)
     dz = float(np.max(drift) - np.min(drift)) / length
     slack = FILTER_SLACK * length
-    bound = math.inf
-    found = []                       # (block minimum, key of its first pair)
+    bound = value = math.inf
+    key = -1
     for k, d2 in _gap_blocks(curve.points, 2):
         z = k / n
         d2_min = np.min(d2, axis=1)
@@ -222,25 +201,14 @@ def min_Z(curve: DiscreteCurve, params: barrier.BarrierParams) -> ZReport:
         live = np.flatnonzero(d2_min <= reach2)
         if live.size == 0:
             continue
-        passed = d2[live] <= reach2[live, None]
-        if np.count_nonzero(passed) > n // 2:    # else no gap can pass whole
-            whole = np.count_nonzero(passed, axis=1) > n // 2
-            if whole.any():
-                rows = live[whole]
-                z_rows = _row_separations(_cyclic_shifts(s[:-1]), length, k[rows])
-                gaps = np.sqrt(d2[rows]) - length * barrier.phi(z_rows, a_eff)
-                best = gaps.min()
-                r, i = np.nonzero(gaps == best)
-                found.append((float(best), _first_key(n, k, rows[r] * n + i)))
-                live, passed = live[~whole], passed[~whole]
-        r, i = np.nonzero(passed)
-        if r.size:
-            flat = live[r] * n + i
-            i, j = _gap_pairs(n, k, flat)
-            gaps = np.sqrt(d2.ravel()[flat]) - length * barrier.phi(_separation(curve, i, j), a_eff)
-            best = gaps.min()
-            found.append((float(best), _first_key(n, k, flat[gaps == best])))
-    value, key = min(found, default=(math.inf, -1))
+        r, i = np.nonzero(d2[live] <= reach2[live, None])
+        flat = live[r] * n + i
+        i, j = _gap_pairs(n, k, flat)
+        gaps = np.sqrt(d2.ravel()[flat]) - length * barrier.phi(_separation(curve, i, j), a_eff)
+        best = gaps.min()
+        best_key = int((i * n + j)[gaps == best].min())
+        if best < value or (best == value and best_key < key):
+            value, key = float(best), best_key
     return ZReport(min_value=value, pair=divmod(key, n), a_eff=a_eff)
 
 

@@ -7,12 +7,7 @@ import row_block_reference as row_blocks
 from sphereflow import barrier, chord_arc, flow_engine, generators
 from sphereflow import sphere_geometry as sg
 from sphereflow.barrier import BarrierParams
-from sphereflow.errors import (
-    DegenerateSegment,
-    InsufficientData,
-    NotAdmissible,
-    PreconditionViolation,
-)
+from sphereflow.errors import InsufficientData, NotAdmissible, PreconditionViolation
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +76,7 @@ class TestProfile:
     def test_arclength_that_does_not_increase(self):
         # 40 near-antipodal jumps make L about 160, where a 1.2e-14 segment
         # is below half an ulp of s and the cumulative arclength stalls: the
-        # pair across it would have z = 0 and fall in no bin
+        # pair across it has z = 0 and falls in no bin
         u = 0.05 * np.arange(80)
         pts = np.column_stack([np.cos(u), np.sin(u), 0.01 * np.cos(3 * u)])
         pts[1::2] *= -1.0
@@ -91,8 +86,10 @@ class TestProfile:
         c = sg.make_curve(pts)
         assert c.seg_lengths.min() >= 1e-14
         assert np.any(np.diff(c.cum_lengths) == 0.0)
-        with pytest.raises(DegenerateSegment):
-            chord_arc.profile(c, 16)
+        for bins in (16, 100):
+            got, want = chord_arc.profile(c, bins), row_blocks.profile(c, bins)
+            for name in ("psi", "pair_i", "pair_j", "pair_z", "z_centers"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 BIN_COUNTS = (16, 17, 100, 256, 1000, 1023, 4096, (1 << 20) + 3)
@@ -109,8 +106,8 @@ class TestBinIndex:
     def test_at_and_beside_every_edge(self, m):
         edges = np.linspace(0.0, 0.5, m + 1)
         z = np.concatenate([edges[1:], np.nextafter(edges[1:], 0.0),
-                            np.nextafter(edges[:-1], 1.0), [0.5, 1e-300]])
-        assert np.all((z > 0.0) & (z <= 0.5))
+                            np.nextafter(edges[:-1], 1.0), [0.5, 1e-300, 0.0]])
+        assert np.all((z >= 0.0) & (z <= 0.5))
         got = chord_arc._bin_index(z.reshape(1, -1), edges).ravel()
         assert np.array_equal(got, self.expect(z, edges))
 
@@ -378,56 +375,6 @@ class TestPairwiseKernel:
         rep = chord_arc.min_Z(state.curve, params)
         assert (rep.min_value, rep.pair) == (expect.min_value, expect.pair)
         assert sum(evaluated) < 4 * state.curve.n
-
-
-def whole_rows_of_min_Z(curve, monkeypatch, a):
-    """Gaps min_Z evaluates whole (from the shifted arc view), and its report."""
-    rows = []
-    separations = chord_arc._row_separations
-
-    def spy(s_shifted, length, k):
-        rows.extend(np.atleast_1d(k).tolist())
-        return separations(s_shifted, length, k)
-
-    monkeypatch.setattr(chord_arc, "_row_separations", spy)
-    return rows, chord_arc.min_Z(curve, BarrierParams(a))
-
-
-class TestMinZWholeRows:
-    @pytest.mark.parametrize("n", [255, 1024])
-    def test_uneven_spacing_takes_whole_rows(self, monkeypatch, n):
-        curve = clustered(n)
-        for a in (0.0, 1.0):
-            rows, rep = whole_rows_of_min_Z(curve, monkeypatch, a)
-            assert len(rows) > n // 4
-            want = row_blocks.min_Z(curve, BarrierParams(a))
-            assert rep.pair == want.pair
-            assert np.float64(rep.min_value).tobytes() == np.float64(want.min_value).tobytes()
-
-    @pytest.mark.parametrize("entries", BLOCK_ENTRIES)
-    def test_bitwise_across_block_sizes(self, monkeypatch, entries):
-        # blocks that mix whole rows with gathered ones
-        monkeypatch.setattr(sg, "_GAP_BLOCK_ENTRIES", entries)
-        for curve in (clustered(96), clustered(97, amp=0.1), jittered(96, seed=1)):
-            for a in (0.0, 0.3, 1.0, 20.0):
-                got = chord_arc.min_Z(curve, BarrierParams(a))
-                want = row_blocks.min_Z(curve, BarrierParams(a))
-                assert got.pair == want.pair
-                assert np.float64(got.min_value).tobytes() == np.float64(want.min_value).tobytes()
-
-    def test_resampled_curves_do_not(self, monkeypatch):
-        curves = [generators.fourier_perturbed_curve((0, 0, 1), [0, 2, 3], [0.45, 0.08, 0.05],
-                                                     n, seed=3) for n in (255, 512, 1024)]
-        state = flow_engine.FlowState(
-            curve=generators.fourier_perturbed_curve((0, 0, 1), [1, 3], [0.2, 0.1], 512,
-                                                     antipodal_symmetric=True, seed=7),
-            t=0.0, tau=0.0, step_index=0)
-        for _ in range(25):
-            state = flow_engine.step(state, flow_engine.dt_max(state))
-        for curve in curves + [state.curve]:
-            for a in (0.0, 2.0, 20.0):
-                rows, _ = whole_rows_of_min_Z(curve, monkeypatch, a)
-                assert rows == []
 
 
 def clustered(n, amp=0.4):
