@@ -79,13 +79,25 @@ def _chords(curve: DiscreteCurve, k_min: int):
     d is the chord and z the separation of each pair in the block. The arc
     |s_{(i+k) mod n} - s_i| is s[j] - s[i] for the pair taken as i < j, bit
     for bit, so z is what _separation gives.
+
+    d is _gap_blocks' buffer, square-rooted in place, and z is written into
+    buffers allocated once per call too: both are valid only until the next
+    block is requested.
     """
     s = curve.cum_lengths[:-1]
     length = curve.length
     s_shifted = _cyclic_shifts(s)
+    z_buf = far_buf = None
     for k, d2 in _gap_blocks(curve.points, k_min):
-        arc = np.abs(s_shifted[k[0]:k[-1] + 1] - s)
-        yield k, np.sqrt(d2), np.minimum(arc, length - arc) / length
+        if z_buf is None:
+            z_buf, far_buf = np.empty_like(d2), np.empty_like(d2)
+        z, far = z_buf[:k.size], far_buf[:k.size]
+        np.subtract(s_shifted[k[0]:k[-1] + 1], s, out=z)
+        np.abs(z, out=z)
+        np.subtract(length, z, out=far)
+        np.minimum(z, far, out=z)
+        z /= length
+        yield k, np.sqrt(d2, out=d2), z
 
 
 def _bin_index(z: np.ndarray, edges: np.ndarray) -> np.ndarray:

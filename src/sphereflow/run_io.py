@@ -39,23 +39,45 @@ def write_curve_csv(curve: DiscreteCurve, path) -> None:
 
 
 def read_curve_csv(path) -> DiscreteCurve:
+    """Curve from an x,y,z CSV; blank lines and whitespace around fields are ignored.
+
+    Raises ConfigParseError, naming the file and the line, for a bad header,
+    a row without exactly three fields or a field that is not a number.
+    """
     path = Path(path)
     if not path.exists():
         raise MissingArtifacts(f"curve file {path} not found")
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header.replace(" ", "") != "x,y,z":
-            raise ConfigParseError(f"{path}: expected header 'x,y,z', got {header!r}")
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(v) for v in line.split(",")])
-    pts = np.asarray(rows)
+    lines = path.read_text(encoding="utf-8").splitlines() or [""]
+    header = lines[0].strip()
+    if header.replace(" ", "") != "x,y,z":
+        raise ConfigParseError(f"{path}: expected header 'x,y,z', got {header!r}")
+    body = [line for line in map(str.strip, lines[1:]) if line]
+    if any(line.count(",") != 2 for line in body):
+        raise ConfigParseError(_bad_curve_row(path, lines))
+    try:
+        pts = np.array(",".join(body).split(",") if body else [], dtype=float)
+    except ValueError:
+        raise ConfigParseError(_bad_curve_row(path, lines)) from None
+    pts = pts.reshape(-1, 3)
     # the format leaves the closing edge implicit; drop an accidental repeat
     if len(pts) > 1 and np.allclose(pts[0], pts[-1], atol=1e-14):
         pts = pts[:-1]
     return make_curve(pts)
+
+
+def _bad_curve_row(path: Path, lines: list[str]) -> str:
+    """What is wrong with the first row of a curve CSV that does not parse."""
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            return f"{path}, line {lineno}: expected 3 fields, got {len(parts)}"
+        try:
+            np.array(parts, dtype=float)
+        except ValueError as exc:
+            return f"{path}, line {lineno}: {exc}"
+    return f"{path}: rows do not parse"
 
 
 def write_diagnostics_csv(series: DiagnosticsSeries, path) -> None:

@@ -37,7 +37,8 @@ _ROUNDOFF_PASSES = 10
 _ROUNDOFF_SPREAD = 64 * np.finfo(float).eps
 
 # Pairwise passes walk the cyclic index gaps in blocks of about this many
-# (gap, vertex) entries, so their memory is O(n + block) rather than O(n^2).
+# (gap, vertex) entries, and the embeddedness sweep takes its pairs this many
+# at a time, so their memory is O(n + block) rather than O(n^2).
 _GAP_BLOCK_ENTRIES = 1 << 16
 
 
@@ -356,18 +357,26 @@ def _gap_blocks(points: np.ndarray, k_min: int):
     d2 is summed coordinate by coordinate, (dx^2 + dy^2) + dz^2, from views
     of the doubled coordinate arrays (no gather, no BLAS), so every entry is
     bitwise independent of the block size and of the order of i and j.
+
+    Every block is written into the same two buffers, allocated once per
+    call, so a pass faults in its block memory once however many blocks it
+    walks. A yielded d2 is therefore valid only until the next block is
+    requested: a caller that keeps a block past that must copy it.
     """
     n = points.shape[0]
     half = n // 2
     coords = [np.ascontiguousarray(points[:, c]) for c in range(3)]
     shifted = [_cyclic_shifts(c) for c in coords]
     per_block = max(1, _GAP_BLOCK_ENTRIES // n)
+    rows = min(per_block, half + 1 - k_min)
+    d2_buf, diff_buf = np.empty((rows, n)), np.empty((rows, n))
     for k0 in range(k_min, half + 1, per_block):
         k1 = min(k0 + per_block, half + 1)
-        d2 = shifted[0][k0:k1] - coords[0]
+        d2, diff = d2_buf[:k1 - k0], diff_buf[:k1 - k0]
+        np.subtract(shifted[0][k0:k1], coords[0], out=d2)
         d2 *= d2
         for view, coord in zip(shifted[1:], coords[1:]):
-            diff = view[k0:k1] - coord
+            np.subtract(view[k0:k1], coord, out=diff)
             diff *= diff
             d2 += diff
         if k1 > half and n % 2 == 0:
@@ -386,23 +395,67 @@ def _simple_candidates(curve: DiscreteCurve) -> tuple[np.ndarray, np.ndarray]:
     """Non-adjacent segment pairs (i < j) that the exact crossing test must see.
 
     A pair is kept when its chord midpoints lie within the sum of half-lengths
-    plus 1e-9, as every intersecting pair does. Pairs come in (i, j) order.
+    plus 1e-9, as every intersecting pair does: d2 <= reach^2 with
+    reach = 0.5 (ds_i + ds_j) + 1e-9 and d2 = (dx^2 + dy^2) + dz^2 of
+    m_j - m_i, summed as _gap_blocks sums it. Pairs come in (i, j) order.
+
+    The pairs are found by sort and sweep, a fixed-radius near-neighbour
+    query (Bentley, Stanat and Williams, IPL 6, 1977). Midpoints are sorted
+    along the axis a of largest spread, and each is paired with the later
+    midpoints at most widest (1 + 1e-6) further along a, where widest is
+    max ds + 1e-9. Only those pairs get a d2 and the cut. The sweep's pairs
+    are a superset of the kept ones, so the result is the all-pairs cut's,
+    bit for bit. With u = 2^-53:
+    - 0.5 (ds_i + ds_j) + 1e-9 <= widest holds after rounding too, so a kept
+      pair has d2 <= fl(widest^2);
+    - rounding is monotone, so fl(dx_a^2) <= d2, and |x_j - x_i| along a is
+      at most widest (1 + 4u);
+    - midpoint coordinates lie in [-1, 1] and widest in [1e-9, 2 + 1e-9],
+      so the sweep's bound fl(x_i + fl(widest (1 + 1e-6))) exceeds
+      x_i + widest (1 + 4u) by at least widest (1e-6 - 7u) - 2^-52 > 7e-16.
+
+    Time is O(n log n + pairs in the windows) and memory O(n + block): the
+    windows are expanded _GAP_BLOCK_ENTRIES pairs at a time. A window is as
+    wide as the longest segment, so uneven spacing is the worst case: one
+    segment of 1.26 rad in a curve of n = 2048 puts most midpoints in every
+    window, and the sweep then gathers O(n^2) pairs. Flow runs check
+    resampled curves, whose segments are all of one length.
     """
     p = curve.points
     mids = 0.5 * (p + np.roll(p, -1, axis=0))
     ds = curve.seg_lengths
     n = curve.n
-    # 0.5 (ds_i + ds_j) + 1e-9 <= max ds + 1e-9 holds after rounding too, so
-    # this cut keeps every pair the per-pair rule below keeps
     widest = float(np.max(ds)) + 1e-9
-    ii, jj = [], []
-    for k, d2 in _gap_blocks(mids, 2):
-        flat = np.flatnonzero(d2 <= widest * widest)
-        i, j = _gap_pairs(n, k, flat)
-        reach = 0.5 * (ds[i] + ds[j]) + 1e-9
-        keep = d2.ravel()[flat] <= reach * reach
-        ii.append(i[keep])
-        jj.append(j[keep])
+    axis = int(np.argmax(np.ptp(mids, axis=0)))
+    order = np.argsort(mids[:, axis], kind="stable")
+    srt = np.ascontiguousarray(mids[order].T)   # coordinate rows in sweep order
+    ds_srt = ds[order]
+    # sorted position q pairs with the positions q + 1 .. ends[q] - 1
+    ends = np.searchsorted(srt[axis], srt[axis] + widest * (1.0 + 1e-6), side="right")
+    counts = ends - np.arange(1, n + 1)
+    last = np.cumsum(counts)                    # one past position q's last pair
+    first = last - counts
+    total = int(last[-1])
+    ii, jj = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for e0 in range(0, total, _GAP_BLOCK_ENTRIES):
+        e1 = min(e0 + _GAP_BLOCK_ENTRIES, total)
+        q0 = int(np.searchsorted(last, e0, side="right"))
+        q1 = int(np.searchsorted(last, e1 - 1, side="right")) + 1
+        q = np.repeat(np.arange(q0, q1), counts[q0:q1])[e0 - first[q0]:e1 - first[q0]]
+        r = q + 1 + (np.arange(e0, e1) - first[q])
+        d2 = srt[0][r] - srt[0][q]
+        d2 *= d2
+        for coord in srt[1:]:
+            diff = coord[r] - coord[q]
+            diff *= diff
+            d2 += diff
+        reach = 0.5 * (ds_srt[q] + ds_srt[r]) + 1e-9
+        keep = d2 <= reach * reach
+        a, b = order[q[keep]], order[r[keep]]
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        apart = (j - i >= 2) & (j - i <= n - 2)
+        ii.append(i[apart])
+        jj.append(j[apart])
     ii, jj = np.concatenate(ii), np.concatenate(jj)
     order = np.argsort(ii * n + jj)
     return ii[order], jj[order]
@@ -413,7 +466,8 @@ def validate_simple(curve: DiscreteCurve) -> bool:
 
     A midpoint prefilter (_simple_candidates) keeps the segment pairs that
     could intersect; the exact great-arc test then decides on those. Adjacent
-    segments (sharing a vertex) are skipped. O(n^2) time, O(n + block) memory.
+    segments (sharing a vertex) are skipped. O(n log n) time on evenly spaced
+    curves and O(n + block) memory; see _simple_candidates for uneven ones.
     """
     ii, jj = _simple_candidates(curve)
     if ii.size == 0:

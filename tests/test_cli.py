@@ -162,6 +162,20 @@ class TestVerify:
         (run / "checkpoints" / "step_00000500.csv").unlink()
         assert cli.main(["verify", "--run", str(run)]) == 3
 
+    def test_unparsable_checkpoint_is_config_error(self, tmp_path, capsys):
+        cfgp = write_config(tmp_path / "cfg.json", n=128, dt=4e-4, checkpoint_every=500)
+        run = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(cfgp), "--out", str(run)]) == 0
+        ckpt = run / "checkpoints" / "step_00000500.csv"
+        lines = ckpt.read_text().splitlines()
+        lines[5] = lines[5].replace(",", ",x", 1)
+        ckpt.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli.main(["verify", "--run", str(run)]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "ConfigParseError"
+        assert "step_00000500.csv, line 6" in err["message"]
+
     def test_report(self, completed_run, capsys):
         assert cli.main(["report", "--run", str(completed_run)]) == 0
         out = capsys.readouterr().out
@@ -190,6 +204,22 @@ class TestProfileCommand:
         from sphereflow.sphere_geometry import make_curve
         run_io.write_curve_csv(make_curve(pts), tmp_path / "eight.csv")
         assert cli.main(["profile", "--curve", str(tmp_path / "eight.csv")]) == 4
+
+    @pytest.mark.parametrize("row, message", [
+        ("0.0,1.0", "line 3: expected 3 fields, got 2"),
+        ("0.0,1.0,abc", "line 3: could not convert string to float: 'abc'"),
+    ])
+    def test_bad_row_is_config_error(self, tmp_path, capsys, row, message):
+        curve = generators.great_circle_curve((0, 0, 1), 32)
+        path = tmp_path / "bad.csv"
+        run_io.write_curve_csv(curve, path)
+        lines = path.read_text().splitlines()
+        lines[2] = row
+        path.write_text("\n".join(lines) + "\n")
+        assert cli.main(["profile", "--curve", str(path), "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "ConfigParseError"
+        assert err["message"] == f"{path}, {message}"
 
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SPHEREFLOW_OUT", str(tmp_path / "root"))

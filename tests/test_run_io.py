@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sphereflow import chord_arc, generators, run_io
+from sphereflow import sphere_geometry as sg
 from sphereflow.errors import ConfigParseError, MissingArtifacts, RunDirLocked
 
 
@@ -57,6 +58,54 @@ def test_curve_reader_rejects_bad_header(tmp_path):
     (tmp_path / "bad.csv").write_text("a,b,c\n1,0,0\n")
     with pytest.raises(ConfigParseError):
         run_io.read_curve_csv(tmp_path / "bad.csv")
+
+
+def test_curve_reader_names_ragged_row(tmp_path):
+    path = tmp_path / "ragged.csv"
+    path.write_text("x,y,z\n1.0,0.0,0.0\n\n0.0,1.0\n0.0,0.0,1.0\n")
+    with pytest.raises(ConfigParseError, match=r"ragged\.csv, line 4: expected 3 fields, got 2"):
+        run_io.read_curve_csv(path)
+
+
+def test_curve_reader_rejects_rows_that_make_up_for_each_other(tmp_path):
+    # six fields in two rows, but not three and three
+    path = tmp_path / "shifted.csv"
+    path.write_text("x,y,z\n1.0,0.0,0.0,0.0\n1.0,0.0\n")
+    with pytest.raises(ConfigParseError, match=r"line 2: expected 3 fields, got 4"):
+        run_io.read_curve_csv(path)
+
+
+def test_curve_reader_names_non_numeric_row(tmp_path):
+    path = tmp_path / "words.csv"
+    path.write_text("x,y,z\n1.0,0.0,0.0\n0.0,one,0.0\n")
+    with pytest.raises(ConfigParseError, match=r"words\.csv, line 3: .*'one'"):
+        run_io.read_curve_csv(path)
+
+
+def test_curve_reader_tolerates_blank_lines_and_spaces(tmp_path):
+    curve = generators.great_circle_curve((0.3, 0.1, 1.0), 16)
+    rows = [" x, y ,z "]
+    for p in curve.points:
+        rows.extend(["", "  " + " , ".join(repr(float(v)) for v in p) + "\t"])
+    (tmp_path / "loose.csv").write_text("\r\n".join(rows) + "\n\n")
+    again = run_io.read_curve_csv(tmp_path / "loose.csv")
+    assert again.points.tobytes() == curve.points.tobytes()
+
+
+def test_curve_csv_write_read_is_bitwise(tmp_path):
+    # unit vectors with every low bit in play, and signed zeros
+    rng = np.random.default_rng(11)
+    pts = rng.normal(size=(300, 3))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    pts[::7, 2] = -0.0
+    pts[::7] /= np.linalg.norm(pts[::7], axis=1)[:, None]
+    curve = sg.make_curve(pts)
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    run_io.write_curve_csv(curve, first)
+    again = run_io.read_curve_csv(first)
+    assert again.points.tobytes() == curve.points.tobytes()
+    run_io.write_curve_csv(again, second)
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_missing_artifacts(tmp_path):

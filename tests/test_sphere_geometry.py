@@ -306,7 +306,8 @@ def figure_eight(n=256):
 
 
 # entries per block of the cyclic-gap kernel: one gap per block at every n
-# here, a few gaps at small n, a few at n up to 96, and one block for all gaps
+# here, a few gaps at small n, a few at n up to 96, and one block for all
+# gaps; they are also the pairs per chunk of validate_simple's sweep
 BLOCK_ENTRIES = (1, 3, 64, 500, 1 << 30)
 
 
@@ -343,6 +344,50 @@ def wobbly_curve(n, winding, lon_amp, lat_amps, phases):
     phi = (lat_amps[0] * np.sin(u + phases[1])
            + lat_amps[1] * np.sin(2 * u + phases[2]))
     return np.column_stack([np.cos(phi) * np.cos(lam), np.cos(phi) * np.sin(lam), np.sin(phi)])
+
+
+def dumbbell_points(n):
+    """dumbbell() before its resample, which does not converge at odd n."""
+    u = 2 * np.pi * np.arange(n) / n
+    lat = 1.35 * np.cos(2 * u)
+    e1, e2, e3 = sg.orthonormal_basis((0, 0, 1))
+    ring = np.outer(np.cos(u), e1) + np.outer(np.sin(u), e2)
+    return np.cos(lat)[:, None] * ring + np.outer(np.sin(lat), e3)
+
+
+def one_long_segment(n, span=1.26):
+    """Wavy, tilted great circle whose closing segment spans `span` rad; the rest are short."""
+    u = np.arange(n) * (2 * np.pi - span) / (n - 1)
+    lat = 0.05 * np.sin(3 * u)
+    e1, e2, e3 = sg.orthonormal_basis((0.3, -0.2, 1.0))
+    ring = np.cos(u)[:, None] * e1 + np.sin(u)[:, None] * e2
+    return sg.make_curve(np.cos(lat)[:, None] * ring + np.sin(lat)[:, None] * e3)
+
+
+def eight_with_long_segment(n):
+    """The figure-eight with a run of vertices away from its crossing cut out."""
+    pts = figure_eight(n).points
+    return sg.make_curve(np.concatenate([pts[: n // 8], pts[n // 4:]]))
+
+
+# curves for the sweep: zero spread on one axis (a great circle in a
+# coordinate plane, whose sort keys tie in pairs), L ~ 1e-3, the dumbbell's
+# neck, crossings, and windows that hold most midpoints (one long segment);
+# each at an even and an odd n
+SWEEP_CURVES = {
+    "equator_128": lambda: sg.make_curve(equator(128)),
+    "meridian_129": lambda: sg.make_curve(np.roll(equator(129), 1, axis=1)),
+    "tiny_64": lambda: generators.parallel_curve(1.6e-4, 64),
+    "tiny_65": lambda: generators.parallel_curve(1.6e-4, 65),
+    "neck_512": dumbbell,
+    "neck_511": lambda: sg.make_curve(dumbbell_points(511)),
+    "narrow_neck_512": lambda: generators.fourier_perturbed_curve((0, 0, 1), [2], [1.54], 512),
+    "eight_256": figure_eight,
+    "eight_255": lambda: figure_eight(255),
+    "long_segment_256": lambda: one_long_segment(256),
+    "long_segment_257": lambda: one_long_segment(257),
+    "eight_long_segment_200": lambda: eight_with_long_segment(200),
+}
 
 
 class TestPairBlocks:
@@ -382,6 +427,13 @@ class TestPairBlocks:
                               np.stack([i, j]))
 
 
+    def test_blocks_share_one_buffer(self, block_entries):
+        # a yielded block is valid only until the next one (see _gap_blocks)
+        pts = np.random.default_rng(5).normal(size=(40, 3))
+        blocks = [d2 for _, d2 in sg._gap_blocks(pts, 2)]
+        assert all(np.shares_memory(d2, blocks[0]) for d2 in blocks)
+
+
 class TestValidateSimple:
     def test_equator(self):
         assert sg.validate_simple(sg.make_curve(equator(128)))
@@ -411,7 +463,8 @@ class TestValidateSimple:
         assert np.any(hit) and np.all(jj[hit] - ii[hit] == n // 2)
         monkeypatch.setattr(sg, "_GAP_BLOCK_ENTRIES", 4 * n)
         mids = 0.5 * (p + q)
-        blocks = list(sg._gap_blocks(mids, 2))
+        # a block is valid only until the next one is requested: keep copies
+        blocks = [(k, d2.copy()) for k, d2 in sg._gap_blocks(mids, 2)]
         k, d2 = blocks[-1]
         assert len(blocks) > 1 and k[-1] == n // 2
         assert np.all(np.isfinite(d2[-1, ii[hit]])) and np.all(np.isinf(d2[-1, jj[hit]]))
@@ -460,6 +513,39 @@ class TestValidateSimple:
                 gaps = np.linalg.norm(cloud[i][:, None, :] - cloud[j][None, :, :], axis=2)
                 min_gap = min(min_gap, gaps.min())
         assert min_gap > 1e-3
+
+
+class TestSweep:
+    """_simple_candidates' sort and sweep against the all-pairs cut and the exact test."""
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_CURVES))
+    def test_matches_all_pairs(self, block_entries, name):
+        curve = SWEEP_CURVES[name]()
+        assert_candidates_match_row_blocks(curve)
+        assert sg.validate_simple(curve) == all_pairs_simple(curve)
+        assert sg.validate_simple(curve) == row_blocks.validate_simple(curve)
+
+    def test_stress_curves_are_what_they_say(self):
+        assert np.ptp(SWEEP_CURVES["equator_128"]().points[:, 2]) == 0.0
+        assert np.ptp(SWEEP_CURVES["meridian_129"]().points[:, 0]) == 0.0
+        assert 0.9e-3 < SWEEP_CURVES["tiny_65"]().length < 1.1e-3
+        narrow = SWEEP_CURVES["narrow_neck_512"]()
+        assert sg.validate_simple(narrow) and sg._simple_candidates(narrow)[0].size
+        for name in ("long_segment_256", "eight_long_segment_200"):
+            ds = SWEEP_CURVES[name]().seg_lengths
+            assert ds.max() > 20 * np.median(ds)
+        assert not sg.validate_simple(SWEEP_CURVES["eight_long_segment_200"]())
+
+    # the sweep's worst case: the window is as wide as the 1.26-rad segment's
+    # chord and holds about 1.5e6 of the 2.1e6 pairs, so the smallest chunk
+    # sizes of BLOCK_ENTRIES would take minutes here; they run on the
+    # 256-vertex copy above
+    @pytest.mark.parametrize("entries", [64, 500, 1 << 30])
+    def test_long_segment_at_2048(self, monkeypatch, entries):
+        curve = one_long_segment(2048)
+        monkeypatch.setattr(sg, "_GAP_BLOCK_ENTRIES", entries)
+        assert_candidates_match_row_blocks(curve)
+        assert sg.validate_simple(curve) and row_blocks.validate_simple(curve)
 
 
 class TestQuadrature:
