@@ -436,7 +436,7 @@ def _simple_candidates(curve: DiscreteCurve) -> tuple[np.ndarray, np.ndarray]:
     last = np.cumsum(counts)                    # one past position q's last pair
     first = last - counts
     total = int(last[-1])
-    ii, jj = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    ii, jj = [], []
     for e0 in range(0, total, _GAP_BLOCK_ENTRIES):
         e1 = min(e0 + _GAP_BLOCK_ENTRIES, total)
         q0 = int(np.searchsorted(last, e0, side="right"))
@@ -457,8 +457,8 @@ def _simple_candidates(curve: DiscreteCurve) -> tuple[np.ndarray, np.ndarray]:
         ii.append(i[apart])
         jj.append(j[apart])
     ii, jj = np.concatenate(ii), np.concatenate(jj)
-    order = np.argsort(ii * n + jj)
-    return ii[order], jj[order]
+    by_pair = np.argsort(ii * n + jj)
+    return ii[by_pair], jj[by_pair]
 
 
 def validate_simple(curve: DiscreteCurve) -> bool:

@@ -426,11 +426,12 @@ class TestPairBlocks:
         assert np.array_equal(np.sort(np.stack([first, (first + k[row]) % n]), axis=0),
                               np.stack([i, j]))
 
-
-    def test_blocks_share_one_buffer(self, block_entries):
+    def test_blocks_share_one_buffer(self, monkeypatch):
         # a yielded block is valid only until the next one (see _gap_blocks)
+        monkeypatch.setattr(sg, "_GAP_BLOCK_ENTRIES", 120)
         pts = np.random.default_rng(5).normal(size=(40, 3))
         blocks = [d2 for _, d2 in sg._gap_blocks(pts, 2)]
+        assert len(blocks) == 7
         assert all(np.shares_memory(d2, blocks[0]) for d2 in blocks)
 
 
