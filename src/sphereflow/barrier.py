@@ -27,6 +27,7 @@ import numpy as np
 from .errors import DomainError, PreconditionViolation
 
 FOUR_PI_SQ = 4.0 * np.pi ** 2
+F_GRID = 399                     # interior phi samples of F_margin
 
 
 @dataclass(frozen=True)
@@ -119,6 +120,13 @@ def curvature_bound(L, a: float, tau):
                                      * np.exp(-2.0 * FOUR_PI_SQ * tau))
 
 
+def curvature_margin(max_abs_kappa, L, a: float, tau):
+    """Relative clearance (bound - (kappa^2 + 1)) / bound below curvature_bound.
+    Vectorised over max_abs_kappa, L, tau."""
+    bound = curvature_bound(L, a, tau)
+    return (bound - (max_abs_kappa * max_abs_kappa + 1.0)) / bound
+
+
 def h(d):
     """Spherical distance of a chord: h(d) = arccos(1 - d^2/2), d in [0, 2]."""
     arr = np.asarray(d, dtype=float)
@@ -165,6 +173,27 @@ def F_value(phi_val, a: float, L: float):
     tanc = t / (a * pv)
     rest = (4.0 - (L * pv) ** 2) * tanc
     return (1.0 / np.pi ** 2 - (t / a) ** 2) * (L * L - a * a * rest) - (1.0 + (a / np.pi) ** 2) * rest
+
+
+def q_grid_margin(grid: int) -> tuple[float, tuple[float, float]]:
+    """1 - max q(X, Y) over the pairs X < Y of a grid x grid lattice on
+    [0, 50]^2, and the (X, Y) where q is largest."""
+    x = np.linspace(0.0, 50.0, grid)
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    mask = Y > X
+    X, Y = X[mask], Y[mask]
+    qv = q(X, Y)
+    k = int(np.argmax(qv))
+    return float(1.0 - qv[k]), (float(X[k]), float(Y[k]))
+
+
+def F_margin(a: float, L: float) -> tuple[float, float]:
+    """-max F over phi = phi_max(a) k / (F_GRID + 1), k = 1..F_GRID, and the
+    phi where F is largest; positive iff F < 0 at every grid point."""
+    pv = phi_max(a) * np.arange(1, F_GRID + 1) / (F_GRID + 1.0)
+    fvals = F_value(pv, a, L)
+    j = int(np.argmax(fvals))
+    return float(-fvals[j]), float(pv[j])
 
 
 def a0_for_length(L: float, tol: float = 1e-12) -> float:

@@ -92,19 +92,13 @@ def cmd_barrier_check(a_list, L_list, out_path=None, grid: int = 200) -> int:
     a_list = list(a_list) if a_list else list(DEFAULT_A_LIST)
     L_list = list(L_list) if L_list else list(DEFAULT_L_LIST)
 
-    x = np.linspace(0.0, 50.0, grid)
-    y = np.linspace(0.0, 50.0, grid)
-    X, Y = np.meshgrid(x, y, indexing="ij")
-    mask = Y > X
-    qv = barrier.q(X[mask], Y[mask])
-    k = int(np.argmax(qv))
+    q_margin, q_worst = barrier.q_grid_margin(grid)
     report = {
         "q_grid": {"property": "q_below_one", "grid": grid,
-                   "min_margin": float(1.0 - qv[k]),
-                   "worst_point": [float(X[mask][k]), float(Y[mask][k])]},
+                   "min_margin": q_margin, "worst_point": list(q_worst)},
         "cases": [],
     }
-    violations = 0 if report["q_grid"]["min_margin"] > 0.0 else 1
+    violations = 0 if q_margin > 0.0 else 1
 
     for L in L_list:
         for a in a_list:
@@ -118,12 +112,10 @@ def cmd_barrier_check(a_list, L_list, out_path=None, grid: int = 200) -> int:
             case["properties"] = _property_entries(prop)
             if not prop.all_passed:
                 violations += 1
-            pv = barrier.phi_max(a) * np.arange(1, 400) / 400.0
-            fvals = barrier.F_value(pv, a, L)
-            j = int(np.argmax(fvals))
-            case["F"] = {"property": "F_negative", "grid": 399,
-                         "min_margin": float(-fvals[j]), "worst_point": float(pv[j])}
-            if fvals[j] >= 0.0:
+            f_margin, f_worst = barrier.F_margin(a, L)
+            case["F"] = {"property": "F_negative", "grid": barrier.F_GRID,
+                         "min_margin": f_margin, "worst_point": f_worst}
+            if f_margin <= 0.0:
                 violations += 1
             report["cases"].append(case)
 
@@ -141,6 +133,10 @@ def cmd_verify(run_dir) -> int:
     kind = outcome.get("kind")
     if kind not in ("finite_time_shrink", "great_circle"):
         raise MissingArtifacts(f"{run_dir} has no classified outcome (kind={kind!r})")
+    required = ("a_resolved", "T_est", "z_est") if kind == "finite_time_shrink" else ("a_resolved",)
+    for key in required:
+        if outcome.get(key) is None:
+            raise MissingArtifacts(f"{run_dir}/manifest.json: {kind} outcome lacks {key}")
     checks = estimate_harness.run_applicable_checks(
         art.series, art.series.checkpoints, kind,
         a=float(outcome["a_resolved"]),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import chord_arc
-from .barrier import BarrierParams, curvature_bound
+from .barrier import BarrierParams, curvature_margin
 from .errors import PreconditionViolation
 from .flow_engine import DiagnosticsSeries, FlowState, rescaled_curve
 from .sphere_geometry import DiscreteCurve, curvature_sq_integral, frame_field, total_space_curvature
@@ -80,18 +80,12 @@ def _finish(name: str, margins: np.ndarray, steps: np.ndarray, tolerance: float,
                       details=details or {})
 
 
-def _record_rows(series: DiagnosticsSeries):
-    """Lookup step -> index of its first record; built once per check."""
-    rows: dict[int, int] = {}
-    for r, step in enumerate(series.column("step").astype(int).tolist()):
-        rows.setdefault(step, r)
-
-    def index(step: int) -> int:
-        if step not in rows:
-            raise PreconditionViolation(f"no diagnostics record for checkpoint step {step}")
-        return rows[step]
-
-    return index
+def _record_row(series: DiagnosticsSeries, step: int) -> int:
+    """Index of the first record of a checkpoint step."""
+    rows = np.flatnonzero(series.column("step") == step)
+    if not rows.size:
+        raise PreconditionViolation(f"no diagnostics record for checkpoint step {step}")
+    return int(rows[0])
 
 
 def check_chord_arc(series: DiagnosticsSeries,
@@ -103,10 +97,9 @@ def check_chord_arc(series: DiagnosticsSeries,
     verdict rule is min margin >= 0.
     """
     tau = series.column("tau")
-    record_index = _record_rows(series)
     margins, steps = [], []
     for step, curve in checkpoints:
-        r = record_index(step)
+        r = _record_row(series, step)
         rep = chord_arc.min_Z(curve, BarrierParams(a=a, tau=float(tau[r])))
         eps = EPS_DISC_COEFF * float(np.max(curve.seg_lengths)) ** 2 * curve.length
         margins.append(rep.min_value + eps)
@@ -116,11 +109,8 @@ def check_chord_arc(series: DiagnosticsSeries,
 
 def check_curvature_bound(series: DiagnosticsSeries, a: float) -> BoundCheck:
     """max(kappa^2 + 1) <= (2 pi / L)^2 (1 + (2 a^2/pi^2) e^{-8 pi^2 tau}) per record."""
-    L = series.column("L")
-    tau = series.column("tau")
-    kmax = series.column("max_abs_kappa")
-    bound = curvature_bound(L, a, tau)
-    margins = (bound - (kmax ** 2 + 1.0)) / bound
+    margins = curvature_margin(series.column("max_abs_kappa"), series.column("L"), a,
+                               series.column("tau"))
     return _finish("curvature_bound", margins, series.column("step"), CURVATURE_TOL, {"a": a})
 
 
@@ -193,11 +183,10 @@ def check_roundness(series: DiagnosticsSeries,
     tau = series.column("tau")
     if not checkpoints:
         raise PreconditionViolation("no checkpoints to assess")
-    record_index = _record_rows(series)
     max_dev, mean_sq, steps = [], [], []
     c0_sq = 0.0
     for step, curve in checkpoints:
-        r = record_index(step)
+        r = _record_row(series, step)
         if T_est <= t[r]:
             raise PreconditionViolation("T_est must exceed every checkpoint time")
         frame = frame_field(curve)
@@ -210,7 +199,7 @@ def check_roundness(series: DiagnosticsSeries,
         steps.append(step)
 
     fstep, fcurve = checkpoints[-1]
-    r = record_index(fstep)
+    r = _record_row(series, fstep)
     xy, out_of_plane = rescaled_curve(
         FlowState(curve=fcurve, t=float(t[r]), tau=float(tau[r]), step_index=fstep),
         T_est, z_est)
@@ -246,25 +235,17 @@ def check_great_circle(series: DiagnosticsSeries) -> BoundCheck:
     m_len = GC_LENGTH_TOL - abs(float(L[-1]) - TWO_PI)
     if float(np.max(kmax[half])) < 1e-8:
         # already a geodesic to machine precision; no decay left to fit
-        margins = np.array([m_len, m_len])
-        steps = np.full(2, int(series.column("step")[-1]), dtype=int)
-        return BoundCheck(name="great_circle", margins=margins, steps=steps,
-                          min_margin=float(m_len), tolerance=0.0,
-                          verdict=bool(m_len >= 0.0), worst_step=int(steps[0]),
-                          details={"final_L": float(L[-1]), "fitted_slope": math.nan})
-    sel = half & (kmax > 0.0)
-    if int(np.count_nonzero(sel)) < 10:
-        raise PreconditionViolation("too few usable records in the final half for a slope fit")
-    A = np.column_stack([t[sel], np.ones(int(np.count_nonzero(sel)))])
-    slope, _ = np.linalg.lstsq(A, np.log(kmax[sel] ** 2), rcond=None)[0]
-    m_slope = -(float(slope) - GC_SLOPE_MAX)
-    margins = np.array([m_len, m_slope])
-    steps = np.array([int(series.column("step")[-1]), int(series.column("step")[-1])])
-    k = int(np.argmin(margins))
-    return BoundCheck(name="great_circle", margins=margins, steps=steps,
-                      min_margin=float(margins[k]), tolerance=0.0,
-                      verdict=bool(margins[k] >= 0.0), worst_step=int(steps[k]),
-                      details={"final_L": float(L[-1]), "fitted_slope": float(slope)})
+        slope, m_slope = math.nan, m_len
+    else:
+        sel = half & (kmax > 0.0)
+        if int(np.count_nonzero(sel)) < 10:
+            raise PreconditionViolation("too few usable records in the final half for a slope fit")
+        A = np.column_stack([t[sel], np.ones(int(np.count_nonzero(sel)))])
+        slope, _ = np.linalg.lstsq(A, np.log(kmax[sel] ** 2), rcond=None)[0]
+        m_slope = -(float(slope) - GC_SLOPE_MAX)
+    last = int(series.column("step")[-1])
+    return _finish("great_circle", [m_len, m_slope], [last, last], 0.0,
+                   {"final_L": float(L[-1]), "fitted_slope": float(slope)})
 
 
 def check_fenchel(series: DiagnosticsSeries,
@@ -287,10 +268,9 @@ def check_length_decay(series: DiagnosticsSeries,
     initial record has no rate and is skipped.
     """
     dldt = series.column("dLdt_obs")
-    record_index = _record_rows(series)
     margins, steps = [], []
     for step, curve in checkpoints:
-        r = record_index(step)
+        r = _record_row(series, step)
         if r == 0 or not np.isfinite(dldt[r]):
             continue
         integral = curvature_sq_integral(curve)
@@ -302,11 +282,24 @@ def check_length_decay(series: DiagnosticsSeries,
     return _finish("length_decay", margins, steps, 0.0)
 
 
-FINITE_TIME_CHECKS = ("chord_arc", "curvature_bound", "length_sandwich",
-                      "improved_length", "tau_bracket", "roundness",
-                      "fenchel", "length_decay")
-GREAT_CIRCLE_CHECKS = ("chord_arc", "curvature_bound", "great_circle",
-                       "fenchel", "length_decay")
+_ANY = ("finite_time_shrink", "great_circle")
+_SHRINK = ("finite_time_shrink",)
+
+# name -> (call, outcome kinds it applies to), in config.ALL_CHECKS order. A
+# call is (series, checkpoints, a, T_est, z_est) -> BoundCheck and looks its
+# check_* function up in the module globals when it runs, so a wrapper set on
+# the module attribute (as perfbench's tracer does) sees every check.
+CHECKS = {
+    "chord_arc": (lambda s, c, a, T, z: check_chord_arc(s, c, a), _ANY),
+    "curvature_bound": (lambda s, c, a, T, z: check_curvature_bound(s, a), _ANY),
+    "length_sandwich": (lambda s, c, a, T, z: check_length_sandwich(s, T, a), _SHRINK),
+    "improved_length": (lambda s, c, a, T, z: check_improved_length(s, T, a), _SHRINK),
+    "tau_bracket": (lambda s, c, a, T, z: check_tau_bracket(s, T, a), _SHRINK),
+    "roundness": (lambda s, c, a, T, z: check_roundness(s, c, T, z), _SHRINK),
+    "great_circle": (lambda s, c, a, T, z: check_great_circle(s), ("great_circle",)),
+    "fenchel": (lambda s, c, a, T, z: check_fenchel(s, c), _ANY),
+    "length_decay": (lambda s, c, a, T, z: check_length_decay(s, c), _ANY),
+}
 
 
 def run_applicable_checks(series: DiagnosticsSeries,
@@ -315,28 +308,11 @@ def run_applicable_checks(series: DiagnosticsSeries,
                           T_est: float | None = None, z_est=None,
                           selected: tuple[str, ...] | None = None) -> list[BoundCheck]:
     """Run every check applicable to the outcome (optionally intersected
-    with an explicit selection) and return the BoundChecks in order."""
-    applicable = FINITE_TIME_CHECKS if outcome_kind == "finite_time_shrink" else GREAT_CIRCLE_CHECKS
-    if selected is not None:
-        applicable = tuple(c for c in applicable if c in selected)
-    out = []
-    for name in applicable:
-        if name == "chord_arc":
-            out.append(check_chord_arc(series, checkpoints, a))
-        elif name == "curvature_bound":
-            out.append(check_curvature_bound(series, a))
-        elif name == "length_sandwich":
-            out.append(check_length_sandwich(series, T_est, a))
-        elif name == "improved_length":
-            out.append(check_improved_length(series, T_est, a))
-        elif name == "tau_bracket":
-            out.append(check_tau_bracket(series, T_est, a))
-        elif name == "roundness":
-            out.append(check_roundness(series, checkpoints, T_est, z_est))
-        elif name == "great_circle":
-            out.append(check_great_circle(series))
-        elif name == "fenchel":
-            out.append(check_fenchel(series, checkpoints))
-        elif name == "length_decay":
-            out.append(check_length_decay(series, checkpoints))
-    return out
+    with an explicit selection) and return the BoundChecks in order.
+    Raises PreconditionViolation if none applies: no verdicts is no pass."""
+    names = [name for name, (_, kinds) in CHECKS.items()
+             if outcome_kind in kinds and (selected is None or name in selected)]
+    if not names:
+        raise PreconditionViolation(
+            f"no selected check applies to a {outcome_kind!r} outcome (selected: {selected})")
+    return [CHECKS[name][0](series, checkpoints, a, T_est, z_est) for name in names]

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import chord_arc, generators
-from .barrier import FOUR_PI_SQ, BarrierParams, curvature_bound
+from .barrier import FOUR_PI_SQ, BarrierParams, curvature_margin
 from .config import RunConfig
 from .errors import Degenerate, InsufficientData, NonConvergent, NotSimple, SelfIntersection, StepTooLarge
 from .sphere_geometry import (
@@ -49,26 +49,37 @@ class FlowState:
     step_index: int
 
 
-@dataclass(frozen=True)
-class DiagnosticsRecord:
-    step: int
-    t: float
-    tau: float
-    L: float
-    max_abs_kappa: float
-    min_Z: float            # NaN between scheduled O(n^2) evaluations
-    dLdt_obs: float         # flow-induced length rate; excludes resampling jumps
-    curv_margin: float      # relative clearance below the curvature bound
+DIAGNOSTICS_COLUMNS = ("step", "t", "tau", "L", "max_abs_kappa", "min_Z", "dLdt_obs", "curv_margin")
 
 
-@dataclass
+@dataclass(eq=False)
 class DiagnosticsSeries:
-    records: list[DiagnosticsRecord] = field(default_factory=list)
+    """One row per record and one float column per DIAGNOSTICS_COLUMNS name, in
+    a growable array. min_Z is NaN between scheduled O(n^2) evaluations;
+    dLdt_obs is the flow-induced length rate, without resampling jumps;
+    curv_margin is the relative clearance below the curvature bound."""
+
     checkpoints: list[tuple[int, DiscreteCurve]] = field(default_factory=list)
     a_resolved: float = math.nan
+    _rows: np.ndarray = field(init=False, repr=False,
+                              default_factory=lambda: np.empty((256, len(DIAGNOSTICS_COLUMNS))))
+    _size: int = field(init=False, default=0)
+
+    def append(self, *values: float) -> None:
+        """Add one record, its values in DIAGNOSTICS_COLUMNS order."""
+        if self._size == len(self._rows):
+            self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
+        self._rows[self._size] = values
+        self._size += 1
 
     def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.records], dtype=float)
+        """Read-only view of one column over the records so far."""
+        view = self._rows[:self._size, DIAGNOSTICS_COLUMNS.index(name)]
+        view.flags.writeable = False
+        return view
+
+    def rows(self) -> list[list[float]]:
+        return self._rows[:self._size].tolist()
 
 
 @dataclass(frozen=True)
@@ -136,11 +147,6 @@ def symmetrize(curve: DiscreteCurve) -> DiscreteCurve:
     return make_curve(0.5 * (p - np.roll(p, -n // 2, axis=0)))
 
 
-def _curvature_bound_margin(max_kappa_sq: float, L: float, a: float, tau: float) -> float:
-    bound = curvature_bound(L, a, tau)
-    return float((bound - (max_kappa_sq + 1.0)) / bound)
-
-
 def _target_n(n0: int, L0: float, L: float, n_floor: int) -> int:
     halvings = max(0, int(math.floor(math.log2(L0 / L)))) if L < L0 else 0
     return max(n_floor, n0 >> halvings) if halvings < 60 else n_floor
@@ -172,11 +178,9 @@ def run(cfg: RunConfig) -> tuple[DiagnosticsSeries, Outcome]:
         mz = math.nan
         if with_z:
             mz = chord_arc.min_Z(st.curve, BarrierParams(a=a, tau=st.tau)).min_value
-        series.records.append(DiagnosticsRecord(
-            step=st.step_index, t=st.t, tau=st.tau, L=st.curve.length,
-            max_abs_kappa=kmax, min_Z=mz, dLdt_obs=dldt,
-            curv_margin=_curvature_bound_margin(kmax * kmax, st.curve.length, a, st.tau),
-        ))
+        L = st.curve.length
+        series.append(st.step_index, st.t, st.tau, L, kmax, mz, dldt,
+                      curvature_margin(kmax, L, a, st.tau))
         return kmax
 
     kappa_max = record(state, math.nan, with_z=True)

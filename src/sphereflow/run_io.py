@@ -22,10 +22,10 @@ from . import __version__, barrier
 from .chord_arc import ChordArcProfile
 from .config import RunConfig, config_from_dict, config_hash, config_to_dict
 from .errors import ConfigParseError, MissingArtifacts, RunDirLocked
-from .flow_engine import DiagnosticsRecord, DiagnosticsSeries, Outcome
+from .flow_engine import DIAGNOSTICS_COLUMNS, DiagnosticsSeries, Outcome
 from .sphere_geometry import DiscreteCurve, make_curve
 
-DIAGNOSTICS_HEADER = "step,t,tau,L,max_abs_kappa,min_Z,dLdt_obs,curv_margin"
+DIAGNOSTICS_HEADER = ",".join(DIAGNOSTICS_COLUMNS)
 
 
 def _fmt(x: float) -> str:
@@ -81,11 +81,9 @@ def _bad_curve_row(path: Path, lines: list[str]) -> str:
 
 
 def write_diagnostics_csv(series: DiagnosticsSeries, path) -> None:
+    """One line per record; step is written as an integer."""
     lines = [DIAGNOSTICS_HEADER]
-    for r in series.records:
-        lines.append(",".join([str(r.step), _fmt(r.t), _fmt(r.tau), _fmt(r.L),
-                               _fmt(r.max_abs_kappa), _fmt(r.min_Z),
-                               _fmt(r.dLdt_obs), _fmt(r.curv_margin)]))
+    lines.extend(",".join([str(int(step)), *map(repr, rest)]) for step, *rest in series.rows())
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -103,18 +101,13 @@ def read_diagnostics_csv(path) -> DiagnosticsSeries:
             if not line:
                 continue
             parts = line.split(",")
-            if len(parts) != 8:
-                raise ConfigParseError(
-                    f"{path}, line {lineno}: expected 8 fields, got {len(parts)}")
+            if len(parts) != len(DIAGNOSTICS_COLUMNS):
+                raise ConfigParseError(f"{path}, line {lineno}: expected "
+                                       f"{len(DIAGNOSTICS_COLUMNS)} fields, got {len(parts)}")
             try:
-                record = DiagnosticsRecord(
-                    step=int(parts[0]), t=float(parts[1]), tau=float(parts[2]),
-                    L=float(parts[3]), max_abs_kappa=float(parts[4]),
-                    min_Z=float(parts[5]), dLdt_obs=float(parts[6]),
-                    curv_margin=float(parts[7]))
+                series.append(int(parts[0]), *map(float, parts[1:]))
             except ValueError as exc:
                 raise ConfigParseError(f"{path}, line {lineno}: {exc}") from None
-            series.records.append(record)
     return series
 
 

@@ -185,6 +185,24 @@ class TestProperties:
             barrier.check_properties(1.0, np.pi, grid_size=100)
 
 
+class TestGridMargins:
+    def test_q_grid_margin_against_pair_loop(self):
+        x = np.linspace(0.0, 50.0, 40)
+        pairs = [(xi, yj) for xi in x for yj in x if yj > xi]
+        qs = [float(barrier.q(xi, yj)) for xi, yj in pairs]
+        margin, worst = barrier.q_grid_margin(40)
+        assert margin == 1.0 - max(qs) and worst == pairs[int(np.argmax(qs))]
+
+    def test_F_margin_against_point_scan(self):
+        for a, L in ((0.5, np.pi), (barrier.a0_for_length(3 * np.pi), 3 * np.pi)):
+            top = barrier.phi_max(a)
+            pv = [top * k / (barrier.F_GRID + 1) for k in range(1, barrier.F_GRID + 1)]
+            fs = [float(barrier.F_value(p, a, L)) for p in pv]
+            margin, worst = barrier.F_margin(a, L)
+            assert margin == -max(fs) and worst == pv[int(np.argmax(fs))]
+            assert margin > 0.0
+
+
 class TestComparisonResidual:
     def test_small_on_grid(self):
         z = np.linspace(1e-4, 1 - 1e-4, 500)

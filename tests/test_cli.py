@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -175,6 +176,30 @@ class TestVerify:
         err = json.loads(capsys.readouterr().out)
         assert err["error"] == "ConfigParseError"
         assert "step_00000500.csv, line 6" in err["message"]
+
+    @pytest.mark.parametrize("checks", [["great_circle"], []])
+    def test_no_applicable_check_fails(self, tmp_path, capsys, checks):
+        # an empty verdict list is not a pass
+        cfgp = write_config(tmp_path / "cfg.json", n=128, dt=4e-4, checks=checks)
+        run = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(cfgp), "--out", str(run)]) == 0
+        capsys.readouterr()
+        assert cli.main(["verify", "--run", str(run)]) == 1
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "PreconditionViolation"
+        assert not (run / "verdicts.json").exists()
+
+    @pytest.mark.parametrize("key", ["a_resolved", "T_est", "z_est"])
+    def test_manifest_without_outcome_key(self, completed_run, tmp_path, capsys, key):
+        run = tmp_path / "run"
+        shutil.copytree(completed_run, run)
+        manifest = json.loads((run / "manifest.json").read_text())
+        del manifest["outcome"][key]
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert cli.main(["verify", "--run", str(run)]) == 3
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "MissingArtifacts" and key in err["message"]
 
     def test_report(self, completed_run, capsys):
         assert cli.main(["report", "--run", str(completed_run)]) == 0

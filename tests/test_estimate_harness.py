@@ -3,14 +3,33 @@ import math
 import numpy as np
 import pytest
 
-from sphereflow import estimate_harness as eh
+from sphereflow import config, estimate_harness as eh
 from sphereflow import flow_engine
 from sphereflow.errors import PreconditionViolation
+
+# verdict order of verify; perfbench/workloads.py compares against its own copies
+FINITE_TIME_ORDER = ("chord_arc", "curvature_bound", "length_sandwich", "improved_length",
+                     "tau_bracket", "roundness", "fenchel", "length_decay")
+GREAT_CIRCLE_ORDER = ("chord_arc", "curvature_bound", "great_circle", "fenchel", "length_decay")
 
 
 def series_arrays(run):
     s = run["series"]
     return s, s.checkpoints, run["outcome"]
+
+
+def series_of(**columns):
+    """A DiagnosticsSeries whose records are the given columns; scalars broadcast."""
+    n = max(np.size(v) for v in columns.values())
+    series = flow_engine.DiagnosticsSeries()
+    for row in zip(*(np.broadcast_to(columns[name], n)
+                     for name in flow_engine.DIAGNOSTICS_COLUMNS)):
+        series.append(*row)
+    return series
+
+
+def columns_of(series):
+    return {name: series.column(name) for name in flow_engine.DIAGNOSTICS_COLUMNS}
 
 
 class TestFiniteTimeChecks:
@@ -19,7 +38,7 @@ class TestFiniteTimeChecks:
         a = series.a_resolved
         checks = eh.run_applicable_checks(series, ckpts, outcome.kind, a,
                                           T_est=outcome.T_est, z_est=outcome.z_est)
-        assert [c.name for c in checks] == list(eh.FINITE_TIME_CHECKS)
+        assert tuple(c.name for c in checks) == FINITE_TIME_ORDER
         for c in checks:
             assert c.verdict, f"{c.name}: min_margin={c.min_margin}"
 
@@ -57,6 +76,15 @@ class TestFiniteTimeChecks:
         assert chk.margins[0] < 0.0  # first checkpoint deviation above 5%
         assert chk.details["final_max_dev"] <= 0.05
 
+    def test_curvature_margins_equal_recorded_column(self, parallel_run):
+        # one formula: the check recomputes what the flow recorded. The flow
+        # evaluates it on Python floats, where (2 pi / L) ** 2 calls C pow; the
+        # check squares numpy arrays. The two can differ in the bound's last
+        # bit, which moves the margin by about one machine epsilon.
+        series = parallel_run["series"]
+        chk = eh.check_curvature_bound(series, series.a_resolved)
+        np.testing.assert_allclose(chk.margins, series.column("curv_margin"), rtol=0, atol=1e-14)
+
     def test_curvature_consistency_with_roundness(self, parallel_run):
         # bound + sandwich imply the rescaled curvature cap
         series, ckpts, outcome = series_arrays(parallel_run)
@@ -80,33 +108,23 @@ class TestNegativeControls:
         T = 1.0
         t = np.linspace(0.0, 0.9, 200)
         L = 2 * math.pi * np.sqrt(1 - np.exp(-2 * (T - t))) * 0.95  # 5% below lower bound
-        series = flow_engine.DiagnosticsSeries()
-        for k, (tk, Lk) in enumerate(zip(t, L)):
-            series.records.append(flow_engine.DiagnosticsRecord(
-                step=k, t=float(tk), tau=0.0, L=float(Lk), max_abs_kappa=1.0,
-                min_Z=math.nan, dLdt_obs=math.nan, curv_margin=0.0))
+        series = series_of(step=np.arange(t.size), t=t, tau=0.0, L=L, max_abs_kappa=1.0,
+                           min_Z=math.nan, dLdt_obs=math.nan, curv_margin=0.0)
         chk = eh.check_length_sandwich(series, T, 0.5)
         assert not chk.verdict
 
     def test_corrupted_tau_fails_bracket(self, parallel_run):
         series, _, outcome = series_arrays(parallel_run)
-        bad = flow_engine.DiagnosticsSeries(records=[
-            flow_engine.DiagnosticsRecord(
-                step=r.step, t=r.t, tau=r.tau * 1.05, L=r.L,
-                max_abs_kappa=r.max_abs_kappa, min_Z=r.min_Z,
-                dLdt_obs=r.dLdt_obs, curv_margin=r.curv_margin)
-            for r in series.records])
+        columns = columns_of(series)
+        bad = series_of(**{**columns, "tau": columns["tau"] * 1.05})
         chk = eh.check_tau_bracket(bad, outcome.T_est, series.a_resolved)
         assert not chk.verdict
 
     def test_inflated_curvature_fails_bound(self, parallel_run):
         series, _, _ = series_arrays(parallel_run)
-        bad = flow_engine.DiagnosticsSeries(records=[
-            flow_engine.DiagnosticsRecord(
-                step=r.step, t=r.t, tau=r.tau, L=r.L,
-                max_abs_kappa=r.max_abs_kappa * 1.2 + 0.5, min_Z=r.min_Z,
-                dLdt_obs=r.dLdt_obs, curv_margin=r.curv_margin)
-            for r in series.records])
+        # curv_margin is copied unchanged: the check recomputes from max_abs_kappa
+        columns = columns_of(series)
+        bad = series_of(**{**columns, "max_abs_kappa": columns["max_abs_kappa"] * 1.2 + 0.5})
         chk = eh.check_curvature_bound(bad, series.a_resolved)
         assert not chk.verdict
 
@@ -123,7 +141,7 @@ class TestGreatCircleChecks:
         series, ckpts, outcome = series_arrays(perturbed_equator_run)
         checks = eh.run_applicable_checks(series, ckpts, outcome.kind,
                                           series.a_resolved)
-        assert [c.name for c in checks] == list(eh.GREAT_CIRCLE_CHECKS)
+        assert tuple(c.name for c in checks) == GREAT_CIRCLE_ORDER
         for c in checks:
             assert c.verdict, f"{c.name}: min_margin={c.min_margin}"
 
@@ -145,13 +163,10 @@ class TestGreatCircleChecks:
     @staticmethod
     def _decaying_great_circle(rate):
         # L = 2 pi throughout, max kappa^2 = 0.5 e^{-rate t}
-        series = flow_engine.DiagnosticsSeries()
-        for k, tk in enumerate(np.linspace(0.0, 2.0, 200)):
-            series.records.append(flow_engine.DiagnosticsRecord(
-                step=k, t=float(tk), tau=0.0, L=2 * math.pi,
-                max_abs_kappa=math.sqrt(0.5 * math.exp(-rate * tk)),
-                min_Z=math.nan, dLdt_obs=math.nan, curv_margin=0.0))
-        return series
+        t = np.linspace(0.0, 2.0, 200)
+        return series_of(step=np.arange(t.size), t=t, tau=0.0, L=2 * math.pi,
+                         max_abs_kappa=np.sqrt(0.5 * np.exp(-rate * t)),
+                         min_Z=math.nan, dLdt_obs=math.nan, curv_margin=0.0)
 
     def test_decay_slower_than_envelope_fails(self):
         slow = eh.check_great_circle(self._decaying_great_circle(1.0))
@@ -168,6 +183,37 @@ class TestGreatCircleChecks:
         series, outcome = flow_engine.run(cfg)
         chk = eh.check_great_circle(series)
         assert chk.verdict and math.isnan(chk.details["fitted_slope"])
+
+
+def test_registry_follows_config_order():
+    assert tuple(eh.CHECKS) == config.ALL_CHECKS
+
+
+def test_registry_calls_checks_through_module_globals(parallel_run, monkeypatch):
+    # a wrapper set on the module attribute (as a tracer does) must see the call
+    series, ckpts, outcome = series_arrays(parallel_run)
+    calls = []
+    check_fenchel = eh.check_fenchel
+
+    def recording(*args):
+        calls.append(args)
+        return check_fenchel(*args)
+
+    monkeypatch.setattr(eh, "check_fenchel", recording)
+    checks = eh.run_applicable_checks(series, ckpts, outcome.kind, series.a_resolved,
+                                      selected=("fenchel",))
+    assert [c.name for c in checks] == ["fenchel"] and len(calls) == 1
+
+
+@pytest.mark.parametrize("kind,selected", [("finite_time_shrink", ("great_circle",)),
+                                           ("finite_time_shrink", ()),
+                                           ("great_circle", ("roundness", "tau_bracket"))])
+def test_no_applicable_check_is_an_error(parallel_run, kind, selected):
+    series, ckpts, outcome = series_arrays(parallel_run)
+    with pytest.raises(PreconditionViolation, match="no selected check applies"):
+        eh.run_applicable_checks(series, ckpts, kind, series.a_resolved,
+                                 T_est=outcome.T_est, z_est=outcome.z_est,
+                                 selected=selected)
 
 
 def test_decay_fit_fields():

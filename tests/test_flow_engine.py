@@ -182,7 +182,18 @@ class TestRun:
         cfg = RunConfig(generator=gen, n=128, dt=2e-4, t_max=0.01, seed=2)
         with pytest.raises(NonConvergent) as info:
             flow_engine.run(cfg)
-        assert len(info.value.series.records) > 10
+        assert info.value.series.column("step").size > 10
+
+    def test_column_is_a_read_only_view(self):
+        series = flow_engine.DiagnosticsSeries()
+        for k in range(1000):  # past the initial capacity
+            series.append(k, 0.5 * k, 0.0, 2 * math.pi, 0.0, math.nan, 0.0, 0.0)
+        t = series.column("t")
+        with pytest.raises(ValueError, match="read-only"):
+            t[0] = 1.0
+        assert np.array_equal(t, 0.5 * np.arange(1000))
+        assert np.array_equal(series.column("step"), np.arange(1000))
+        assert np.isnan(series.column("min_Z")).all()
 
 
 class TestEstimateExtinction:
@@ -192,9 +203,7 @@ class TestEstimateExtinction:
         L = 2 * math.pi * np.sqrt(1 - np.exp(-2 * (T - t)))
         series = flow_engine.DiagnosticsSeries()
         for k, (tk, Lk) in enumerate(zip(t, L)):
-            series.records.append(flow_engine.DiagnosticsRecord(
-                step=k, t=float(tk), tau=0.0, L=float(Lk), max_abs_kappa=0.0,
-                min_Z=math.nan, dLdt_obs=math.nan, curv_margin=0.0))
+            series.append(k, tk, 0.0, Lk, 0.0, math.nan, math.nan, 0.0)
         return series
 
     def test_recovers_its_own_model(self):
@@ -214,9 +223,7 @@ class TestEstimateExtinction:
     def test_flat_series_rejected(self):
         series = flow_engine.DiagnosticsSeries()
         for k in range(100):
-            series.records.append(flow_engine.DiagnosticsRecord(
-                step=k, t=k * 1e-3, tau=0.0, L=2 * math.pi, max_abs_kappa=0.0,
-                min_Z=math.nan, dLdt_obs=math.nan, curv_margin=0.0))
+            series.append(k, k * 1e-3, 0.0, 2 * math.pi, 0.0, math.nan, math.nan, 0.0)
         with pytest.raises(InsufficientData):
             flow_engine.estimate_extinction(series)
 
