@@ -148,7 +148,6 @@ def q(x, y):
         raise DomainError("need 0 <= X < Y")
     ax = np.arctan(x)
     ay = np.arctan(y)
-    sinc = np.ones_like(x)
     pos = x > 0.0
     sinc = np.where(pos, np.divide(ax, x, out=np.ones_like(x), where=pos), 1.0)
     return (1.0 / (1.0 + y * y)) * ((y * y - x * x) / (ay * ay - ax * ax)) * sinc

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import barrier
 from .errors import InsufficientData, NotAdmissible, PreconditionViolation
@@ -29,6 +30,10 @@ FILTER_SLACK = 1e-14           # relative to L, see min_Z and admissible_a
 # exact doubles, and keeps the guarded band below 2^-10 of a bin up to here.
 _BIN_GUARD = 4.0 * np.finfo(float).eps
 PROFILE_MAX_BINS = 1 << 40
+# profile takes each gap row in runs of this many consecutive vertices; a
+# power of two, for the halving tree of the run minima
+_RUN = 8
+_NO_PAIR = np.iinfo(np.intp).max   # profile's key of a bin that no pair reached
 
 
 @dataclass(frozen=True)
@@ -73,6 +78,17 @@ def _separation(curve: DiscreteCurve, i, j) -> np.ndarray:
     return np.minimum(arc, length - arc) / length
 
 
+def _gap_separation(s_rows: np.ndarray, s: np.ndarray, length: float,
+                    z: np.ndarray, far: np.ndarray) -> np.ndarray:
+    """z = min(arc, L - arc)/L into z, from arc = |s_rows - s|; far is scratch."""
+    np.subtract(s_rows, s, out=z)
+    np.abs(z, out=z)
+    np.subtract(length, z, out=far)
+    np.minimum(z, far, out=z)
+    z /= length
+    return z
+
+
 def _chords(curve: DiscreteCurve, k_min: int):
     """Yield (k, d, z) per block of cyclic index gaps (see _gap_blocks).
 
@@ -91,12 +107,8 @@ def _chords(curve: DiscreteCurve, k_min: int):
     for k, d2 in _gap_blocks(curve.points, k_min):
         if z_buf is None:
             z_buf, far_buf = np.empty_like(d2), np.empty_like(d2)
-        z, far = z_buf[:k.size], far_buf[:k.size]
-        np.subtract(s_shifted[k[0]:k[-1] + 1], s, out=z)
-        np.abs(z, out=z)
-        np.subtract(length, z, out=far)
-        np.minimum(z, far, out=z)
-        z /= length
+        z = _gap_separation(s_shifted[k[0]:k[-1] + 1], s, length,
+                            z_buf[:k.size], far_buf[:k.size])
         yield k, np.sqrt(d2, out=d2), z
 
 
@@ -129,6 +141,203 @@ def _bin_index(z: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return idx
 
 
+def _run_binner(curve: DiscreteCurve, n_bins: int, w: int):
+    """Return run_bins(k) -> (b, single, two) over the runs i = q w .. q w + w - 1
+    of the _gap_blocks rows k. Every pair of a run with single set has its z
+    in bin b, and every pair of a run with two set in bin b or b + 1.
+
+    With h = fl(L/n), S_p = s_p (p < n) or s_{p-n} + L (p >= n) and the
+    drift E_p = S_p - p h, the pair (i, i + k) has the unfolded separation
+    U = (S_{i+k} - S_i)/L, and its z is min(U, 1 - U) whether i + k wraps
+    or not. For i = q w + r and p = k + q w, S_{i+k} - S_i =
+    (E_{p+r} + p h) - (E_{qw+r} + q w h), so over the run U lies between
+    (J_lo[p] - I_hi[q])/L and (J_hi[p] - I_lo[q])/L, where J_lo[p] =
+    min(E_p .. E_{p+w-1}) + p h, J_hi takes the max, and I[q] = J[q w].
+    The window extremes are taken once per call, by halving, and each block
+    reads J through strided views. In t = 2m z, the bounds are scaled by
+    c = fl(2m/L), folded at m (t_lo = min(T_lo, 2m - T_hi), t_hi =
+    min(T_hi, m)) and widened by 2m FILTER_SLACK. With b = trunc(t_lo) and
+    g = _BIN_GUARD * m, the run is single-bin if b + g <= t_lo and
+    t_hi <= b + 1 - g, and two-bin if b + g <= t_lo and t_hi <= b + 2 - g.
+
+    Why, with u = 2^-53: S_p < 2L and p h < 1.5L, so |E_p| < 2L, |J| < 3.5L
+    and |J - I| < 7L. Relative to L, the computed e_p is within 5.5u of
+    E_p (S_p, p h and their difference round), the window extremes are
+    exact, J adds 5u (p h and the sum), and J - I rounds by 7u: 28u in all.
+    Scaling by c rounds twice, 14u of 2m for |J - I| < 7L, and the fold
+    (at most 16m) and the slack add 8u of 2m each, so t_lo and t_hi are
+    within 2m 58u of 2m times the exact folded bounds. A pair's z (as
+    _chords takes it: two subtractions of at most L and a division) is
+    within 3u of its exact value, and t = fl(2m z) rounds by mu more.
+    2m FILTER_SLACK = 2m 1e-14 > 2m 62u, so every pair of the run has its t
+    in [t_lo, t_hi]. If that lies in [b + g, b + 1 - g], _bin_index's proof
+    puts the pair in bin b; if in [b + g, b + 2 - g], the same argument
+    gives 2m edges[b] < 2m z <= 2m edges[b + 2]. t_lo - b and t_hi - b are
+    exact where the test can pass (Sterbenz), and for t_lo < 0 trunc
+    rounds up and the test fails. Both tests give b <= m - 1, as
+    t_lo <= m - 2m FILTER_SLACK.
+    """
+    n, length = curve.n, curve.length
+    runs = n // w
+    if runs == 0:                    # n < w: every pair is in the tail
+        return lambda k: (np.zeros((k.size, 0), dtype=np.intp),
+                          np.zeros((k.size, 0), dtype=bool), np.zeros((k.size, 0), dtype=bool))
+    s = curve.cum_lengths[:-1]
+    h = length / n
+    ph = np.arange(n + n // 2) * h
+    e = np.concatenate([s, s[:n // 2] + length]) - ph
+    e_lo, e_hi, width = e, e, 1
+    while width < w:                 # extremes over [p, p + 2 width)
+        e_lo = np.minimum(e_lo[:-width], e_lo[width:])
+        e_hi = np.maximum(e_hi[:-width], e_hi[width:])
+        width *= 2
+    j_lo, j_hi = e_lo + ph[:e_lo.size], e_hi + ph[:e_hi.size]
+    span = (runs - 1) * w + 1
+    i_lo, i_hi = j_lo[:span:w], j_hi[:span:w]
+    j_lo = sliding_window_view(j_lo, span)[:, ::w]   # row p: windows at p + q w
+    j_hi = sliding_window_view(j_hi, span)[:, ::w]
+    two_m = 2.0 * n_bins
+    scale = two_m / length
+    slack = FILTER_SLACK * two_m
+    guard = _BIN_GUARD * n_bins
+
+    def run_bins(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        rows = slice(k[0], k[-1] + 1)
+        t_hi = j_hi[rows] - i_lo
+        t_hi *= scale
+        t_lo = j_lo[rows] - i_hi
+        t_lo *= scale
+        np.minimum(t_lo, two_m - t_hi, out=t_lo)
+        t_lo -= slack
+        np.minimum(t_hi, float(n_bins), out=t_hi)
+        t_hi += slack
+        b = t_lo.astype(np.intp)
+        t_lo -= b
+        t_hi -= b
+        two = t_lo >= guard
+        single = two & (t_hi <= 1.0 - guard)
+        two &= t_hi <= 2.0 - guard
+        return b, single, two
+
+    return run_bins
+
+
+def _pair_bins(z: np.ndarray, b: np.ndarray, two: np.ndarray, edges: np.ndarray,
+               w: int) -> np.ndarray:
+    """_bin_index(z, edges) of a (rows, n) block, from run_bins' (b, two).
+
+    A pair in a run with two set lies in bin b or b + 1 (_run_binner), so
+    its bin is b + (z > edges[b + 1]), with no search. The other runs and
+    the tail of n mod w take _bin_index.
+    """
+    rows, n = z.shape
+    runs = b.shape[1]
+    span = runs * w
+    idx = np.empty(z.shape, dtype=np.intp)
+    above = z[:, :span].reshape(rows, runs, w) > np.take(edges, b + 1, mode="clip")[:, :, None]
+    # splitting the last axis of a row slice is always possible without a
+    # copy, so reshape returns a view here and the sum lands in idx
+    np.add(above, b[:, :, None], out=idx[:, :span].reshape(rows, runs, w))
+    rest = [_run_positions(np.flatnonzero(~two), runs, w, n).ravel()]
+    if span < n:
+        rest.append(((np.arange(rows) * n)[:, None] + np.arange(span, n)).ravel())
+    rest = np.concatenate(rest)
+    idx.flat[rest] = _bin_index(z.ravel()[rest], edges)
+    return idx
+
+
+def _run_positions(r: np.ndarray, runs: int, w: int, n: int) -> np.ndarray:
+    """Flat (row, i) positions, shape (r.size, w), of runs r of a (rows, runs) array."""
+    row, q = np.divmod(r, runs)
+    return (row * n + q * w)[:, None] + np.arange(w)
+
+
+def _fold_in(psi: np.ndarray, key: np.ndarray, d: np.ndarray, idx: np.ndarray,
+             pairs_at) -> None:
+    """Merge candidate chords d in bins idx into psi and key, in place.
+
+    idx -1 is a spare slot that is dropped. pairs_at(hit, best) returns the
+    bins and keys i * n + j of the pairs i < j behind the candidates hit
+    that attain their bin's minimum best. A bin takes the smaller chord,
+    and of equal chords the smaller key: the first pair in (i, j) order.
+    """
+    best = np.full(psi.size + 1, np.inf)
+    np.minimum.at(best, idx, d)
+    bins, keys = pairs_at(np.flatnonzero(d == best[idx]), best)
+    first = np.full(psi.size + 1, _NO_PAIR)
+    np.minimum.at(first, bins, keys)
+    best, first = best[:-1], first[:-1]
+    better = (best < psi) | ((best == psi) & (first < key))
+    psi[better] = best[better]
+    key[better] = first[better]
+
+
+def _row_index(mask: np.ndarray):
+    """Index of the rows where mask is set; a slice (a view, no copy) if all are."""
+    return slice(None) if mask.all() else np.flatnonzero(mask)
+
+
+def _fold_run_rows(psi, key, k, d2, bins, single, curve, edges, w) -> None:
+    """Fold rows k of a gap block into psi and key, a run of w at a time.
+
+    A single-bin run gives one candidate, its minimum d^2 (a halving tree of
+    np.minimum over strided slices) square-rooted; the pairs of the other
+    runs and of the tail of n mod w are gathered and binned one by one.
+    """
+    n = curve.n
+    runs = bins.shape[1]
+    run_min = np.minimum(d2[:, 0:runs * w:2], d2[:, 1:runs * w:2])
+    while run_min.shape[1] > runs:
+        run_min = np.minimum(run_min[:, 0::2], run_min[:, 1::2])
+    won = np.flatnonzero(single)
+    run_bin = bins.ravel()[won]
+
+    def run_pairs(hit, best):        # the pairs of a hit run that attain best
+        pos = _run_positions(won[hit], runs, w, n)
+        at = np.sqrt(d2.ravel()[pos]) == best[run_bin[hit]][:, None]
+        i, j = _gap_pairs(n, k, pos[at])
+        return np.broadcast_to(run_bin[hit][:, None], pos.shape)[at], i * n + j
+
+    _fold_in(psi, key, np.sqrt(run_min.ravel()[won]), run_bin, run_pairs)
+
+    pos = [_run_positions(np.flatnonzero(~single), runs, w, n).ravel()]
+    if runs * w < n:
+        pos.append(((np.arange(k.size) * n)[:, None] + np.arange(runs * w, n)).ravel())
+    pos = np.concatenate(pos)
+    if 2 * k[-1] == n:               # the repeated half of gap n/2
+        pos = pos[pos < (k.size - 1) * n + n // 2]
+    if pos.size == 0:
+        return
+    row, i = np.divmod(pos, n)
+    j = i + k[row]
+    np.subtract(j, n, out=j, where=j >= n)
+    s = curve.cum_lengths
+    s_j, s_i = s[j], s[i]            # fresh gathers, so they can take z and far
+    idx = _bin_index(_gap_separation(s_j, s_i, curve.length, s_j, s_i), edges)
+
+    def pairs_at(hit, best):
+        i, j = _gap_pairs(n, k, pos[hit])
+        return idx[hit], i * n + j
+
+    _fold_in(psi, key, np.sqrt(d2.ravel()[pos]), idx, pairs_at)
+
+
+def _fold_pair_rows(psi, key, k, d2, z, bins, two, edges, w) -> None:
+    """Fold rows k of a gap block into psi and key pair by pair; z are the
+    pairs' separations, and d2 is square-rooted in place."""
+    n = d2.shape[1]
+    idx = _pair_bins(z, bins, two, edges, w).ravel()
+    d = np.sqrt(d2, out=d2).ravel()
+    if 2 * k[-1] == n:               # the repeated half of gap n/2
+        idx, d = idx[:-(n // 2)], d[:-(n // 2)]
+
+    def pairs_at(hit, best):
+        i, j = _gap_pairs(n, k, hit)
+        return idx[hit], i * n + j
+
+    _fold_in(psi, key, d, idx, pairs_at)
+
+
 def profile(curve: DiscreteCurve, n_bins: int) -> ChordArcProfile:
     """Exact pairwise minimum chord per z-bin, bins (k/2m, (k+1)/2m].
 
@@ -139,34 +348,56 @@ def profile(curve: DiscreteCurve, n_bins: int) -> ChordArcProfile:
     rounding. z = 0 only where the cumulative arclength stalls, which
     segments of at least 1e-14 (_segment_lengths) allow only for L of 128
     or more; such a pair lies in no bin, and _bin_index gives it -1, which
-    lands in a spare last slot of the block arrays that is dropped. So only
-    the repeated half of gap n/2 (the last entries of the last block) is cut.
+    lands in the spare slot of _fold_in.
+
+    Each row of a gap block is cut into runs of _RUN consecutive i, whose
+    z-ranges _run_binner bounds. A run is single-bin when its range lies in
+    one bin, at least _BIN_GUARD * m inside both edges; it is two-bin when
+    the range crosses at most one edge that way. A row whose runs are
+    mostly single-bin goes to _fold_run_rows: a single-bin run contributes
+    only its minimum chord, and the other pairs are gathered. Every other
+    row goes to _fold_pair_rows, pair by pair as a whole row; a pair of a
+    two-bin run then gets its bin from one comparison with the edge. (On a
+    resampled curve at n = 512 every gap sits on a bin edge, so every row
+    goes pair by pair there.) A gathered pair costs about twice a pair of a
+    whole row, so a row with fewer single-bin runs gains nothing from them.
+
+    Ties: a run whose minimum attains its bin's minimum has its pairs'
+    chords recomputed, and every pair attaining it is a candidate for the
+    first pair. The repeated half of gap n/2 (+inf, see _gap_blocks) is cut
+    from the whole rows and left out of the gathers, and none of its runs is
+    single-bin, so it never attains a minimum.
     """
     if not 16 <= n_bins <= PROFILE_MAX_BINS:
         raise PreconditionViolation(
             f"need 16 to {PROFILE_MAX_BINS} bins, got {n_bins}")
     edges = np.linspace(0.0, 0.5, n_bins + 1)
-    n = curve.n
-    no_pair = n * n                  # pair (i, j) has key i * n + j < n^2
+    n, length = curve.n, curve.length
+    w = _RUN
+    s = curve.cum_lengths[:-1]
+    s_shifted = _cyclic_shifts(s)
+    run_bins = _run_binner(curve, n_bins, w)
     psi = np.full(n_bins, np.inf)
-    key = np.full(n_bins, no_pair)
+    key = np.full(n_bins, _NO_PAIR)
+    z_buf = far_buf = None
+    for k, d2 in _gap_blocks(curve.points, 1):
+        bins, single, two = run_bins(k)
+        if 2 * k[-1] == n:           # runs in the repeated half of gap n/2
+            single[-1, -(-(n // 2) // w):] = False
+        by_run = 2 * np.count_nonzero(single, axis=1) > bins.shape[1]
+        if by_run.any():
+            r = _row_index(by_run)
+            _fold_run_rows(psi, key, k[r], d2[r], bins[r], single[r], curve, edges, w)
+        if not by_run.all():
+            r = _row_index(~by_run)
+            if z_buf is None:
+                z_buf, far_buf = np.empty_like(d2), np.empty_like(d2)
+            rows = k[r].size
+            z = _gap_separation(s_shifted[k[0]:k[-1] + 1][r], s, length,
+                                z_buf[:rows], far_buf[:rows])
+            _fold_pair_rows(psi, key, k[r], d2[r], z, bins[r], two[r], edges, w)
 
-    for k, d, z in _chords(curve, 1):
-        idx, d = _bin_index(z, edges).ravel(), d.ravel()
-        if 2 * k[-1] == n:           # the repeated half of gap n/2
-            idx, d = idx[:-(n // 2)], d[:-(n // 2)]
-        block_min = np.full(n_bins + 1, np.inf)  # idx -1 (z = 0) is slot n_bins
-        np.minimum.at(block_min, idx, d)
-        hit = np.flatnonzero(d == block_min[idx])
-        i, j = _gap_pairs(n, k, hit)
-        block_key = np.full(n_bins + 1, no_pair)
-        np.minimum.at(block_key, idx[hit], i * n + j)
-        block_min, block_key = block_min[:-1], block_key[:-1]
-        better = (block_min < psi) | ((block_min == psi) & (block_key < key))
-        psi[better] = block_min[better]
-        key[better] = block_key[better]
-
-    empty = key == no_pair
+    empty = key == _NO_PAIR
     pair_i = np.where(empty, -1, key // n)
     pair_j = np.where(empty, -1, key % n)
     psi[empty] = np.nan

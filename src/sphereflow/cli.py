@@ -47,7 +47,7 @@ def cmd_simulate(config_path, out_dir=None, force: bool = False) -> int:
     run_dir = run_io.resolve_run_dir(cfg, out_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     started = run_io.utc_now()
-    with run_io.RunDirLock(run_dir / ".lock"):
+    with run_io.RunDirLock(run_dir / ".lock", force=force):
         if (run_dir / "manifest.json").exists() and not force:
             raise RunDirLocked(f"{run_dir} already holds a run (use --force to overwrite)")
         try:

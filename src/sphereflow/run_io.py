@@ -181,16 +181,21 @@ class RunDirLock:
     """Exclusive ownership of a run directory through a lockfile.
 
     The lockfile holds the owner's pid, host and start time as JSON, and
-    RunDirLocked names them.
+    RunDirLocked names them. A lockfile whose owner is on this host and no
+    longer exists (os.kill(pid, 0) raises ProcessLookupError; a
+    PermissionError means it exists) is stale: with force it is replaced,
+    without it RunDirLocked says so. An owner on another host is never taken
+    for dead.
     """
 
     path: Path
+    force: bool = False
 
     def __enter__(self):
         try:
             fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            raise RunDirLocked(f"{self.path.parent} is owned by {self._owner()}") from None
+            fd = self._replace_stale()
         try:
             with os.fdopen(fd, "w") as f:
                 json.dump({"pid": os.getpid(), "host": platform.node(),
@@ -200,12 +205,39 @@ class RunDirLock:
             raise
         return self
 
-    def _owner(self) -> str:
+    def _replace_stale(self) -> int:
+        text, owner = self._read_owner()
+        if not _owner_is_gone(owner):
+            raise RunDirLocked(f"{self.path.parent} is owned by {self._describe(owner)}")
+        if not self.force:
+            raise RunDirLocked(
+                f"{self.path.parent} is owned by {self._describe(owner)}, which is no "
+                f"longer running (use --force to replace the stale lockfile)")
+        if self._read_owner()[0] == text:   # not replaced meanwhile by another run
+            self.path.unlink(missing_ok=True)
         try:
-            owner = json.loads(self.path.read_text())
+            return os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            raise RunDirLocked(
+                f"{self.path.parent} is owned by {self._describe(self._read_owner()[1])}"
+            ) from None
+
+    def _read_owner(self):
+        """(text, parsed JSON or None) of the lockfile; text is None if unreadable."""
+        try:
+            text = self.path.read_text()
+        except OSError:
+            return None, None
+        try:
+            return text, json.loads(text)
+        except ValueError:
+            return text, None
+
+    def _describe(self, owner) -> str:
+        try:
             return (f"pid {owner['pid']} on host {owner['host']}, "
                     f"started {owner['started_at']} (lockfile {self.path})")
-        except (OSError, ValueError, KeyError, TypeError):
+        except (KeyError, TypeError):
             return f"another process (lockfile {self.path} names no owner)"
 
     def __exit__(self, *exc):
@@ -213,6 +245,19 @@ class RunDirLock:
             os.unlink(self.path)
         except FileNotFoundError:
             pass
+
+
+def _owner_is_gone(owner) -> bool:
+    """True only for an owner on this host whose pid names no process."""
+    try:
+        if owner["host"] != platform.node() or owner["pid"] <= 0:
+            return False
+        os.kill(owner["pid"], 0)
+    except ProcessLookupError:
+        return True
+    except (KeyError, TypeError, OverflowError, OSError):   # PermissionError: it exists
+        return False
+    return False
 
 
 def checkpoint_name(step: int) -> str:

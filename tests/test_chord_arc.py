@@ -74,22 +74,26 @@ class TestProfile:
             chord_arc.profile(perturbed, chord_arc.PROFILE_MAX_BINS + 1)
 
     def test_arclength_that_does_not_increase(self):
-        # 40 near-antipodal jumps make L about 160, where a 1.2e-14 segment
-        # is below half an ulp of s and the cumulative arclength stalls: the
-        # pair across it has z = 0 and falls in no bin
-        u = 0.05 * np.arange(80)
-        pts = np.column_stack([np.cos(u), np.sin(u), 0.01 * np.cos(3 * u)])
-        pts[1::2] *= -1.0
-        p = pts[75] / np.linalg.norm(pts[75])
-        t = np.cross(p, (0.0, 0.0, 1.0))
-        pts[76] = p + 1.2e-14 * t / np.linalg.norm(t)
-        c = sg.make_curve(pts)
+        c = stalled_curve()
         assert c.seg_lengths.min() >= 1e-14
         assert np.any(np.diff(c.cum_lengths) == 0.0)
         for bins in (16, 100):
             got, want = chord_arc.profile(c, bins), row_blocks.profile(c, bins)
             for name in ("psi", "pair_i", "pair_j", "pair_z", "z_centers"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def stalled_curve():
+    """40 near-antipodal jumps make L about 160, where a 1.2e-14 segment is
+    below half an ulp of s and the cumulative arclength stalls: the pair
+    across it has z = 0 and falls in no bin."""
+    u = 0.05 * np.arange(80)
+    pts = np.column_stack([np.cos(u), np.sin(u), 0.01 * np.cos(3 * u)])
+    pts[1::2] *= -1.0
+    p = pts[75] / np.linalg.norm(pts[75])
+    t = np.cross(p, (0.0, 0.0, 1.0))
+    pts[76] = p + 1.2e-14 * t / np.linalg.norm(t)
+    return sg.make_curve(pts)
 
 
 BIN_COUNTS = (16, 17, 100, 256, 1000, 1023, 4096, (1 << 20) + 3)
@@ -457,3 +461,78 @@ class TestMatchesRowBlocks:
 
     def test_admissible_a(self, curve):
         assert chord_arc.admissible_a(curve, tol=1e-6) == row_blocks.admissible_a(curve, tol=1e-6)
+
+
+def latitude_curve(n, seed):
+    """A profile_large curve: the equator moved in latitude by modes 0, 2, 3
+    with random phases, sampled at uniform longitude and not resampled."""
+    phases = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, size=3)
+    u = 2 * np.pi * np.arange(n) / n
+    lat = sum(a * np.cos(m * u + ph) for m, a, ph in zip((0, 2, 3), (0.45, 0.08, 0.05), phases))
+    return sg.make_curve(np.column_stack([np.cos(lat) * np.cos(u), np.cos(lat) * np.sin(u),
+                                          np.sin(lat)]))
+
+
+RUN_CURVES = {
+    # drift of about 4 bins, most runs single-bin
+    "profile_large": lambda: latitude_curve(2048, 4001),
+    # resampled: the gaps sit on bin edges at n = 512, every second gap at
+    # 1024 and every fourth at 2048
+    "resampled_512": lambda: perturbed_curve(512),
+    "resampled_1024": lambda: perturbed_curve(1024),
+    "resampled_2048": lambda: perturbed_curve(2048),
+    # odd n, and n = 2 mod 8, where gap n/2 has a run across its repeated half
+    "odd_1023": lambda: latitude_curve(1023, 11),
+    "even_1030": lambda: latitude_curve(1030, 12),
+    "stalled": stalled_curve,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(RUN_CURVES))
+def run_case(request):
+    curve = RUN_CURVES[request.param]()
+    bins = 100 if request.param == "stalled" else 256
+    return curve, bins, row_blocks.profile(curve, bins)
+
+
+class TestRunPath:
+    """profile's runs of _RUN vertices against the row-block walk, bit for bit."""
+
+    @pytest.mark.parametrize("w", [2, 8, 64])
+    @pytest.mark.parametrize("entries", BLOCK_ENTRIES)
+    def test_matches_row_blocks(self, run_case, monkeypatch, w, entries):
+        curve, bins, want = run_case
+        monkeypatch.setattr(chord_arc, "_RUN", w)
+        monkeypatch.setattr(sg, "_GAP_BLOCK_ENTRIES", entries)
+        got = chord_arc.profile(curve, bins)
+        for name in ("psi", "pair_i", "pair_j", "pair_z", "z_centers"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_runs_cover_most_pairs(self, monkeypatch):
+        # a silent fall-back to pair-by-pair binning would still match the
+        # oracle; count the pairs that only a single-bin run's minimum saw
+        curve = latitude_curve(2048, 4001)
+        covered = []
+        fold = chord_arc._fold_run_rows
+
+        def spy(psi, key, k, d2, bins, single, *args):
+            covered.append(np.count_nonzero(single) * chord_arc._RUN)
+            return fold(psi, key, k, d2, bins, single, *args)
+
+        monkeypatch.setattr(chord_arc, "_fold_run_rows", spy)
+        chord_arc.profile(curve, 256)
+        assert sum(covered) >= 0.8 * curve.n * (curve.n - 1) / 2
+
+    def test_edge_aligned_gaps_need_no_search(self, monkeypatch):
+        # at n = 512 every gap sits on a bin edge: no run is single-bin, and
+        # each pair's bin comes from one comparison with its run's edge
+        curve = perturbed_curve(512)
+        binned, folded = [], []
+        bin_index, fold = chord_arc._bin_index, chord_arc._fold_run_rows
+        monkeypatch.setattr(chord_arc, "_bin_index",
+                            lambda z, edges: binned.append(z.size) or bin_index(z, edges))
+        monkeypatch.setattr(chord_arc, "_fold_run_rows",
+                            lambda *args: folded.append(1) or fold(*args))
+        prof = chord_arc.profile(curve, 256)
+        assert sum(binned) == 0 and not folded
+        assert prof.psi.tobytes() == row_blocks.profile(curve, 256).psi.tobytes()

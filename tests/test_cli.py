@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -71,6 +72,47 @@ class TestSimulate:
         assert "pid 4242 on host node-7" in err["message"]
         assert owner["started_at"] in err["message"]
         # the owner's lock stays, and nothing is written
+        assert json.loads((run_dir / ".lock").read_text()) == owner
+        assert sorted(p.name for p in run_dir.iterdir()) == [".lock"]
+
+    @staticmethod
+    def reaped_pid():
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        return child.pid
+
+    def test_stale_lock_needs_force(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        owner = {"pid": self.reaped_pid(), "host": platform.node(),
+                 "started_at": "2026-01-02T03:04:05+00:00"}
+        (run_dir / ".lock").write_text(json.dumps(owner))
+        cfgp = write_config(tmp_path / "cfg.json", generator={"kind": "great_circle"},
+                            n=128, dt=1e-4, t_max=0.05, output_dir=str(run_dir))
+        capsys.readouterr()
+        assert cli.main(["simulate", "--config", str(cfgp)]) == 5
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "RunDirLocked"
+        assert f"pid {owner['pid']} on host {owner['host']}" in err["message"]
+        assert "no longer running" in err["message"]
+        assert json.loads((run_dir / ".lock").read_text()) == owner
+        assert cli.main(["simulate", "--config", str(cfgp), "--force"]) == 0
+        assert (run_dir / "manifest.json").is_file()
+        assert not (run_dir / ".lock").exists()
+
+    @pytest.mark.parametrize("pid", ["self", 1])
+    def test_force_keeps_a_live_owners_lock(self, tmp_path, capsys, pid):
+        # this process, and pid 1, which exists whether or not we may signal it
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        owner = {"pid": os.getpid() if pid == "self" else pid, "host": platform.node(),
+                 "started_at": "2026-01-02T03:04:05+00:00"}
+        (run_dir / ".lock").write_text(json.dumps(owner))
+        cfgp = write_config(tmp_path / "cfg.json", generator={"kind": "great_circle"},
+                            n=128, dt=1e-4, t_max=0.05, output_dir=str(run_dir))
+        capsys.readouterr()
+        assert cli.main(["simulate", "--config", str(cfgp), "--force"]) == 5
+        assert "no longer running" not in json.loads(capsys.readouterr().out)["message"]
         assert json.loads((run_dir / ".lock").read_text()) == owner
         assert sorted(p.name for p in run_dir.iterdir()) == [".lock"]
 
