@@ -251,8 +251,6 @@ class PropertyCheck:
     passed: bool
     min_margin: float
     worst_z: float
-    skipped: bool = False
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -264,20 +262,23 @@ class PropertyReport:
 
     @property
     def all_passed(self) -> bool:
-        return all(c.passed or c.skipped for c in self.checks)
+        return all(c.passed for c in self.checks)
 
 
-def check_properties(a: float, L: float, grid_size: int = 2001,
-                     include_concavity_of_h: bool = True) -> PropertyReport:
+def check_properties(a: float, L: float, grid_size: int = 2001) -> PropertyReport:
     """Grid verification of the four structural properties of phi.
 
     (i) symmetry under z -> 1-z, (ii) |phi'| <= 1, (iii) strict concavity of
     phi, (iv) strict concavity of h(L*phi). Property (iv) requires
-    L * max(phi) <= 2; requesting it outside that range raises
+    L * max(phi) <= 2; outside that range the call raises
     PreconditionViolation.
     """
     if grid_size < 1000:
         raise PreconditionViolation("grid resolution must be at least 1e3")
+    peak = L * phi_max(a)
+    if peak > 2.0:
+        raise PreconditionViolation(
+            f"L*max(phi) = {peak:.6g} > 2; h(L*phi) undefined on part of the range")
     checks: list[PropertyCheck] = []
     z = np.linspace(0.0, 1.0, grid_size)
     zi = z[1:-1]
@@ -300,15 +301,10 @@ def check_properties(a: float, L: float, grid_size: int = 2001,
     checks.append(PropertyCheck("concavity", bool(d2[worst] < 0.0),
                                 float(-d2[worst]), float(zi[worst])))
 
-    if include_concavity_of_h:
-        peak = L * phi_max(a)
-        if peak > 2.0:
-            raise PreconditionViolation(
-                f"L*max(phi) = {peak:.6g} > 2; h(L*phi) undefined on part of the range")
-        hvals = h(L * vals)
-        d2h = (hvals[2:] - 2.0 * hvals[1:-1] + hvals[:-2]) / (step * step)
-        worst = int(np.argmax(d2h))
-        checks.append(PropertyCheck("concavity_of_h", bool(d2h[worst] < 0.0),
-                                    float(-d2h[worst]), float(zi[worst])))
+    hvals = h(L * vals)
+    d2h = (hvals[2:] - 2.0 * hvals[1:-1] + hvals[:-2]) / (step * step)
+    worst = int(np.argmax(d2h))
+    checks.append(PropertyCheck("concavity_of_h", bool(d2h[worst] < 0.0),
+                                float(-d2h[worst]), float(zi[worst])))
 
     return PropertyReport(a=a, L=L, grid_size=grid_size, checks=checks)

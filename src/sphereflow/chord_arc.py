@@ -24,7 +24,7 @@ from .errors import InsufficientData, NotAdmissible, PreconditionViolation
 from .sphere_geometry import DiscreteCurve, _cyclic_shifts, _gap_blocks, _gap_pairs
 
 ADMISSIBLE_A_CAP = 1e6
-FILTER_SLACK = 1e-14           # relative to L, see min_Z and admissible_a
+FILTER_SLACK = 1e-14           # relative to L, see min_Z and _run_binner
 # profile bins z by arithmetic, guarded by _BIN_GUARD * n_bins (see
 # _bin_index). The guard's bound needs 2 n_bins and every edge index to be
 # exact doubles, and keeps the guarded band below 2^-10 of a bin up to here.
@@ -89,29 +89,6 @@ def _gap_separation(s_rows: np.ndarray, s: np.ndarray, length: float,
     return z
 
 
-def _chords(curve: DiscreteCurve, k_min: int):
-    """Yield (k, d, z) per block of cyclic index gaps (see _gap_blocks).
-
-    d is the chord and z the separation of each pair in the block. The arc
-    |s_{(i+k) mod n} - s_i| is s[j] - s[i] for the pair taken as i < j, bit
-    for bit, so z is what _separation gives.
-
-    d is _gap_blocks' buffer, square-rooted in place, and z is written into
-    buffers allocated once per call too: both are valid only until the next
-    block is requested.
-    """
-    s = curve.cum_lengths[:-1]
-    length = curve.length
-    s_shifted = _cyclic_shifts(s)
-    z_buf = far_buf = None
-    for k, d2 in _gap_blocks(curve.points, k_min):
-        if z_buf is None:
-            z_buf, far_buf = np.empty_like(d2), np.empty_like(d2)
-        z = _gap_separation(s_shifted[k[0]:k[-1] + 1], s, length,
-                            z_buf[:k.size], far_buf[:k.size])
-        yield k, np.sqrt(d2, out=d2), z
-
-
 def _bin_index(z: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Bin k of each z in [0, 1/2] with edges[k] < z <= edges[k + 1].
 
@@ -167,7 +144,7 @@ def _run_binner(curve: DiscreteCurve, n_bins: int, w: int):
     Scaling by c rounds twice, 14u of 2m for |J - I| < 7L, and the fold
     (at most 16m) and the slack add 8u of 2m each, so t_lo and t_hi are
     within 2m 58u of 2m times the exact folded bounds. A pair's z (as
-    _chords takes it: two subtractions of at most L and a division) is
+    profile takes it: two subtractions of at most L and a division) is
     within 3u of its exact value, and t = fl(2m z) rounds by mu more.
     2m FILTER_SLACK = 2m 1e-14 > 2m 62u, so every pair of the run has its t
     in [t_lo, t_hi]. If that lies in [b + g, b + 1 - g], _bin_index's proof
@@ -458,48 +435,23 @@ def min_Z(curve: DiscreteCurve, params: barrier.BarrierParams) -> ZReport:
 def admissible_a(curve: DiscreteCurve, tol: float = 1e-3) -> float:
     """Smallest a >= 0 (to relative tol) with min_Z(curve, (a, 0)) >= 0.
 
-    min_Z is nondecreasing in a (phi is strictly decreasing in a), so plain
-    bisection applies after geometric bracket expansion. Raises
-    NotAdmissible if even a = 1e6 fails, which at discrete resolution
+    min_Z is nondecreasing in a (phi is strictly decreasing in a), so a
+    curve admitted at a = 0 takes one min_Z pass, and any other curve gets
+    plain bisection after geometric bracket expansion. Raises NotAdmissible
+    if even a = ADMISSIBLE_A_CAP fails, which at discrete resolution
     signals a curve too close to self-touching.
-
-    Since phi(z; a) <= phi(z; 0), a pair's gap at any a is at least its gap
-    at a = 0: only pairs below the profile at a = 0 can keep min_Z
-    negative, so one pass collects them and the bisection runs on those
-    alone. Each trial a that fails drops the pairs whose gap there exceeds
-    FILTER_SLACK * L, as every later trial is larger. Pairs within that
-    slack are kept, as rounding of arctan can lift the profile by a few ulp.
     """
-    length = curve.length
-    slack = FILTER_SLACK * length
-    d_low, c_low = [], []
-    lowest = math.inf
-    for _, d, z in _chords(curve, 2):
-        c = barrier.phi(z, 0.0)
-        gaps = d - length * c
-        lowest = min(lowest, float(np.min(gaps)))
-        low = gaps < slack
-        d_low.append(d[low])
-        c_low.append(c[low])
-    if lowest >= 0.0:
-        return 0.0
-    d, c = np.concatenate(d_low), np.concatenate(c_low)
-
     def admits(a: float) -> bool:
-        nonlocal d, c
-        gaps = d - length * barrier.phi_of_c(c, a)
-        if float(np.min(gaps)) >= 0.0:
-            return True
-        keep = gaps <= slack
-        d, c = d[keep], c[keep]
-        return False
+        return min_Z(curve, barrier.BarrierParams(a)).min_value >= 0.0
 
+    if admits(0.0):
+        return 0.0
     hi = 1.0
     while not admits(hi):
         hi *= 2.0
         if hi > ADMISSIBLE_A_CAP:
             raise NotAdmissible(
-                f"no admissible barrier parameter up to {ADMISSIBLE_A_CAP:.0e}")
+                f"no admissible barrier parameter up to {ADMISSIBLE_A_CAP:g}")
     lo = hi / 2.0 if hi > 1.0 else 0.0
     while hi - lo > tol * hi:
         mid = 0.5 * (lo + hi)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from .errors import ConfigParseError
 
@@ -55,20 +55,60 @@ def _require(cond: bool, msg: str):
         raise ConfigParseError(msg)
 
 
+# Checks of JSON value types. JSON true and false load as Python bools,
+# which are also ints, so the number checks leave them out.
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _boolean(v) -> bool:
+    return isinstance(v, bool)
+
+
+def _string(v) -> bool:
+    return isinstance(v, str)
+
+
+def _optional(is_value):
+    return lambda v: v is None or is_value(v)
+
+
+def _list_of(is_item, size: int | None = None):
+    return lambda v: (isinstance(v, (list, tuple)) and all(is_item(x) for x in v)
+                      and (size is None or len(v) == size))
+
+
+def _field(raw: dict, name: str, default, is_value, what: str, prefix: str = ""):
+    """raw[name], or default when absent; a value of the wrong JSON type is a
+    ConfigParseError that names the field."""
+    val = raw.get(name, default)
+    _require(is_value(val), f"{prefix}{name} must be {what}")
+    return val
+
+
 def generator_from_dict(raw: dict) -> GeneratorSpec:
     _require(isinstance(raw, dict), "generator must be an object")
     kind = raw.get("kind")
     _require(kind in GENERATOR_KINDS, f"generator.kind must be one of {GENERATOR_KINDS}")
+
+    def get(name, default, is_value, what):
+        return _field(raw, name, default, is_value, what, "generator.")
+
     spec = GeneratorSpec(
         kind=kind,
-        theta0=raw.get("theta0"),
-        axis=tuple(float(v) for v in raw.get("axis", (0.0, 0.0, 1.0))),
-        modes=tuple(int(m) for m in raw.get("modes", ())),
-        amplitudes=tuple(float(x) for x in raw.get("amplitudes", ())),
-        antipodal_symmetric=bool(raw.get("antipodal_symmetric", False)),
-        path=raw.get("path"),
+        theta0=get("theta0", None, _optional(_number), "a number"),
+        axis=tuple(float(v) for v in get("axis", (0.0, 0.0, 1.0), _list_of(_number, 3),
+                                         "a list of 3 numbers")),
+        modes=tuple(get("modes", (), _list_of(_integer), "a list of integers")),
+        amplitudes=tuple(float(x) for x in get("amplitudes", (), _list_of(_number),
+                                               "a list of numbers")),
+        antipodal_symmetric=get("antipodal_symmetric", False, _boolean, "true or false"),
+        path=get("path", None, _optional(_string), "a string"),
     )
-    _require(len(spec.axis) == 3, "generator.axis must have 3 components")
     if kind == "parallel":
         _require(spec.theta0 is not None and 0.0 < spec.theta0 < 3.141592653589793,
                  "parallel generator needs polar angle theta0 in (0, pi)")
@@ -91,22 +131,19 @@ def config_from_dict(raw: dict) -> RunConfig:
     defaults = RunConfig(generator=GeneratorSpec(kind="great_circle"))
     kwargs = {}
     for name in ("n", "n_floor", "checkpoint_every", "z_every", "simple_every", "seed"):
-        val = raw.get(name, getattr(defaults, name))
-        _require(isinstance(val, int) and not isinstance(val, bool), f"{name} must be an integer")
-        kwargs[name] = val
+        kwargs[name] = _field(raw, name, getattr(defaults, name), _integer, "an integer")
     for name in ("dt", "t_max", "l_floor", "c_cfl", "dt_curvature_frac",
                  "gc_kappa_tol", "admissible_tol"):
-        val = raw.get(name, getattr(defaults, name))
-        _require(isinstance(val, (int, float)) and not isinstance(val, bool),
-                 f"{name} must be a number")
-        kwargs[name] = float(val)
+        kwargs[name] = float(_field(raw, name, getattr(defaults, name), _number, "a number"))
+    a = _field(raw, "a", None, _optional(_number), "a number")
 
     cfg = RunConfig(
         generator=generator_from_dict(raw["generator"]),
-        a=None if raw.get("a") is None else float(raw["a"]),
-        checks=tuple(raw.get("checks", ALL_CHECKS)),
-        output_dir=raw.get("output_dir"),
-        symmetrize=bool(raw.get("symmetrize", False)),
+        a=None if a is None else float(a),
+        checks=tuple(_field(raw, "checks", ALL_CHECKS, _list_of(_string),
+                            "a list of check names")),
+        output_dir=_field(raw, "output_dir", None, _optional(_string), "a string"),
+        symmetrize=_field(raw, "symmetrize", False, _boolean, "true or false"),
         **kwargs,
     )
     _require(cfg.n >= 8, "n must be at least 8")

@@ -59,7 +59,6 @@ class DecayFit:
 
     delta: float
     C_const: float
-    fitted_slope: float = math.nan
 
 
 def decay_fit(a: float, T_est: float) -> DecayFit:

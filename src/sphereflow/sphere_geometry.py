@@ -358,10 +358,16 @@ def _gap_blocks(points: np.ndarray, k_min: int):
     of the doubled coordinate arrays (no gather, no BLAS), so every entry is
     bitwise independent of the block size and of the order of i and j.
 
-    Every block is written into the same two buffers, allocated once per
-    call, so a pass faults in its block memory once however many blocks it
-    walks. A yielded d2 is therefore valid only until the next block is
-    requested: a caller that keeps a block past that must copy it.
+    Every block is written into the same two buffers, the halves of one
+    array allocated once per call, so a pass faults in its block memory once
+    however many blocks it walks. A yielded d2 is therefore valid only until
+    the next block is requested: a caller that keeps a block past that must
+    copy it.
+
+    One array, not two: glibc's malloc then keeps the freed array (up to
+    1 MB) on its heap for the next call, where two arrays of up to 512 KB go
+    back to the system and fault in again (about 220 page faults per min_Z
+    call at n = 512).
     """
     n = points.shape[0]
     half = n // 2
@@ -369,7 +375,7 @@ def _gap_blocks(points: np.ndarray, k_min: int):
     shifted = [_cyclic_shifts(c) for c in coords]
     per_block = max(1, _GAP_BLOCK_ENTRIES // n)
     rows = min(per_block, half + 1 - k_min)
-    d2_buf, diff_buf = np.empty((rows, n)), np.empty((rows, n))
+    d2_buf, diff_buf = np.empty((2, rows, n))
     for k0 in range(k_min, half + 1, per_block):
         k1 = min(k0 + per_block, half + 1)
         d2, diff = d2_buf[:k1 - k0], diff_buf[:k1 - k0]

@@ -176,10 +176,6 @@ class TestProperties:
         with pytest.raises(PreconditionViolation):
             barrier.check_properties(0.5, 7.0)
 
-    def test_without_h_concavity(self):
-        rep = barrier.check_properties(0.5, 7.0, include_concavity_of_h=False)
-        assert rep.all_passed and len(rep.checks) == 3
-
     def test_coarse_grid_rejected(self):
         with pytest.raises(PreconditionViolation):
             barrier.check_properties(1.0, np.pi, grid_size=100)

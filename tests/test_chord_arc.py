@@ -213,6 +213,38 @@ class TestAdmissibleA:
             return
         assert a > 100.0
 
+    def test_cap_raises_not_admissible(self, monkeypatch):
+        # the dumbbell above needs a of about 269, past a cap of 64
+        c = generators.fourier_perturbed_curve((0, 0, 1), [2], [1.35], 512)
+        monkeypatch.setattr(chord_arc, "ADMISSIBLE_A_CAP", 64)
+        with pytest.raises(NotAdmissible, match="up to 64$"):
+            chord_arc.admissible_a(c)
+
+    @staticmethod
+    def count_min_Z(monkeypatch):
+        calls = []
+        min_Z = chord_arc.min_Z
+
+        def counting_min_Z(curve, params):
+            calls.append(params.a)
+            return min_Z(curve, params)
+
+        monkeypatch.setattr(chord_arc, "min_Z", counting_min_Z)
+        return calls
+
+    def test_parallel_takes_one_min_Z(self, monkeypatch):
+        calls = self.count_min_Z(monkeypatch)
+        assert chord_arc.admissible_a(generators.parallel_curve(np.pi / 3, 256)) == 0.0
+        assert calls == [0.0]
+
+    def test_pipeline_start_curve(self, monkeypatch):
+        # a = 0 fails, the bracket grows 1 -> 2 -> 4, then ten bisection steps
+        curve = generators.fourier_perturbed_curve((0, 0, 1), [1, 3], [0.2, 0.1], 512,
+                                                   antipodal_symmetric=True, seed=7)
+        calls = self.count_min_Z(monkeypatch)
+        assert chord_arc.admissible_a(curve) == 2.013671875
+        assert calls[:4] == [0.0, 1.0, 2.0, 4.0] and len(calls) == 14
+
 
 class TestCubicFit:
     @pytest.mark.parametrize("theta,target", [

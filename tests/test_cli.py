@@ -341,6 +341,13 @@ class TestRoundTrips:
         from sphereflow.config import config_hash, config_to_dict
         assert config_hash(cfg) == config_hash(config_from_dict(config_to_dict(cfg)))
 
+    def test_config_hash_pinned(self, tmp_path):
+        # the hash a run manifest records; it changes only with the config format
+        from sphereflow.config import config_hash
+        cfg = load_config(write_config(tmp_path / "cfg.json"))
+        assert config_hash(cfg) == \
+            "69b3dfe8f4fd0d6dab86493993dad2cd2fbc0835dda13685876cdc7ff8aebfc9"
+
 
 class TestConfigValidation:
     def test_unknown_field(self):
@@ -364,3 +371,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigParseError):
             config_from_dict({"generator": {"kind": "great_circle"},
                               "n": 129, "symmetrize": True})
+
+    @pytest.mark.parametrize("overrides,name", [
+        ({"checks": 5}, "checks"),
+        ({"checks": "chord_arc"}, "checks"),
+        ({"a": "big"}, "a"),
+        ({"symmetrize": "false"}, "symmetrize"),
+        ({"generator": {"kind": "parallel", "theta0": "x"}}, "generator.theta0"),
+        ({"generator": {"kind": "fourier_perturbed", "modes": ["a"], "amplitudes": [0.1]}},
+         "generator.modes"),
+        ({"generator": {"kind": "great_circle", "axis": 5}}, "generator.axis"),
+    ])
+    def test_wrong_json_type_names_field(self, tmp_path, capsys, overrides, name):
+        cfgp = write_config(tmp_path / "cfg.json", **overrides)
+        assert cli.main(["simulate", "--config", str(cfgp), "--out", str(tmp_path / "run")]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "ConfigParseError"
+        assert err["message"].startswith(f"{name} must be ")
+        assert not (tmp_path / "run").exists()
