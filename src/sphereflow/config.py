@@ -92,6 +92,8 @@ def _field(raw: dict, name: str, default, is_value, what: str, prefix: str = "")
 
 def generator_from_dict(raw: dict) -> GeneratorSpec:
     _require(isinstance(raw, dict), "generator must be an object")
+    unknown = set(raw) - set(GeneratorSpec.__dataclass_fields__)
+    _require(not unknown, f"unknown generator fields: {sorted(unknown)}")
     kind = raw.get("kind")
     _require(kind in GENERATOR_KINDS, f"generator.kind must be one of {GENERATOR_KINDS}")
 
@@ -124,8 +126,7 @@ def generator_from_dict(raw: dict) -> GeneratorSpec:
 def config_from_dict(raw: dict) -> RunConfig:
     _require(isinstance(raw, dict), "config must be a JSON object")
     _require("generator" in raw, "config needs a generator")
-    known = {f for f in RunConfig.__dataclass_fields__}
-    unknown = set(raw) - known
+    unknown = set(raw) - set(RunConfig.__dataclass_fields__)
     _require(not unknown, f"unknown config fields: {sorted(unknown)}")
 
     defaults = RunConfig(generator=GeneratorSpec(kind="great_circle"))

@@ -74,12 +74,21 @@ class DiagnosticsSeries:
 
     def column(self, name: str) -> np.ndarray:
         """Read-only view of one column over the records so far."""
-        view = self._rows[:self._size, DIAGNOSTICS_COLUMNS.index(name)]
+        return self.rows()[:, DIAGNOSTICS_COLUMNS.index(name)]
+
+    def rows(self) -> np.ndarray:
+        """Read-only view of the records so far, one row each."""
+        view = self._rows[:self._size]
         view.flags.writeable = False
         return view
 
-    def rows(self) -> list[list[float]]:
-        return self._rows[:self._size].tolist()
+    @classmethod
+    def from_rows(cls, rows: np.ndarray) -> DiagnosticsSeries:
+        """A series holding a copy of the (records, columns) array rows."""
+        series = cls()
+        series._rows = np.concatenate([rows, series._rows])
+        series._size = len(rows)
+        return series
 
 
 @dataclass(frozen=True)

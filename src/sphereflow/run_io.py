@@ -2,7 +2,10 @@
 
 All CSV uses '.' decimals, LF line endings, and repr-style float formatting
 (shortest round-trip), so identical runs produce byte-identical files and
-reading a file back reproduces the exact doubles.
+reading a file back reproduces the exact doubles. A manifest's inventory gives
+the size and SHA-256 of each file as written. Both CSV readers parse rows
+alike: the diagnostics step is an integer, and a row that breaks the format is
+a ConfigParseError naming the file and the line.
 """
 
 from __future__ import annotations
@@ -28,14 +31,62 @@ from .sphere_geometry import DiscreteCurve, make_curve
 DIAGNOSTICS_HEADER = ",".join(DIAGNOSTICS_COLUMNS)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _csv(header: str, row: str, values: list) -> bytes:
+    """header, then one line per row of values filled into the %-template row;
+    values is flat, from .tolist(), so %r renders each float by repr."""
+    rows = len(values) // row.count("%")
+    return (header + "\n" + ((row + "\n") * rows) % tuple(values)).encode("utf-8")
 
 
-def write_curve_csv(curve: DiscreteCurve, path) -> None:
-    lines = ["x,y,z"]
-    lines.extend(f"{_fmt(p[0])},{_fmt(p[1])},{_fmt(p[2])}" for p in curve.points)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+def _write(path, data: bytes) -> bytes:
+    Path(path).write_bytes(data)
+    return data
+
+
+def _read_rows(path, kind: str, header: str, int_columns: int = 0) -> np.ndarray:
+    """The rows after the header of a CSV file as one float array, a column per
+    header field, parsed in one call. Blank lines and whitespace around fields
+    are ignored; the first int_columns fields must be integers, as int() reads
+    them. A bad header, row or field is a ConfigParseError naming the line."""
+    path = Path(path)
+    if not path.exists():
+        raise MissingArtifacts(f"{kind} file {path} not found")
+    lines = path.read_text(encoding="utf-8").splitlines() or [""]
+    got = lines[0].strip()
+    if got.replace(" ", "") != header:
+        raise ConfigParseError(f"{path}: expected header {header!r}, got {got!r}")
+    width = header.count(",") + 1
+    body = [line for line in map(str.strip, lines[1:]) if line]
+    try:
+        if any(line.count(",") != width - 1 for line in body):
+            raise ValueError
+        fields = ",".join(body).split(",") if body else []
+        for k in range(int_columns):
+            list(map(int, fields[k::width]))   # raises ValueError as int() does
+        return np.array(fields, dtype=float).reshape(-1, width)
+    except ValueError:
+        raise ConfigParseError(_bad_row(path, lines, width, int_columns)) from None
+
+
+def _bad_row(path: Path, lines: list[str], width: int, int_columns: int) -> str:
+    """What is wrong with the first row that _read_rows rejects."""
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != width:
+            return f"{path}, line {lineno}: expected {width} fields, got {len(parts)}"
+        try:
+            list(map(int, parts[:int_columns]))
+            np.array(parts, dtype=float)
+        except ValueError as exc:
+            return f"{path}, line {lineno}: {exc}"
+    return f"{path}: rows do not parse"
+
+
+def write_curve_csv(curve: DiscreteCurve, path) -> bytes:
+    """Write the curve and return the bytes written."""
+    return _write(path, _csv("x,y,z", "%r,%r,%r", curve.points.ravel().tolist()))
 
 
 def read_curve_csv(path) -> DiscreteCurve:
@@ -44,79 +95,31 @@ def read_curve_csv(path) -> DiscreteCurve:
     Raises ConfigParseError, naming the file and the line, for a bad header,
     a row without exactly three fields or a field that is not a number.
     """
-    path = Path(path)
-    if not path.exists():
-        raise MissingArtifacts(f"curve file {path} not found")
-    lines = path.read_text(encoding="utf-8").splitlines() or [""]
-    header = lines[0].strip()
-    if header.replace(" ", "") != "x,y,z":
-        raise ConfigParseError(f"{path}: expected header 'x,y,z', got {header!r}")
-    body = [line for line in map(str.strip, lines[1:]) if line]
-    if any(line.count(",") != 2 for line in body):
-        raise ConfigParseError(_bad_curve_row(path, lines))
-    try:
-        pts = np.array(",".join(body).split(",") if body else [], dtype=float)
-    except ValueError:
-        raise ConfigParseError(_bad_curve_row(path, lines)) from None
-    pts = pts.reshape(-1, 3)
+    pts = _read_rows(path, "curve", "x,y,z")
     # the format leaves the closing edge implicit; drop an accidental repeat
     if len(pts) > 1 and np.allclose(pts[0], pts[-1], atol=1e-14):
         pts = pts[:-1]
     return make_curve(pts)
 
 
-def _bad_curve_row(path: Path, lines: list[str]) -> str:
-    """What is wrong with the first row of a curve CSV that does not parse."""
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            return f"{path}, line {lineno}: expected 3 fields, got {len(parts)}"
-        try:
-            np.array(parts, dtype=float)
-        except ValueError as exc:
-            return f"{path}, line {lineno}: {exc}"
-    return f"{path}: rows do not parse"
-
-
-def write_diagnostics_csv(series: DiagnosticsSeries, path) -> None:
-    """One line per record; step is written as an integer."""
-    lines = [DIAGNOSTICS_HEADER]
-    lines.extend(",".join([str(int(step)), *map(repr, rest)]) for step, *rest in series.rows())
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+def write_diagnostics_csv(series: DiagnosticsSeries, path) -> bytes:
+    """One line per record, step as an integer; returns the bytes written."""
+    row = ",".join(["%d"] + ["%r"] * (len(DIAGNOSTICS_COLUMNS) - 1))
+    return _write(path, _csv(DIAGNOSTICS_HEADER, row, series.rows().ravel().tolist()))
 
 
 def read_diagnostics_csv(path) -> DiagnosticsSeries:
-    path = Path(path)
-    if not path.exists():
-        raise MissingArtifacts(f"diagnostics file {path} not found")
-    series = DiagnosticsSeries()
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != DIAGNOSTICS_HEADER:
-            raise ConfigParseError(f"{path}: unexpected diagnostics header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(DIAGNOSTICS_COLUMNS):
-                raise ConfigParseError(f"{path}, line {lineno}: expected "
-                                       f"{len(DIAGNOSTICS_COLUMNS)} fields, got {len(parts)}")
-            try:
-                series.append(int(parts[0]), *map(float, parts[1:]))
-            except ValueError as exc:
-                raise ConfigParseError(f"{path}, line {lineno}: {exc}") from None
-    return series
+    """Diagnostics from a CSV in DIAGNOSTICS_COLUMNS order; step must be an integer.
+
+    Raises ConfigParseError as read_curve_csv does.
+    """
+    return DiagnosticsSeries.from_rows(
+        _read_rows(path, "diagnostics", DIAGNOSTICS_HEADER, int_columns=1))
 
 
-def write_profile_csv(prof: ChordArcProfile, path) -> None:
-    lines = ["z,psi,i,j"]
-    for k in range(prof.n_bins):
-        lines.append(f"{_fmt(prof.z_centers[k])},{_fmt(prof.psi[k])},"
-                     f"{int(prof.pair_i[k])},{int(prof.pair_j[k])}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+def write_profile_csv(prof: ChordArcProfile, path) -> bytes:
+    columns = np.column_stack([prof.z_centers, prof.psi, prof.pair_i, prof.pair_j])
+    return _write(path, _csv("z,psi,i,j", "%r,%r,%d,%d", columns.ravel().tolist()))
 
 
 def write_profile_svg(prof: ChordArcProfile, path) -> None:
@@ -147,23 +150,16 @@ def write_profile_svg(prof: ChordArcProfile, path) -> None:
 <text x="{W - m}" y="{m - 8}" font-size="12" text-anchor="end">dashed: (L/pi) sin(pi z)</text>
 </svg>
 """
-    Path(path).write_text(svg, encoding="utf-8", newline="\n")
+    _write(path, svg.encode("utf-8"))
 
 
-def _atomic_write_json(obj, path) -> None:
+def _atomic_write_json(obj, path) -> bytes:
+    """Write obj as JSON through a temporary file; returns the bytes written."""
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
-                   encoding="utf-8", newline="\n")
+    data = _write(tmp, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     os.replace(tmp, path)
-
-
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    return data
 
 
 def output_root() -> Path:
@@ -241,10 +237,7 @@ class RunDirLock:
             return f"another process (lockfile {self.path} names no owner)"
 
     def __exit__(self, *exc):
-        try:
-            os.unlink(self.path)
-        except FileNotFoundError:
-            pass
+        self.path.unlink(missing_ok=True)
 
 
 def _owner_is_gone(owner) -> bool:
@@ -299,26 +292,25 @@ def outcome_summary(outcome: Outcome | None, a: float, error: str | None = None)
 def write_run(run_dir: Path, cfg: RunConfig, series: DiagnosticsSeries,
               outcome: Outcome | None, a: float, started_at: str,
               error: str | None = None) -> dict:
-    """Persist diagnostics, checkpoints, and the manifest (atomically, last)."""
-    run_dir = Path(run_dir)
-    ckpt_dir = run_dir / "checkpoints"
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
-    write_diagnostics_csv(series, run_dir / "diagnostics.csv")
-    _atomic_write_json(config_to_dict(cfg), run_dir / "config.json")
-    for step, curve in series.checkpoints:
-        write_curve_csv(curve, ckpt_dir / checkpoint_name(step))
+    """Persist diagnostics, checkpoints, and the manifest (atomically, last).
 
-    inventory = []
-    for rel in ["diagnostics.csv", "config.json"] + [
-            f"checkpoints/{checkpoint_name(s)}" for s, _ in series.checkpoints]:
-        p = run_dir / rel
-        inventory.append({"path": rel, "bytes": p.stat().st_size, "sha256": _sha256(p)})
+    Each inventory entry's size and SHA-256 are those of the bytes written.
+    """
+    run_dir = Path(run_dir)
+    (run_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
+    written = [("diagnostics.csv", write_diagnostics_csv(series, run_dir / "diagnostics.csv")),
+               ("config.json", _atomic_write_json(config_to_dict(cfg), run_dir / "config.json"))]
+    for step, curve in series.checkpoints:
+        rel = f"checkpoints/{checkpoint_name(step)}"
+        written.append((rel, write_curve_csv(curve, run_dir / rel)))
+    inventory = [{"path": rel, "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+                 for rel, data in written]
 
     manifest = {
         "config_hash": config_hash(cfg),
         "config": config_to_dict(cfg),
         "started_at": started_at,
-        "finished_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
+        "finished_at": utc_now(),
         "code_version": __version__,
         "outcome": outcome_summary(outcome, a, error),
         "files": inventory,

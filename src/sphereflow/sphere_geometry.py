@@ -21,7 +21,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CoincidentPoints, DegenerateSegment, NonConvergent, TooFewVertices
 
-ON_SPHERE_TOL = 1e-12
 MIN_VERTICES = 8
 
 # A resample stops when max ds - min ds <= _UNIFORM_RTOL * mean ds, or after
@@ -499,23 +498,19 @@ def orthonormal_basis(axis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return e1, e2, e3
 
 
-def curvature_sq_integral(curve: DiscreteCurve, frame: FrameField | None = None) -> float:
+def curvature_sq_integral(curve: DiscreteCurve) -> float:
     """Trapezoidal integral of kappa^2 ds over the closed curve."""
-    if frame is None:
-        frame = frame_field(curve)
-    return float(np.sum(frame.kappa ** 2 * curve.vertex_weights))
+    return float(np.sum(frame_field(curve).kappa ** 2 * curve.vertex_weights))
 
 
-def total_space_curvature(curve: DiscreteCurve, frame: FrameField | None = None) -> float:
+def total_space_curvature(curve: DiscreteCurve) -> float:
     """Integral of |kappa_bar| ds, with per-segment chord-to-arc correction.
 
     Plain chordal quadrature underestimates by ~2*pi*(pi^2/6)/n^2, which at
     coarse n exceeds the tolerance of the total-curvature (Fenchel) check;
     replacing each chord ds by (2/kb)*arcsin(kb*ds/2) is exact on circles.
     """
-    if frame is None:
-        frame = frame_field(curve)
-    kb = frame.kappa_bar
+    kb = frame_field(curve).kappa_bar
     ds = curve.seg_lengths
     kb_seg = 0.5 * (kb + np.roll(kb, -1))
     half = np.clip(0.5 * kb_seg * ds, 0.0, 1.0)

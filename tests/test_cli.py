@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -26,6 +27,16 @@ def write_config(path, **overrides):
     return path
 
 
+def assert_inventory_matches_disk(run: Path):
+    """Every manifest entry's size and SHA-256 are those of the file on disk."""
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert manifest["files"]
+    for entry in manifest["files"]:
+        data = (run / entry["path"]).read_bytes()
+        assert entry["bytes"] == (run / entry["path"]).stat().st_size == len(data)
+        assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+
+
 @pytest.fixture(scope="module")
 def completed_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cli_run")
@@ -48,6 +59,9 @@ class TestSimulate:
         on_disk = {"diagnostics.csv", "config.json"}
         on_disk |= {f"checkpoints/{p.name}" for p in (completed_run / "checkpoints").iterdir()}
         assert listed == on_disk
+
+    def test_manifest_inventory_matches_disk(self, completed_run):
+        assert_inventory_matches_disk(completed_run)
 
     def test_rerun_is_bit_identical(self, completed_run, tmp_path):
         cfgp = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "run2"))
@@ -153,6 +167,7 @@ class TestSimulate:
         assert "did not converge" in manifest["outcome"]["error"]
         rows = (tmp_path / "run" / "diagnostics.csv").read_text().splitlines()
         assert len(rows) >= 2
+        assert_inventory_matches_disk(tmp_path / "run")
 
 
 def test_cli_import_loads_no_scipy():
@@ -353,6 +368,15 @@ class TestConfigValidation:
     def test_unknown_field(self):
         with pytest.raises(ConfigParseError):
             config_from_dict({"generator": {"kind": "great_circle"}, "bogus": 1})
+
+    def test_unknown_generator_field(self, tmp_path, capsys):
+        # a misspelt key must not fall back to the default axis (0, 0, 1)
+        with pytest.raises(ConfigParseError, match=r"unknown generator fields: \['axiz'\]"):
+            config_from_dict({"generator": {"kind": "great_circle", "axiz": [1, 0, 0]}})
+        cfgp = write_config(tmp_path / "cfg.json",
+                            generator={"kind": "great_circle", "axiz": [1, 0, 0]})
+        assert cli.main(["simulate", "--config", str(cfgp), "--out", str(tmp_path / "run")]) == 2
+        assert "axiz" in json.loads(capsys.readouterr().out)["message"]
 
     def test_missing_generator(self):
         with pytest.raises(ConfigParseError):

@@ -7,7 +7,7 @@ import platform
 import numpy as np
 import pytest
 
-from sphereflow import chord_arc, generators, run_io
+from sphereflow import chord_arc, flow_engine, generators, run_io
 from sphereflow import sphere_geometry as sg
 from sphereflow.errors import ConfigParseError, MissingArtifacts, RunDirLocked
 
@@ -158,3 +158,45 @@ def test_diagnostics_reader_rejects_unparsable_field(tmp_path):
     path.write_text(run_io.DIAGNOSTICS_HEADER + "\n0,0.0,0.0,6.2,1.0,nan,0.0,0.x\n")
     with pytest.raises(ConfigParseError, match="line 2"):
         run_io.read_diagnostics_csv(path)
+
+
+def test_diagnostics_reader_rejects_non_integer_step(tmp_path):
+    for step in ("2.5", "25.0", "1e3"):
+        path = tmp_path / "diagnostics.csv"
+        path.write_text(run_io.DIAGNOSTICS_HEADER + "\n"
+                        "0,0.0,0.0,6.2,1.0,nan,0.0,0.1\n"
+                        f"{step},0.05,0.001,6.1,1.0,nan,0.0,0.1\n")
+        with pytest.raises(ConfigParseError,
+                           match=rf"diagnostics\.csv, line 3: .*'{step}'"):
+            run_io.read_diagnostics_csv(path)
+
+
+def test_curve_csv_round_trip_keeps_short_reprs(tmp_path):
+    pts = generators.great_circle_curve((0, 0, 1), 16).points.copy()
+    pts[0] = (1.0, 1.5e-17, -0.0)
+    pts[1] = (math.sqrt(0.99), 0.1, 0.0)
+    pts[4] = (1e-05, math.sqrt(1 - 1e-10), -0.0)
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run_io.write_curve_csv(sg.make_curve(pts), first) == first.read_bytes()
+    rows = first.read_text().splitlines()
+    assert rows[1] == "1.0,1.5e-17,-0.0"
+    assert rows[2].endswith(",0.1,0.0")
+    assert rows[5].startswith("1e-05,")
+    run_io.write_curve_csv(run_io.read_curve_csv(first), second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_diagnostics_csv_round_trip_with_nan_cells(tmp_path):
+    series = flow_engine.DiagnosticsSeries()
+    for k in range(300):   # past the initial capacity
+        series.append(25 * k, 1e-05 * k, -0.0, 6.2, 1.5e-17,
+                      0.1 if k % 25 == 0 else math.nan, math.nan, 0.1)
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run_io.write_diagnostics_csv(series, first) == first.read_bytes()
+    assert first.read_text().splitlines()[2] == "25,1e-05,-0.0,6.2,1.5e-17,nan,nan,0.1"
+    again = run_io.read_diagnostics_csv(first)
+    assert again.rows().tobytes() == series.rows().tobytes()
+    run_io.write_diagnostics_csv(again, second)
+    assert second.read_bytes() == first.read_bytes()
+    again.append(*series.rows()[0])   # a series read back still grows
+    assert again.column("step").size == 301
