@@ -16,10 +16,16 @@ the anchor the chord-arc machinery rests on.
 
 a = 0 always means the limiting profile sin(pi z)/pi, evaluated on its own
 branch (small-a evaluation of arctan(a C)/a loses digits to cancellation).
+
+The curvature bound, the length sandwich and the improved length decay all
+follow from one sharp two-point estimate, so they share one constant,
+1 + sharp_excess(a), and one comparison solution, the shrinking circle
+L^2 = 4 pi^2 (1 - e^{-2(T-t)}); each is written here once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,11 +119,28 @@ def dphi_da(z, a: float):
     return (c / d - np.arctan(a * c) / a) / a
 
 
+def sharp_excess(a: float) -> float:
+    """2 a^2 / pi^2: the sharp constant 1 + 2 a^2 / pi^2 less one."""
+    return 2.0 * a * a / np.pi ** 2
+
+
+def circle_envelope(T, t):
+    """max(1 - e^{-2(T-t)}, 0): L^2 / (4 pi^2) of the shrinking circle that
+    vanishes at time T. Vectorised over t."""
+    return np.maximum(1.0 - np.exp(-2.0 * (T - t)), 0.0)
+
+
+def circle_radius(T: float, t: float) -> float:
+    """sqrt(1 - e^{-2(T-t)}) for scalar t < T, the shrinking circle's
+    L / (2 pi). A scalar copy of circle_envelope: math.exp and np.exp can
+    differ in the last bit."""
+    return math.sqrt(1.0 - math.exp(-2.0 * (T - t)))
+
+
 def curvature_bound(L, a: float, tau):
     """Bound on max kappa_bar^2 = 1 + kappa^2 at length L and rescaled time tau:
     (2 pi / L)^2 (1 + (2 a^2 / pi^2) e^{-8 pi^2 tau}). Vectorised over L, tau."""
-    return (2.0 * np.pi / L) ** 2 * (1.0 + (2.0 * a * a / np.pi ** 2)
-                                     * np.exp(-2.0 * FOUR_PI_SQ * tau))
+    return (2.0 * np.pi / L) ** 2 * (1.0 + sharp_excess(a) * np.exp(-2.0 * FOUR_PI_SQ * tau))
 
 
 def curvature_margin(max_abs_kappa, L, a: float, tau):

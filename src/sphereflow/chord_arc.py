@@ -67,15 +67,13 @@ class ZReport:
 
     min_value: float
     pair: tuple[int, int]
-    a_eff: float
 
 
-def _separation(curve: DiscreteCurve, i, j) -> np.ndarray:
-    """Normalised shorter-arc separation z = ell/L of vertex pairs i < j."""
+def _separation(curve: DiscreteCurve, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Normalised shorter-arc separation z = ell/L of vertex pairs (i, j)."""
     s = curve.cum_lengths
-    length = curve.length
-    arc = s[j] - s[i]
-    return np.minimum(arc, length - arc) / length
+    s_j, s_i = s[j], s[i]            # fresh gathers, so they can take z and far
+    return _gap_separation(s_j, s_i, curve.length, s_j, s_i)
 
 
 def _gap_separation(s_rows: np.ndarray, s: np.ndarray, length: float,
@@ -288,9 +286,7 @@ def _fold_run_rows(psi, key, k, d2, bins, single, curve, edges, w) -> None:
     row, i = np.divmod(pos, n)
     j = i + k[row]
     np.subtract(j, n, out=j, where=j >= n)
-    s = curve.cum_lengths
-    s_j, s_i = s[j], s[i]            # fresh gathers, so they can take z and far
-    idx = _bin_index(_gap_separation(s_j, s_i, curve.length, s_j, s_i), edges)
+    idx = _bin_index(_separation(curve, i, j), edges)
 
     def pairs_at(hit, best):
         i, j = _gap_pairs(n, k, pos[hit])
@@ -429,7 +425,7 @@ def min_Z(curve: DiscreteCurve, params: barrier.BarrierParams) -> ZReport:
         best_key = int((i * n + j)[gaps == best].min())
         if best < value or (best == value and best_key < key):
             value, key = float(best), best_key
-    return ZReport(min_value=value, pair=divmod(key, n), a_eff=a_eff)
+    return ZReport(min_value=value, pair=divmod(key, n))
 
 
 def admissible_a(curve: DiscreteCurve, tol: float = 1e-3) -> float:

@@ -17,7 +17,6 @@ from .errors import (
     MissingArtifacts,
     NonConvergent,
     NotSimple,
-    PreconditionViolation,
     RunDirLocked,
     SphereFlowError,
 )
@@ -50,14 +49,14 @@ def cmd_simulate(config_path, out_dir=None, force: bool = False) -> int:
     with run_io.RunDirLock(run_dir / ".lock", force=force):
         if (run_dir / "manifest.json").exists() and not force:
             raise RunDirLocked(f"{run_dir} already holds a run (use --force to overwrite)")
+        # a forced rerun's old verdicts would otherwise read as the new run's
+        (run_dir / "verdicts.json").unlink(missing_ok=True)
         try:
             series, outcome = flow_engine.run(cfg)
-            manifest = run_io.write_run(run_dir, cfg, series, outcome,
-                                        series.a_resolved, started)
+            manifest = run_io.write_run(run_dir, cfg, series, outcome, started)
         except NonConvergent as exc:
             series = getattr(exc, "series", flow_engine.DiagnosticsSeries())
-            run_io.write_run(run_dir, cfg, series, None, series.a_resolved, started,
-                             error=str(exc))
+            run_io.write_run(run_dir, cfg, series, None, started, error=str(exc))
             print(json.dumps({"error": "NonConvergent", "message": str(exc),
                               "run_dir": str(run_dir)}))
             return 1
@@ -138,7 +137,7 @@ def cmd_verify(run_dir) -> int:
         if outcome.get(key) is None:
             raise MissingArtifacts(f"{run_dir}/manifest.json: {kind} outcome lacks {key}")
     checks = estimate_harness.run_applicable_checks(
-        art.series, art.series.checkpoints, kind,
+        art.series, kind,
         a=float(outcome["a_resolved"]),
         T_est=outcome.get("T_est"),
         z_est=outcome.get("z_est"),
@@ -184,44 +183,41 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="Curve shortening flow on the unit sphere")
     sub = p.add_subparsers(dest="command", required=True)
 
+    # each handler looks its cmd_* up in the module globals when it runs, so a
+    # wrapper set on the module attribute (as perfbench's tracer does) sees it
     sim = sub.add_parser("simulate", help="integrate a configured flow and persist the run")
     sim.add_argument("--config", required=True)
     sim.add_argument("--out", default=None, help="run directory (overrides config output_dir)")
     sim.add_argument("--force", action="store_true", help="overwrite an existing run")
+    sim.set_defaults(handler=lambda a: cmd_simulate(a.config, a.out, a.force))
 
     prof = sub.add_parser("profile", help="chord-arc profile of a curve file")
     prof.add_argument("--curve", required=True)
     prof.add_argument("--bins", type=int, default=256)
     prof.add_argument("--out", default=None)
+    prof.set_defaults(handler=lambda a: cmd_profile(a.curve, a.bins, a.out))
 
     bar = sub.add_parser("barrier-check", help="grid checks of the comparison profile")
     bar.add_argument("--a", type=float, nargs="*", default=None)
     bar.add_argument("--L", type=float, nargs="*", default=None)
     bar.add_argument("--out", default=None)
     bar.add_argument("--grid", type=int, default=200)
+    bar.set_defaults(handler=lambda a: cmd_barrier_check(a.a, a.L, a.out, a.grid))
 
     ver = sub.add_parser("verify", help="run bound checks over a completed run directory")
     ver.add_argument("--run", required=True)
+    ver.set_defaults(handler=lambda a: cmd_verify(a.run))
 
     rep = sub.add_parser("report", help="summarise a run directory")
     rep.add_argument("--run", required=True)
+    rep.set_defaults(handler=lambda a: cmd_report(a.run))
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return cmd_simulate(args.config, args.out, args.force)
-        if args.command == "profile":
-            return cmd_profile(args.curve, args.bins, args.out)
-        if args.command == "barrier-check":
-            return cmd_barrier_check(args.a, args.L, args.out, args.grid)
-        if args.command == "verify":
-            return cmd_verify(args.run)
-        if args.command == "report":
-            return cmd_report(args.run)
-        raise PreconditionViolation(f"unknown command {args.command!r}")
+        return args.handler(args)
     except SphereFlowError as exc:
         return _fail(exc)
 

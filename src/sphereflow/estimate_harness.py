@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import chord_arc
-from .barrier import BarrierParams, curvature_margin
+from .barrier import BarrierParams, circle_envelope, circle_radius, curvature_margin, sharp_excess
 from .errors import PreconditionViolation
-from .flow_engine import DiagnosticsSeries, FlowState, rescaled_curve
-from .sphere_geometry import DiscreteCurve, curvature_sq_integral, frame_field, total_space_curvature
+from .flow_engine import DiagnosticsSeries, rescaled_curve
+from .sphere_geometry import curvature_sq_integral, frame_field, total_space_curvature
 
 TWO_PI = 2.0 * math.pi
 EPS_DISC_COEFF = 10.0          # chord-arc discretisation allowance: 10*(max ds)^2*L
@@ -53,18 +53,11 @@ class BoundCheck:
         }
 
 
-@dataclass(frozen=True)
-class DecayFit:
-    """Exponent/prefactor pair for the post-extinction-time decay bounds."""
-
-    delta: float
-    C_const: float
-
-
-def decay_fit(a: float, T_est: float) -> DecayFit:
-    delta = 1.0 / (1.0 + 2.0 * a * a / math.pi ** 2)
-    C = (2.0 * a * a / (4.0 * math.pi ** 2)) * math.expm1(2.0 * T_est) ** (-delta)
-    return DecayFit(delta=delta, C_const=C)
+def decay_fit(a: float, T_est: float) -> tuple[float, float]:
+    """Exponent delta and prefactor C of the improved length decay bound."""
+    excess = sharp_excess(a)
+    delta = 1.0 / (1.0 + excess)
+    return delta, excess / 4.0 * math.expm1(2.0 * T_est) ** (-delta)
 
 
 def _finish(name: str, margins: np.ndarray, steps: np.ndarray, tolerance: float,
@@ -87,9 +80,7 @@ def _record_row(series: DiagnosticsSeries, step: int) -> int:
     return int(rows[0])
 
 
-def check_chord_arc(series: DiagnosticsSeries,
-                    checkpoints: list[tuple[int, DiscreteCurve]],
-                    a: float) -> BoundCheck:
+def check_chord_arc(series: DiagnosticsSeries, a: float) -> BoundCheck:
     """Gap above the decayed comparison profile at every checkpoint.
 
     Margin is min_Z + eps_disc with eps_disc = 10*(max ds)^2*L, so the
@@ -97,7 +88,7 @@ def check_chord_arc(series: DiagnosticsSeries,
     """
     tau = series.column("tau")
     margins, steps = [], []
-    for step, curve in checkpoints:
+    for step, curve in series.checkpoints:
         r = _record_row(series, step)
         rep = chord_arc.min_Z(curve, BarrierParams(a=a, tau=float(tau[r])))
         eps = EPS_DISC_COEFF * float(np.max(curve.seg_lengths)) ** 2 * curve.length
@@ -115,11 +106,9 @@ def check_curvature_bound(series: DiagnosticsSeries, a: float) -> BoundCheck:
 
 def check_length_sandwich(series: DiagnosticsSeries, T_est: float, a: float) -> BoundCheck:
     """2 pi sqrt(1-e^{-2(T-t)}) <= L <= 2 pi sqrt((1+2a^2/pi^2)(1-e^{-2(T-t)}))."""
-    t = series.column("t")
     L = series.column("L")
-    arg = np.maximum(1.0 - np.exp(-2.0 * (T_est - t)), 0.0)
-    low = TWO_PI * np.sqrt(arg)
-    up = low * math.sqrt(1.0 + 2.0 * a * a / math.pi ** 2)
+    low = TWO_PI * np.sqrt(circle_envelope(T_est, series.column("t")))
+    up = low * math.sqrt(1.0 + sharp_excess(a))
     margins = np.minimum((L - low) / L, (up - L) / L)
     return _finish("length_sandwich", margins, series.column("step"), LENGTH_TOL,
                    {"T_est": T_est, "a": a})
@@ -127,15 +116,14 @@ def check_length_sandwich(series: DiagnosticsSeries, T_est: float, a: float) -> 
 
 def check_improved_length(series: DiagnosticsSeries, T_est: float, a: float) -> BoundCheck:
     """L^2 <= 4 pi^2 (1-e^{-2(T-t)}) (1 + C/(delta+1) (e^{2(T-t)}-1)^delta)."""
-    fit = decay_fit(a, T_est)
+    delta, C = decay_fit(a, T_est)
     t = series.column("t")
     L = series.column("L")
-    arg = np.maximum(1.0 - np.exp(-2.0 * (T_est - t)), 0.0)
     grow = np.maximum(np.expm1(2.0 * (T_est - t)), 0.0)
-    bound_sq = TWO_PI ** 2 * arg * (1.0 + fit.C_const / (fit.delta + 1.0) * grow ** fit.delta)
+    bound_sq = TWO_PI ** 2 * circle_envelope(T_est, t) * (1.0 + C / (delta + 1.0) * grow ** delta)
     margins = (np.sqrt(bound_sq) - L) / L
     return _finish("improved_length", margins, series.column("step"), LENGTH_TOL,
-                   {"delta": fit.delta, "C": fit.C_const, "T_est": T_est})
+                   {"delta": delta, "C": C, "T_est": T_est})
 
 
 def check_tau_bracket(series: DiagnosticsSeries, T_est: float, a: float) -> BoundCheck:
@@ -150,6 +138,8 @@ def check_tau_bracket(series: DiagnosticsSeries, T_est: float, a: float) -> Boun
     ratio = np.expm1(2.0 * np.maximum(T_est - t, 0.0)) / math.expm1(2.0 * T_est)
     with np.errstate(divide="ignore"):
         logr = np.log(np.maximum(ratio, 1e-300))
+    # 8 pi^2 (1 + sharp_excess(a)) in the sharp constant's form rounds
+    # differently and would move these margins in the last bit
     low = -logr / (8.0 * math.pi ** 2 + 16.0 * a * a)
     up = -logr / (8.0 * math.pi ** 2)
     scale = np.maximum(tau, 1e-9)
@@ -167,9 +157,7 @@ def _fit_circle(xy: np.ndarray) -> tuple[float, float, float]:
     return float(cx), float(cy), float(math.sqrt(c + cx * cx + cy * cy))
 
 
-def check_roundness(series: DiagnosticsSeries,
-                    checkpoints: list[tuple[int, DiscreteCurve]],
-                    T_est: float, z_est) -> BoundCheck:
+def check_roundness(series: DiagnosticsSeries, T_est: float, z_est) -> BoundCheck:
     """Rescaled space curvature sqrt(1-e^{-2(T-t)})|kappa_bar| -> 1.
 
     The verdict binds only the final checkpoint: max pointwise deviation
@@ -179,17 +167,16 @@ def check_roundness(series: DiagnosticsSeries,
     curvature, the constant the bound leaves implicit).
     """
     t = series.column("t")
-    tau = series.column("tau")
-    if not checkpoints:
+    if not series.checkpoints:
         raise PreconditionViolation("no checkpoints to assess")
     max_dev, mean_sq, steps = [], [], []
     c0_sq = 0.0
-    for step, curve in checkpoints:
+    for step, curve in series.checkpoints:
         r = _record_row(series, step)
         if T_est <= t[r]:
             raise PreconditionViolation("T_est must exceed every checkpoint time")
         frame = frame_field(curve)
-        factor = math.sqrt(1.0 - math.exp(-2.0 * (T_est - float(t[r]))))
+        factor = circle_radius(T_est, float(t[r]))
         resc = factor * frame.kappa_bar
         dev = np.abs(resc - 1.0)
         max_dev.append(float(np.max(dev)))
@@ -197,11 +184,9 @@ def check_roundness(series: DiagnosticsSeries,
         c0_sq = max(c0_sq, float(np.max((factor * frame.kappa) ** 2)))
         steps.append(step)
 
-    fstep, fcurve = checkpoints[-1]
+    fstep, fcurve = series.checkpoints[-1]
     r = _record_row(series, fstep)
-    xy, out_of_plane = rescaled_curve(
-        FlowState(curve=fcurve, t=float(t[r]), tau=float(tau[r]), step_index=fstep),
-        T_est, z_est)
+    xy, out_of_plane = rescaled_curve(fcurve, float(t[r]), T_est, z_est)
     _, _, radius = _fit_circle(xy)
 
     margins = ROUNDNESS_DEV_TOL - np.asarray(max_dev)
@@ -247,18 +232,16 @@ def check_great_circle(series: DiagnosticsSeries) -> BoundCheck:
                    {"final_L": float(L[-1]), "fitted_slope": float(slope)})
 
 
-def check_fenchel(series: DiagnosticsSeries,
-                  checkpoints: list[tuple[int, DiscreteCurve]]) -> BoundCheck:
+def check_fenchel(series: DiagnosticsSeries) -> BoundCheck:
     """Total space curvature at least 2 pi (closed space curves), per checkpoint."""
     margins, steps = [], []
-    for step, curve in checkpoints:
+    for step, curve in series.checkpoints:
         margins.append(total_space_curvature(curve) - (TWO_PI - FENCHEL_SLACK))
         steps.append(step)
     return _finish("fenchel", margins, steps, 0.0)
 
 
-def check_length_decay(series: DiagnosticsSeries,
-                       checkpoints: list[tuple[int, DiscreteCurve]]) -> BoundCheck:
+def check_length_decay(series: DiagnosticsSeries) -> BoundCheck:
     """Observed dL/dt against -integral of kappa^2 ds, at checkpoints.
 
     Compares the recorded per-step rate with the quadrature on the
@@ -268,7 +251,7 @@ def check_length_decay(series: DiagnosticsSeries,
     """
     dldt = series.column("dLdt_obs")
     margins, steps = [], []
-    for step, curve in checkpoints:
+    for step, curve in series.checkpoints:
         r = _record_row(series, step)
         if r == 0 or not np.isfinite(dldt[r]):
             continue
@@ -285,25 +268,23 @@ _ANY = ("finite_time_shrink", "great_circle")
 _SHRINK = ("finite_time_shrink",)
 
 # name -> (call, outcome kinds it applies to), in config.ALL_CHECKS order. A
-# call is (series, checkpoints, a, T_est, z_est) -> BoundCheck and looks its
-# check_* function up in the module globals when it runs, so a wrapper set on
-# the module attribute (as perfbench's tracer does) sees every check.
+# call is (series, a, T_est, z_est) -> BoundCheck and looks its check_*
+# function up in the module globals when it runs, so a wrapper set on the
+# module attribute (as perfbench's tracer does) sees every check.
 CHECKS = {
-    "chord_arc": (lambda s, c, a, T, z: check_chord_arc(s, c, a), _ANY),
-    "curvature_bound": (lambda s, c, a, T, z: check_curvature_bound(s, a), _ANY),
-    "length_sandwich": (lambda s, c, a, T, z: check_length_sandwich(s, T, a), _SHRINK),
-    "improved_length": (lambda s, c, a, T, z: check_improved_length(s, T, a), _SHRINK),
-    "tau_bracket": (lambda s, c, a, T, z: check_tau_bracket(s, T, a), _SHRINK),
-    "roundness": (lambda s, c, a, T, z: check_roundness(s, c, T, z), _SHRINK),
-    "great_circle": (lambda s, c, a, T, z: check_great_circle(s), ("great_circle",)),
-    "fenchel": (lambda s, c, a, T, z: check_fenchel(s, c), _ANY),
-    "length_decay": (lambda s, c, a, T, z: check_length_decay(s, c), _ANY),
+    "chord_arc": (lambda s, a, T, z: check_chord_arc(s, a), _ANY),
+    "curvature_bound": (lambda s, a, T, z: check_curvature_bound(s, a), _ANY),
+    "length_sandwich": (lambda s, a, T, z: check_length_sandwich(s, T, a), _SHRINK),
+    "improved_length": (lambda s, a, T, z: check_improved_length(s, T, a), _SHRINK),
+    "tau_bracket": (lambda s, a, T, z: check_tau_bracket(s, T, a), _SHRINK),
+    "roundness": (lambda s, a, T, z: check_roundness(s, T, z), _SHRINK),
+    "great_circle": (lambda s, a, T, z: check_great_circle(s), ("great_circle",)),
+    "fenchel": (lambda s, a, T, z: check_fenchel(s), _ANY),
+    "length_decay": (lambda s, a, T, z: check_length_decay(s), _ANY),
 }
 
 
-def run_applicable_checks(series: DiagnosticsSeries,
-                          checkpoints: list[tuple[int, DiscreteCurve]],
-                          outcome_kind: str, a: float,
+def run_applicable_checks(series: DiagnosticsSeries, outcome_kind: str, a: float,
                           T_est: float | None = None, z_est=None,
                           selected: tuple[str, ...] | None = None) -> list[BoundCheck]:
     """Run every check applicable to the outcome (optionally intersected
@@ -314,4 +295,4 @@ def run_applicable_checks(series: DiagnosticsSeries,
     if not names:
         raise PreconditionViolation(
             f"no selected check applies to a {outcome_kind!r} outcome (selected: {selected})")
-    return [CHECKS[name][0](series, checkpoints, a, T_est, z_est) for name in names]
+    return [CHECKS[name][0](series, a, T_est, z_est) for name in names]

@@ -20,12 +20,12 @@ tau = int L^-2 dt accumulates by trapezoid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import chord_arc, generators
-from .barrier import FOUR_PI_SQ, BarrierParams, curvature_margin
+from .barrier import FOUR_PI_SQ, BarrierParams, circle_radius, curvature_margin
 from .config import RunConfig
 from .errors import Degenerate, InsufficientData, NonConvergent, NotSimple, SelfIntersection, StepTooLarge
 from .sphere_geometry import (
@@ -206,15 +206,12 @@ def run(cfg: RunConfig) -> tuple[DiagnosticsSeries, Outcome]:
             check = (state.step_index + 1) % cfg.simple_every == 0
             new_state = step(state, dt, c_cfl=cfg.c_cfl, check_simple=check)
             if cfg.symmetrize:
-                new_state = FlowState(curve=symmetrize(new_state.curve), t=new_state.t,
-                                      tau=new_state.tau, step_index=new_state.step_index)
+                new_state = replace(new_state, curve=symmetrize(new_state.curve))
             dldt = (new_state.curve.length - state.curve.length) / dt
 
             resized = _target_n(n0, L0, new_state.curve.length, cfg.n_floor)
             if resized < new_state.curve.n:
-                new_state = FlowState(curve=reparametrize_uniform(new_state.curve, resized),
-                                      t=new_state.t, tau=new_state.tau,
-                                      step_index=new_state.step_index)
+                new_state = replace(new_state, curve=reparametrize_uniform(new_state.curve, resized))
 
             state = new_state
             shrunk = state.curve.length < cfg.l_floor
@@ -230,8 +227,14 @@ def run(cfg: RunConfig) -> tuple[DiagnosticsSeries, Outcome]:
 
             if state.step_index % cfg.checkpoint_every == 0 or finished is not None:
                 series.checkpoints.append((state.step_index, state.curve))
-    except NonConvergent as exc:  # a resample that did not converge
-        exc.series = series
+
+        L = state.curve.length
+        if finished == "flat" and not (abs(L - 2.0 * math.pi) <= 0.05 * 2.0 * math.pi
+                                       and kappa_max <= 0.5):
+            raise NonConvergent(
+                f"t_max={cfg.t_max} reached with L={L:.4f}, max|kappa|={kappa_max:.3e}")
+    except NonConvergent as exc:
+        exc.series = series  # partial diagnostics for the caller to persist
         raise
 
     if finished == "shrunk":
@@ -241,16 +244,9 @@ def run(cfg: RunConfig) -> tuple[DiagnosticsSeries, Outcome]:
         return series, Outcome(kind="finite_time_shrink", T_est=T_est, z_est=z_est,
                                fit_residual=rms)
 
-    L = state.curve.length
-    if abs(L - 2.0 * math.pi) <= 0.05 * 2.0 * math.pi and kappa_max <= 0.5:
-        p = state.curve.points
-        area_vec = np.sum(np.cross(p, np.roll(p, -1, axis=0)), axis=0)
-        axis = area_vec / np.linalg.norm(area_vec)
-        return series, Outcome(kind="great_circle", axis=axis)
-    exc = NonConvergent(
-        f"t_max={cfg.t_max} reached with L={L:.4f}, max|kappa|={kappa_max:.3e}")
-    exc.series = series  # partial diagnostics for the caller to persist
-    raise exc
+    p = state.curve.points
+    area_vec = np.sum(np.cross(p, np.roll(p, -1, axis=0)), axis=0)
+    return series, Outcome(kind="great_circle", axis=area_vec / np.linalg.norm(area_vec))
 
 
 def _extinction_fit(series: DiagnosticsSeries) -> tuple[float, float]:
@@ -284,18 +280,19 @@ def estimate_extinction(series: DiagnosticsSeries) -> float:
     return _extinction_fit(series)[0]
 
 
-def rescaled_curve(state: FlowState, T_est: float, z_est) -> tuple[np.ndarray, np.ndarray]:
-    """Curve in the frame of the shrinking solution: (p - z)/sqrt(1 - e^{-2(T-t)}).
+def rescaled_curve(curve: DiscreteCurve, t: float, T_est: float,
+                   z_est) -> tuple[np.ndarray, np.ndarray]:
+    """The curve at time t in the frame of the shrinking solution:
+    (p - z)/sqrt(1 - e^{-2(T-t)}).
 
     Returns in-plane coordinates (n, 2) in an orthonormal basis of the
     tangent plane at z_est, plus the out-of-plane residual (n,).
     """
-    if not T_est > state.t:
-        raise InsufficientData(f"T_est={T_est} must exceed current time {state.t}")
+    if not T_est > t:
+        raise InsufficientData(f"T_est={T_est} must exceed current time {t}")
     z = np.asarray(z_est, dtype=float)
     z = z / np.linalg.norm(z)
-    factor = math.sqrt(1.0 - math.exp(-2.0 * (T_est - state.t)))
-    rel = (state.curve.points - z) / factor
+    rel = (curve.points - z) / circle_radius(T_est, t)
     e1, e2, e3 = orthonormal_basis(z)
     xy = np.column_stack([rel @ e1, rel @ e2])
     return xy, rel @ e3

@@ -271,7 +271,6 @@ class RunArtifacts:
     config: RunConfig
     series: DiagnosticsSeries
     manifest: dict
-    run_dir: Path
 
 
 def outcome_summary(outcome: Outcome | None, a: float, error: str | None = None) -> dict:
@@ -290,8 +289,7 @@ def outcome_summary(outcome: Outcome | None, a: float, error: str | None = None)
 
 
 def write_run(run_dir: Path, cfg: RunConfig, series: DiagnosticsSeries,
-              outcome: Outcome | None, a: float, started_at: str,
-              error: str | None = None) -> dict:
+              outcome: Outcome | None, started_at: str, error: str | None = None) -> dict:
     """Persist diagnostics, checkpoints, and the manifest (atomically, last).
 
     Each inventory entry's size and SHA-256 are those of the bytes written.
@@ -312,7 +310,7 @@ def write_run(run_dir: Path, cfg: RunConfig, series: DiagnosticsSeries,
         "started_at": started_at,
         "finished_at": utc_now(),
         "code_version": __version__,
-        "outcome": outcome_summary(outcome, a, error),
+        "outcome": outcome_summary(outcome, series.a_resolved, error),
         "files": inventory,
     }
     _atomic_write_json(manifest, run_dir / "manifest.json")
@@ -348,4 +346,4 @@ def load_run(run_dir) -> RunArtifacts:
         series.checkpoints.append((step, read_curve_csv(run_dir / rel)))
     if not series.checkpoints:
         raise MissingArtifacts(f"{run_dir} has no checkpoint curves")
-    return RunArtifacts(config=cfg, series=series, manifest=manifest, run_dir=run_dir)
+    return RunArtifacts(config=cfg, series=series, manifest=manifest)

@@ -25,13 +25,16 @@ MIN_VERTICES = 8
 
 # A resample stops when max ds - min ds <= _UNIFORM_RTOL * mean ds, or after
 # _MAX_PASSES interpolation passes. The spread shrinks about 5x a pass, and
-# coarse curves (n = 8 to 12) need up to 15 passes. Past n ~ 8000 the spread
-# of |p_{i+1} - p_i| bottoms out at about 9 ulp of a unit coordinate, above
-# the relative target (equator 8192 -> 16384 ends at 5.2e-12 of the mean), so
-# a resample whose spread is within _ROUNDOFF_SPREAD after _ROUNDOFF_PASSES
-# passes has converged to round-off and stops there.
+# coarse curves (n = 8 to 12) need up to 15 passes. On the odd-n dumbbell
+# fourier_perturbed_curve((0, 0, 1), [2], [1.35], n) it shrinks more slowly,
+# at least 1.58x a pass after pass 20, and every odd n from 15 to 2047 needs
+# at most 48 passes. Past n ~ 8000 the spread of |p_{i+1} - p_i| bottoms out
+# at about 9 ulp of a unit coordinate, above the relative target (equator
+# 8192 -> 16384 ends at 5.2e-12 of the mean), so a resample whose spread is
+# within _ROUNDOFF_SPREAD after _ROUNDOFF_PASSES passes has converged to
+# round-off and stops there.
 _UNIFORM_RTOL = 1e-12
-_MAX_PASSES = 20
+_MAX_PASSES = 64
 _ROUNDOFF_PASSES = 10
 _ROUNDOFF_SPREAD = 64 * np.finfo(float).eps
 
@@ -87,7 +90,6 @@ class FrameField:
     normal: np.ndarray       # (n, 3) unit, gamma = N x T
     kappa: np.ndarray        # (n,) signed geodesic curvature
     kappa_bar: np.ndarray    # (n,) space curvature, sqrt(1 + kappa^2)
-    ds: np.ndarray           # (n,) segment lengths ds_i = |p_{i+1} - p_i|
 
 
 @dataclass(frozen=True)
@@ -223,7 +225,7 @@ def frame_field(curve: DiscreteCurve) -> FrameField:
     tangent, normal = t.T, normal.T
     for arr in (tangent, normal, kappa, kappa_bar):
         arr.flags.writeable = False
-    return FrameField(tangent=tangent, normal=normal, kappa=kappa, kappa_bar=kappa_bar, ds=ds)
+    return FrameField(tangent=tangent, normal=normal, kappa=kappa, kappa_bar=kappa_bar)
 
 
 def chord_data(curve: DiscreteCurve, i: int, j: int) -> ChordData:
@@ -515,4 +517,4 @@ def total_space_curvature(curve: DiscreteCurve) -> float:
     kb_seg = 0.5 * (kb + np.roll(kb, -1))
     half = np.clip(0.5 * kb_seg * ds, 0.0, 1.0)
     ds_arc = np.where(kb_seg > 0, 2.0 * np.arcsin(half) / np.maximum(kb_seg, 1e-300), ds)
-    return float(np.sum(0.5 * (kb + np.roll(kb, -1)) * ds_arc))
+    return float(np.sum(kb_seg * ds_arc))

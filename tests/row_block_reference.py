@@ -93,7 +93,7 @@ def min_Z(curve, params):
         if gaps.flat[k] < value:
             r, c = divmod(k, cols.size)
             value, pair = float(gaps.flat[k]), (int(rows[r, 0]), int(cols[0, c]))
-    return ZReport(min_value=value, pair=pair, a_eff=a_eff)
+    return ZReport(min_value=value, pair=pair)
 
 
 def admissible_a(curve, tol=1e-3):

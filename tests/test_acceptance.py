@@ -83,7 +83,7 @@ def test_criterion_4_chord_arc_under_flow(perturbed_equator_run, perturbed_paral
                        ("parallel", perturbed_parallel_run)):
         series = run["series"]
         a_star = series.a_resolved
-        chk = eh.check_chord_arc(series, series.checkpoints, a_star)
+        chk = eh.check_chord_arc(series, a_star)
         ok &= chk.verdict
         details.append(f"{label}: a*={a_star:.3f} min margin={chk.min_margin:.2e}")
         # negative control: halving a must fail at t = 0
@@ -138,8 +138,7 @@ def test_criterion_7_finite_time_asymptotics(parallel_run, perturbed_parallel_ru
         a = series.a_resolved
         sandwich = eh.check_length_sandwich(series, outcome.T_est, a)
         bracket = eh.check_tau_bracket(series, outcome.T_est, a)
-        roundness = eh.check_roundness(series, series.checkpoints,
-                                       outcome.T_est, outcome.z_est)
+        roundness = eh.check_roundness(series, outcome.T_est, outcome.z_est)
         ok &= sandwich.verdict and bracket.verdict and roundness.verdict
         details.append(
             f"{label}: sandwich={sandwich.min_margin:.2%}, tau={bracket.min_margin:.2%}, "
@@ -148,7 +147,7 @@ def test_criterion_7_finite_time_asymptotics(parallel_run, perturbed_parallel_ru
     # equality family: rescaled curvature within 1% at every checkpoint
     series = parallel_run["series"]
     outcome = parallel_run["outcome"]
-    rnd = eh.check_roundness(series, series.checkpoints, outcome.T_est, outcome.z_est)
+    rnd = eh.check_roundness(series, outcome.T_est, outcome.z_est)
     par_dev = float(np.max(0.05 - rnd.margins))  # margins = 0.05 - dev
     ok &= par_dev <= 0.01
     details.append(f"parallel all-checkpoint dev={par_dev:.2%}")
@@ -203,8 +202,8 @@ def test_criterion_9_numerical_hygiene(parallel_run, perturbed_parallel_run,
     for label, run in (("parallel", parallel_run),
                        ("perturbed", perturbed_parallel_run)):
         series = run["series"]
-        decay = eh.check_length_decay(series, series.checkpoints)
-        fenchel = eh.check_fenchel(series, series.checkpoints)
+        decay = eh.check_length_decay(series)
+        fenchel = eh.check_fenchel(series)
         ok &= decay.verdict and fenchel.verdict
         details.append(f"{label}: dL/dt margin={decay.min_margin:.2e}, "
                        f"fenchel margin={fenchel.min_margin:.2e}")

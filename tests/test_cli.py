@@ -170,6 +170,14 @@ class TestSimulate:
         assert_inventory_matches_disk(tmp_path / "run")
 
 
+def test_main_calls_commands_through_module_globals(monkeypatch):
+    # a wrapper set on the module attribute (as a tracer does) must see the call
+    calls = []
+    monkeypatch.setattr(cli, "cmd_report", lambda run: calls.append(run) or 0)
+    assert cli.main(["report", "--run", "somewhere"]) == 0
+    assert calls == ["somewhere"]
+
+
 def test_cli_import_loads_no_scipy():
     src = Path(cli.__file__).resolve().parents[1]
     code = ("import sys, sphereflow.cli; "
@@ -212,6 +220,26 @@ class TestVerify:
         monkeypatch.setattr(run_io, "read_curve_csv", recording_read)
         assert cli.main(["verify", "--run", str(run)]) == 0
         assert sorted(loaded) == sorted(listed)
+
+    def test_force_rerun_drops_old_verdicts(self, tmp_path, capsys):
+        # report must not show the first run's verdicts as the rerun's
+        run = tmp_path / "run"
+        for checks, extra in ((None, []), (["fenchel"], ["--force"])):
+            overrides = {} if checks is None else {"checks": checks}
+            cfgp = write_config(tmp_path / "cfg.json", n=128, dt=4e-4, **overrides)
+            assert cli.main(["simulate", "--config", str(cfgp), "--out", str(run)] + extra) == 0
+            assert not (run / "verdicts.json").exists()
+            if checks is None:
+                assert cli.main(["verify", "--run", str(run)]) == 0
+                assert len(json.loads((run / "verdicts.json").read_text())) == 8
+        capsys.readouterr()
+        assert cli.main(["report", "--run", str(run)]) == 0
+        out = capsys.readouterr().out
+        assert "verdicts      : (none; run `sphereflow verify`)" in out
+        assert "chord_arc" not in out
+        assert cli.main(["verify", "--run", str(run)]) == 0
+        verdicts = json.loads((run / "verdicts.json").read_text())
+        assert [v["check"] for v in verdicts] == ["fenchel"]
 
     def test_missing_listed_checkpoint(self, tmp_path):
         cfgp = write_config(tmp_path / "cfg.json", n=128, dt=4e-4, checkpoint_every=500)

@@ -14,8 +14,7 @@ GREAT_CIRCLE_ORDER = ("chord_arc", "curvature_bound", "great_circle", "fenchel",
 
 
 def series_arrays(run):
-    s = run["series"]
-    return s, s.checkpoints, run["outcome"]
+    return run["series"], run["outcome"]
 
 
 def series_of(**columns):
@@ -34,16 +33,16 @@ def columns_of(series):
 
 class TestFiniteTimeChecks:
     def test_parallel_all_pass(self, parallel_run):
-        series, ckpts, outcome = series_arrays(parallel_run)
+        series, outcome = series_arrays(parallel_run)
         a = series.a_resolved
-        checks = eh.run_applicable_checks(series, ckpts, outcome.kind, a,
+        checks = eh.run_applicable_checks(series, outcome.kind, a,
                                           T_est=outcome.T_est, z_est=outcome.z_est)
         assert tuple(c.name for c in checks) == FINITE_TIME_ORDER
         for c in checks:
             assert c.verdict, f"{c.name}: min_margin={c.min_margin}"
 
     def test_sandwich_saturated_from_below_on_parallel(self, parallel_run):
-        series, _, outcome = series_arrays(parallel_run)
+        series, outcome = series_arrays(parallel_run)
         chk = eh.check_length_sandwich(series, outcome.T_est, series.a_resolved)
         # equality family: lower bound tight at every record
         t = series.column("t")
@@ -53,25 +52,25 @@ class TestFiniteTimeChecks:
         assert chk.verdict
 
     def test_perturbed_parallel_all_pass(self, perturbed_parallel_run):
-        series, ckpts, outcome = series_arrays(perturbed_parallel_run)
-        checks = eh.run_applicable_checks(series, ckpts, outcome.kind,
+        series, outcome = series_arrays(perturbed_parallel_run)
+        checks = eh.run_applicable_checks(series, outcome.kind,
                                           series.a_resolved, T_est=outcome.T_est,
                                           z_est=outcome.z_est)
         for c in checks:
             assert c.verdict, f"{c.name}: min_margin={c.min_margin}"
 
     def test_margins_reproducible(self, parallel_run):
-        series, ckpts, outcome = series_arrays(parallel_run)
+        series, outcome = series_arrays(parallel_run)
         a = series.a_resolved
-        first = eh.check_chord_arc(series, ckpts, a)
-        second = eh.check_chord_arc(series, ckpts, a)
+        first = eh.check_chord_arc(series, a)
+        second = eh.check_chord_arc(series, a)
         assert np.array_equal(first.margins, second.margins)
 
     def test_roundness_rejects_early_shapes(self, perturbed_parallel_run):
         # no spurious early pass: at t = 0 the rescaled space curvature is far
         # from 1 even though it settles within 5% by the final checkpoint
-        series, ckpts, outcome = series_arrays(perturbed_parallel_run)
-        chk = eh.check_roundness(series, ckpts, outcome.T_est, outcome.z_est)
+        series, outcome = series_arrays(perturbed_parallel_run)
+        chk = eh.check_roundness(series, outcome.T_est, outcome.z_est)
         assert chk.verdict
         assert chk.margins[0] < 0.0  # first checkpoint deviation above 5%
         assert chk.details["final_max_dev"] <= 0.05
@@ -87,10 +86,10 @@ class TestFiniteTimeChecks:
 
     def test_curvature_consistency_with_roundness(self, parallel_run):
         # bound + sandwich imply the rescaled curvature cap
-        series, ckpts, outcome = series_arrays(parallel_run)
+        series, outcome = series_arrays(parallel_run)
         bound_chk = eh.check_curvature_bound(series, series.a_resolved)
         sandwich = eh.check_length_sandwich(series, outcome.T_est, series.a_resolved)
-        round_chk = eh.check_roundness(series, ckpts, outcome.T_est, outcome.z_est)
+        round_chk = eh.check_roundness(series, outcome.T_est, outcome.z_est)
         assert bound_chk.verdict and sandwich.verdict
         a = series.a_resolved
         cap = math.sqrt((1 + 2 * a * a / math.pi ** 2) * (1 + 0.02)) / (1 - 0.01)
@@ -99,8 +98,8 @@ class TestFiniteTimeChecks:
 
 class TestNegativeControls:
     def test_halved_a_fails_at_start(self, perturbed_parallel_run):
-        series, ckpts, _ = series_arrays(perturbed_parallel_run)
-        chk = eh.check_chord_arc(series, ckpts, series.a_resolved / 2.0)
+        series = perturbed_parallel_run["series"]
+        chk = eh.check_chord_arc(series, series.a_resolved / 2.0)
         assert not chk.verdict
         assert chk.worst_step == 0
 
@@ -114,14 +113,14 @@ class TestNegativeControls:
         assert not chk.verdict
 
     def test_corrupted_tau_fails_bracket(self, parallel_run):
-        series, _, outcome = series_arrays(parallel_run)
+        series, outcome = series_arrays(parallel_run)
         columns = columns_of(series)
         bad = series_of(**{**columns, "tau": columns["tau"] * 1.05})
         chk = eh.check_tau_bracket(bad, outcome.T_est, series.a_resolved)
         assert not chk.verdict
 
     def test_inflated_curvature_fails_bound(self, parallel_run):
-        series, _, _ = series_arrays(parallel_run)
+        series = parallel_run["series"]
         # curv_margin is copied unchanged: the check recomputes from max_abs_kappa
         columns = columns_of(series)
         bad = series_of(**{**columns, "max_abs_kappa": columns["max_abs_kappa"] * 1.2 + 0.5})
@@ -131,15 +130,15 @@ class TestNegativeControls:
 
 class TestGreatCircleChecks:
     def test_perturbed_equator_passes(self, perturbed_equator_run):
-        series, ckpts, outcome = series_arrays(perturbed_equator_run)
+        series, outcome = series_arrays(perturbed_equator_run)
         assert outcome.kind == "great_circle"
         chk = eh.check_great_circle(series)
         assert chk.verdict
         assert chk.details["fitted_slope"] <= eh.GC_SLOPE_MAX
 
     def test_full_great_circle_suite(self, perturbed_equator_run):
-        series, ckpts, outcome = series_arrays(perturbed_equator_run)
-        checks = eh.run_applicable_checks(series, ckpts, outcome.kind,
+        series, outcome = series_arrays(perturbed_equator_run)
+        checks = eh.run_applicable_checks(series, outcome.kind,
                                           series.a_resolved)
         assert tuple(c.name for c in checks) == GREAT_CIRCLE_ORDER
         for c in checks:
@@ -150,13 +149,13 @@ class TestGreatCircleChecks:
         cfg = RunConfig(generator=GeneratorSpec(kind="great_circle"), n=128,
                         dt=1e-4, t_max=0.05, checkpoint_every=20)
         series, outcome = flow_engine.run(cfg)
-        checks = eh.run_applicable_checks(series, series.checkpoints,
+        checks = eh.run_applicable_checks(series,
                                           outcome.kind, series.a_resolved)
         for c in checks:
             assert c.verdict, f"{c.name}: min_margin={c.min_margin}"
 
     def test_finite_time_series_rejected(self, parallel_run):
-        series, _, _ = series_arrays(parallel_run)
+        series = parallel_run["series"]
         with pytest.raises(PreconditionViolation):
             eh.check_great_circle(series)
 
@@ -191,7 +190,7 @@ def test_registry_follows_config_order():
 
 def test_registry_calls_checks_through_module_globals(parallel_run, monkeypatch):
     # a wrapper set on the module attribute (as a tracer does) must see the call
-    series, ckpts, outcome = series_arrays(parallel_run)
+    series, outcome = series_arrays(parallel_run)
     calls = []
     check_fenchel = eh.check_fenchel
 
@@ -200,7 +199,7 @@ def test_registry_calls_checks_through_module_globals(parallel_run, monkeypatch)
         return check_fenchel(*args)
 
     monkeypatch.setattr(eh, "check_fenchel", recording)
-    checks = eh.run_applicable_checks(series, ckpts, outcome.kind, series.a_resolved,
+    checks = eh.run_applicable_checks(series, outcome.kind, series.a_resolved,
                                       selected=("fenchel",))
     assert [c.name for c in checks] == ["fenchel"] and len(calls) == 1
 
@@ -209,20 +208,20 @@ def test_registry_calls_checks_through_module_globals(parallel_run, monkeypatch)
                                            ("finite_time_shrink", ()),
                                            ("great_circle", ("roundness", "tau_bracket"))])
 def test_no_applicable_check_is_an_error(parallel_run, kind, selected):
-    series, ckpts, outcome = series_arrays(parallel_run)
+    series, outcome = series_arrays(parallel_run)
     with pytest.raises(PreconditionViolation, match="no selected check applies"):
-        eh.run_applicable_checks(series, ckpts, kind, series.a_resolved,
+        eh.run_applicable_checks(series, kind, series.a_resolved,
                                  T_est=outcome.T_est, z_est=outcome.z_est,
                                  selected=selected)
 
 
 def test_decay_fit_fields():
-    fit = eh.decay_fit(a=1.5, T_est=1.0)
-    assert 0.0 < fit.delta <= 1.0
-    assert abs(fit.delta - 1.0 / (1.0 + 2 * 1.5 ** 2 / math.pi ** 2)) < 1e-15
-    expect_c = (2 * 1.5 ** 2 / (4 * math.pi ** 2)) * math.expm1(2.0) ** (-fit.delta)
-    assert abs(fit.C_const - expect_c) < 1e-15
-    assert eh.decay_fit(0.0, 1.0).delta == 1.0
+    delta, C = eh.decay_fit(a=1.5, T_est=1.0)
+    assert 0.0 < delta <= 1.0
+    assert abs(delta - 1.0 / (1.0 + 2 * 1.5 ** 2 / math.pi ** 2)) < 1e-15
+    expect_c = (2 * 1.5 ** 2 / (4 * math.pi ** 2)) * math.expm1(2.0) ** (-delta)
+    assert abs(C - expect_c) < 1e-15
+    assert eh.decay_fit(0.0, 1.0) == (1.0, 0.0)
 
 
 def test_bound_check_serialization(parallel_run):

@@ -235,14 +235,13 @@ class TestRescaledCurve:
         theta = 0.3
         c = generators.parallel_curve(theta, 128)
         T = -math.log(math.cos(theta))
-        st = state_of(c)
-        xy, oop = flow_engine.rescaled_curve(st, T, np.array([0.0, 0.0, 1.0]))
+        xy, oop = flow_engine.rescaled_curve(c, 0.0, T, np.array([0.0, 0.0, 1.0]))
         radii = np.linalg.norm(xy, axis=1)
         assert np.max(np.abs(radii - 1.0)) < 1e-12
         expect_oop = -math.tan(theta / 2.0)
         assert np.max(np.abs(oop - expect_oop)) < 1e-12
 
     def test_requires_future_extinction(self):
-        st = state_of(generators.parallel_curve(0.5, 64))
+        c = generators.parallel_curve(0.5, 64)
         with pytest.raises(InsufficientData):
-            flow_engine.rescaled_curve(st, -1.0, np.array([0.0, 0.0, 1.0]))
+            flow_engine.rescaled_curve(c, 0.0, -1.0, np.array([0.0, 0.0, 1.0]))

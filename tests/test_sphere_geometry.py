@@ -132,7 +132,7 @@ class TestComponentRowsMatchReference:
         curves.append(sg.make_curve(read_back(clustered_points(7, 300), tmp_path)))
         for c in curves:
             f = sg.frame_field(c)
-            got = (f.tangent, f.normal, f.kappa, f.kappa_bar, f.ds)
+            got = (f.tangent, f.normal, f.kappa, f.kappa_bar, c.seg_lengths)
             for a, b in zip(got, ref_frame_field(c.points)):
                 assert np.array_equal(a, b)
 
@@ -287,12 +287,10 @@ class TestReparametrize:
         assert c.n == n
         assert sg._is_uniform(c.seg_lengths)
 
-    @pytest.mark.xfail(raises=NonConvergent, strict=True,
-                       reason="the resample does not converge on the odd-n dumbbell")
-    @pytest.mark.parametrize("n", [63, 511])
+    @pytest.mark.parametrize("n", [15, 63, 127, 511])
     def test_odd_n_dumbbell_converges(self, n):
-        # known defect: at every odd n tried the spread stalls near 1e-8 to
-        # 1e-5 of the mean; even n and amplitudes up to 1.0 converge
+        # at odd n the spread shrinks more slowly than 5x a pass and needs
+        # up to 48 passes, past the 20 that the pass cap once allowed
         c = generators.fourier_perturbed_curve((0, 0, 1), [2], [1.35], n)
         assert sg._is_uniform(c.seg_lengths)
 
