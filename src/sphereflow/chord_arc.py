@@ -353,7 +353,7 @@ def profile(curve: DiscreteCurve, n_bins: int) -> ChordArcProfile:
     psi = np.full(n_bins, np.inf)
     key = np.full(n_bins, _NO_PAIR)
     z_buf = far_buf = None
-    for k, d2 in _gap_blocks(curve.points, 1):
+    for k, d2 in _gap_blocks(curve.rows, 1):
         bins, single, two = run_bins(k)
         if 2 * k[-1] == n:           # runs in the repeated half of gap n/2
             single[-1, -(-(n // 2) // w):] = False
@@ -407,7 +407,7 @@ def min_Z(curve: DiscreteCurve, params: barrier.BarrierParams) -> ZReport:
     slack = FILTER_SLACK * length
     bound = value = math.inf
     key = -1
-    for k, d2 in _gap_blocks(curve.points, 2):
+    for k, d2 in _gap_blocks(curve.rows, 2):
         z = k / n
         d2_min = np.min(d2, axis=1)
         shortest = np.sqrt(d2_min) - length * barrier.phi(np.maximum(z - dz, 0.0), a_eff)

@@ -49,7 +49,9 @@ def cmd_simulate(config_path, out_dir=None, force: bool = False) -> int:
     with run_io.RunDirLock(run_dir / ".lock", force=force):
         if (run_dir / "manifest.json").exists() and not force:
             raise RunDirLocked(f"{run_dir} already holds a run (use --force to overwrite)")
-        # a forced rerun's old verdicts would otherwise read as the new run's
+        # a forced rerun's old manifest and verdicts would otherwise read as the
+        # new run's, also when the rerun fails before it writes its own
+        (run_dir / "manifest.json").unlink(missing_ok=True)
         (run_dir / "verdicts.json").unlink(missing_ok=True)
         try:
             series, outcome = flow_engine.run(cfg)

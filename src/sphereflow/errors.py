@@ -13,10 +13,6 @@ class DegenerateSegment(SphereFlowError):
     """Two consecutive vertices coincide (zero-length segment)."""
 
 
-class CoincidentPoints(SphereFlowError):
-    """A chord was requested between two (numerically) identical points."""
-
-
 class NotSimple(SphereFlowError):
     """The curve self-intersects."""
 

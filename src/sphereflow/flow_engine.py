@@ -105,16 +105,17 @@ def dt_max(state: FlowState, c_cfl: float = 5.0) -> float:
     return c_cfl * float(np.min(state.curve.seg_lengths)) ** 2
 
 
-def _solve_circulant(points: np.ndarray, dt: float, h: float) -> np.ndarray:
-    """Solve (I - dt*Delta_h) x = points for (n, 3) points, where Delta_h is
-    the cyclic second difference (x_{i-1} - 2 x_i + x_{i+1}) / h^2.
+def _solve_circulant(rows: np.ndarray, dt: float, h: float) -> np.ndarray:
+    """Solve (I - dt*Delta_h) x = p for the vertices p of closed (3, n+1)
+    coordinate rows, where Delta_h is the cyclic second difference
+    (x_{i-1} - 2 x_i + x_{i+1}) / h^2. Returns x as (3, n) coordinate rows.
 
-    The matrix is circulant, so the DFT diagonalises it with eigenvalues
-    lambda_k = 1 + (4 dt / h^2) sin^2(pi k / n).
+    The matrix is circulant, so the DFT along each coordinate row
+    diagonalises it with eigenvalues lambda_k = 1 + (4 dt / h^2) sin^2(pi k / n).
     """
-    n = points.shape[0]
+    n = rows.shape[1] - 1
     lam = 1.0 + (4.0 * dt / (h * h)) * np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 2
-    return np.fft.irfft(np.fft.rfft(points, axis=0) / lam[:, None], n=n, axis=0)
+    return np.fft.irfft(np.fft.rfft(rows[:, :n], axis=1) / lam, n=n, axis=1)
 
 
 def step(state: FlowState, dt: float, *, c_cfl: float = 5.0,
@@ -131,10 +132,10 @@ def step(state: FlowState, dt: float, *, c_cfl: float = 5.0,
     if not _is_uniform(curve.seg_lengths):
         curve = reparametrize_uniform(curve, curve.n)
     n = curve.n
-    moved = _solve_circulant(curve.points, dt, curve.length / n)
+    moved = _solve_circulant(curve.rows, dt, curve.length / n)
     if not np.all(np.isfinite(moved)):
         raise Degenerate("non-finite coordinates after implicit solve")
-    new_curve = reparametrize_uniform(moved, n)
+    new_curve = reparametrize_uniform(make_curve(moved.T), n)
 
     L_old, L_new = state.curve.length, new_curve.length
     if L_new < HARD_LENGTH_FLOOR:

@@ -86,7 +86,7 @@ def _bad_row(path: Path, lines: list[str], width: int, int_columns: int) -> str:
 
 def write_curve_csv(curve: DiscreteCurve, path) -> bytes:
     """Write the curve and return the bytes written."""
-    return _write(path, _csv("x,y,z", "%r,%r,%r", curve.points.ravel().tolist()))
+    return _write(path, _csv("x,y,z", "%r,%r,%r", curve.rows[:, :-1].T.ravel().tolist()))
 
 
 def read_curve_csv(path) -> DiscreteCurve:

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import CoincidentPoints, DegenerateSegment, NonConvergent, TooFewVertices
+from .errors import DegenerateSegment, NonConvergent, TooFewVertices
 
 MIN_VERTICES = 8
 
@@ -48,20 +48,32 @@ _GAP_BLOCK_ENTRIES = 1 << 16
 class DiscreteCurve:
     """Closed polygonal curve with vertices on the unit sphere.
 
-    points has shape (n, 3); row i+1 follows row i, and the last row
-    connects back to the first (the closing vertex is not repeated).
+    rows is the read-only (3, n+1) array of coordinate rows: column i is
+    vertex i, column i+1 follows it, and column n repeats vertex 0, so the
+    closing segment is rows[:, n-1] -> rows[:, n] like every other one.
     """
 
-    points: np.ndarray
+    rows: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.points.shape[0]
+        return self.rows.shape[1] - 1
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """Read-only, C-contiguous (n, 3) copy of the vertices, made on first use.
+
+        A copy, not a transposed view: sums over axis 0 and BLAS products on
+        it then run in (n, 3) memory order.
+        """
+        pts = self.rows[:, :-1].T.copy()
+        pts.flags.writeable = False
+        return pts
 
     @cached_property
     def seg_lengths(self) -> np.ndarray:
         """ds_i = |p_{i+1} - p_i| with cyclic wrap, shape (n,)."""
-        return _segment_lengths(_closed_rows(self.points))
+        return _segment_lengths(self.rows)
 
     @cached_property
     def cum_lengths(self) -> np.ndarray:
@@ -92,30 +104,6 @@ class FrameField:
     kappa_bar: np.ndarray    # (n,) space curvature, sqrt(1 + kappa^2)
 
 
-@dataclass(frozen=True)
-class ChordData:
-    """Chord between two curve vertices.
-
-    d is the Euclidean chordlength, rho the spherical (great-circle)
-    distance, w = (x - y)/|x - y| the unit chord direction, and ell the
-    shorter-arc polygon length between the vertices.
-    """
-
-    d: float
-    rho: float
-    w: np.ndarray
-    ell: float
-
-
-def _closed_rows(points: np.ndarray) -> np.ndarray:
-    """(3, n+1) coordinate rows of an (n, 3) vertex array, vertex 0 repeated last."""
-    n = points.shape[0]
-    rows = np.empty((3, n + 1))
-    rows[:, :n] = points.T
-    rows[:, n] = rows[:, 0]
-    return rows
-
-
 def _project_rows(rows: np.ndarray) -> None:
     """Scale each vertex (column) of coordinate rows onto the unit sphere, in place."""
     sq = rows * rows
@@ -143,9 +131,8 @@ def _segment_lengths(rows: np.ndarray) -> np.ndarray:
 
 def _curve(rows: np.ndarray, ds: np.ndarray) -> DiscreteCurve:
     """DiscreteCurve from closed coordinate rows, with seg_lengths already known."""
-    pts = rows[:, :-1].T.copy()
-    pts.flags.writeable = False
-    curve = DiscreteCurve(points=pts)
+    rows.flags.writeable = False
+    curve = DiscreteCurve(rows=rows)
     curve.__dict__["seg_lengths"] = ds   # where cached_property keeps its value
     return curve
 
@@ -155,9 +142,12 @@ def _vertex_rows(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise DegenerateSegment(f"expected (n, 3) vertex array, got shape {pts.shape}")
-    if pts.shape[0] < MIN_VERTICES:
-        raise TooFewVertices(f"need at least {MIN_VERTICES} vertices, got {pts.shape[0]}")
-    rows = _closed_rows(pts)
+    n = pts.shape[0]
+    if n < MIN_VERTICES:
+        raise TooFewVertices(f"need at least {MIN_VERTICES} vertices, got {n}")
+    rows = np.empty((3, n + 1))
+    rows[:, :n] = pts.T
+    rows[:, n] = rows[:, 0]
     _project_rows(rows)
     return rows
 
@@ -176,17 +166,6 @@ _NEXT = np.array([1, 2, 0])   # coordinate k+1 (mod 3)
 _PREV = np.array([2, 0, 1])   # coordinate k-1 (mod 3)
 
 
-def _cyclic_neighbours(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(prev, next) with prev[..., i] = a[..., i-1] and next[..., i] = a[..., i+1], cyclic."""
-    prev = np.empty_like(a)
-    prev[..., 1:] = a[..., :-1]
-    prev[..., 0] = a[..., -1]
-    nxt = np.empty_like(a)
-    nxt[..., :-1] = a[..., 1:]
-    nxt[..., -1] = a[..., 0]
-    return prev, nxt
-
-
 def frame_field(curve: DiscreteCurve) -> FrameField:
     """Tangent, normal and curvature estimates from centered differences.
 
@@ -197,9 +176,14 @@ def frame_field(curve: DiscreteCurve) -> FrameField:
     sampled circles.
     """
     ds = curve.seg_lengths
-    p_mid = curve.points.T.copy()
-    p_prev, p_next = _cyclic_neighbours(p_mid)
-    ds_prev = _cyclic_neighbours(ds)[0]
+    rows = curve.rows
+    p_mid, p_next = rows[:, :-1], rows[:, 1:]
+    p_prev = np.empty_like(p_mid)
+    p_prev[:, 1:] = rows[:, :-2]
+    p_prev[:, 0] = rows[:, -2]
+    ds_prev = np.empty_like(ds)
+    ds_prev[1:] = ds[:-1]
+    ds_prev[0] = ds[-1]
 
     t = p_next - p_prev
     tp = t * p_mid
@@ -228,29 +212,6 @@ def frame_field(curve: DiscreteCurve) -> FrameField:
     return FrameField(tangent=tangent, normal=normal, kappa=kappa, kappa_bar=kappa_bar)
 
 
-def chord_data(curve: DiscreteCurve, i: int, j: int) -> ChordData:
-    """Chord between vertices i and j (i != j)."""
-    n = curve.n
-    i %= n
-    j %= n
-    if i == j:
-        raise CoincidentPoints("chord endpoints must be distinct vertices")
-    x = curve.points[i]
-    y = curve.points[j]
-    diff = x - y
-    d = float(np.linalg.norm(diff))
-    if d < 1e-14:
-        raise CoincidentPoints(f"vertices {i} and {j} coincide (d={d:.3e})")
-    rho = float(np.arccos(np.clip(np.dot(x, y), -1.0, 1.0)))
-    w = diff / d
-    s = curve.cum_lengths
-    arc = abs(float(s[j] - s[i]))
-    ell = min(arc, curve.length - arc)
-    w = w.copy()
-    w.flags.writeable = False
-    return ChordData(d=d, rho=rho, w=w, ell=ell)
-
-
 def _is_uniform(ds: np.ndarray) -> bool:
     """The resample's stopping rule: max ds - min ds <= _UNIFORM_RTOL * mean ds."""
     return bool(ds.max() - ds.min() <= _UNIFORM_RTOL * (ds.sum() / ds.size))
@@ -259,8 +220,8 @@ def _is_uniform(ds: np.ndarray) -> bool:
 def reparametrize_uniform(curve, n_out: int) -> DiscreteCurve:
     """Resample to n_out vertices at equal polygon-arclength spacing.
 
-    curve is a DiscreteCurve or an (n, 3) vertex array, which is first
-    projected onto the sphere as make_curve does. New vertices are linearly
+    curve is a DiscreteCurve or an (n, 3) vertex array, which make_curve
+    turns into one first. New vertices are linearly
     interpolated along the polygon (anchored at vertex 0) and re-projected
     onto the sphere. Projection perturbs the spacing at O(ds^2), so the
     resample iterates to its fixed point on plain coordinate arrays and
@@ -273,15 +234,11 @@ def reparametrize_uniform(curve, n_out: int) -> DiscreteCurve:
     """
     if n_out < MIN_VERTICES:
         raise TooFewVertices(f"need at least {MIN_VERTICES} vertices, got {n_out}")
-    if isinstance(curve, DiscreteCurve):
-        if curve.n == n_out and _is_uniform(curve.seg_lengths):
-            return curve
-        rows, ds = _closed_rows(curve.points), curve.seg_lengths
-    else:
-        rows = _vertex_rows(curve)
-        ds = _segment_lengths(rows)
-        if ds.size == n_out and _is_uniform(ds):
-            return _curve(rows, ds)
+    if not isinstance(curve, DiscreteCurve):
+        curve = make_curve(curve)
+    if curve.n == n_out and _is_uniform(curve.seg_lengths):
+        return curve
+    rows, ds = curve.rows, curve.seg_lengths
     for passes in range(1, _MAX_PASSES + 1):
         cum = np.empty(ds.size + 1)
         cum[0] = 0.0
@@ -346,8 +303,11 @@ def _cyclic_shifts(a: np.ndarray) -> np.ndarray:
     return sliding_window_view(np.concatenate([a, a[:-1]]), a.size)
 
 
-def _gap_blocks(points: np.ndarray, k_min: int):
+def _gap_blocks(rows: np.ndarray, k_min: int):
     """Yield (k, d2) over the cyclic index gaps k = k_min .. n // 2, in order.
+
+    rows are closed (3, n+1) coordinate rows, as DiscreteCurve.rows; only
+    their first n columns are read.
 
     k has shape (r,) and d2 shape (r, n), with d2[r, i] = |p_i - p_j|^2 for
     j = (i + k[r]) mod n. Each unordered pair at cyclic gap
@@ -356,7 +316,7 @@ def _gap_blocks(points: np.ndarray, k_min: int):
     pass a distance threshold or win a minimum.
 
     d2 is summed coordinate by coordinate, (dx^2 + dy^2) + dz^2, from views
-    of the doubled coordinate arrays (no gather, no BLAS), so every entry is
+    of the doubled coordinate rows (no gather, no BLAS), so every entry is
     bitwise independent of the block size and of the order of i and j.
 
     Every block is written into the same two buffers, the halves of one
@@ -370,13 +330,12 @@ def _gap_blocks(points: np.ndarray, k_min: int):
     back to the system and fault in again (about 220 page faults per min_Z
     call at n = 512).
     """
-    n = points.shape[0]
+    n = rows.shape[1] - 1
     half = n // 2
-    coords = [np.ascontiguousarray(points[:, c]) for c in range(3)]
+    coords = rows[:, :n]
     shifted = [_cyclic_shifts(c) for c in coords]
     per_block = max(1, _GAP_BLOCK_ENTRIES // n)
-    rows = min(per_block, half + 1 - k_min)
-    d2_buf, diff_buf = np.empty((2, rows, n))
+    d2_buf, diff_buf = np.empty((2, min(per_block, half + 1 - k_min), n))
     for k0 in range(k_min, half + 1, per_block):
         k1 = min(k0 + per_block, half + 1)
         d2, diff = d2_buf[:k1 - k0], diff_buf[:k1 - k0]
@@ -428,14 +387,14 @@ def _simple_candidates(curve: DiscreteCurve) -> tuple[np.ndarray, np.ndarray]:
     window, and the sweep then gathers O(n^2) pairs. Flow runs check
     resampled curves, whose segments are all of one length.
     """
-    p = curve.points
-    mids = 0.5 * (p + np.roll(p, -1, axis=0))
+    rows = curve.rows
+    mids = 0.5 * (rows[:, :-1] + rows[:, 1:])
     ds = curve.seg_lengths
     n = curve.n
     widest = float(np.max(ds)) + 1e-9
-    axis = int(np.argmax(np.ptp(mids, axis=0)))
-    order = np.argsort(mids[:, axis], kind="stable")
-    srt = np.ascontiguousarray(mids[order].T)   # coordinate rows in sweep order
+    axis = int(np.argmax(np.ptp(mids, axis=1)))
+    order = np.argsort(mids[axis], kind="stable")
+    srt = mids[:, order]                        # coordinate rows in sweep order
     ds_srt = ds[order]
     # sorted position q pairs with the positions q + 1 .. ends[q] - 1
     ends = np.searchsorted(srt[axis], srt[axis] + widest * (1.0 + 1e-6), side="right")
@@ -479,9 +438,8 @@ def validate_simple(curve: DiscreteCurve) -> bool:
     ii, jj = _simple_candidates(curve)
     if ii.size == 0:
         return True
-    p = curve.points
-    q = np.roll(p, -1, axis=0)
-    hits = _arc_intersections(p[ii], q[ii], p[jj], q[jj])
+    p = curve.rows.T   # (n+1, 3): vertex j + 1 of the closing segment j = n - 1 is vertex 0
+    hits = _arc_intersections(p[ii], p[ii + 1], p[jj], p[jj + 1])
     return not bool(np.any(hits))
 
 

@@ -31,8 +31,6 @@ class TestProfile:
         # 2 sin(pi z_low) >= 2 - 2e-3, approaching the antipodal chord 2
         prof = chord_arc.profile(generators.great_circle_curve((0, 0, 1), 256), 64)
         assert abs(prof.psi[-1] - 2.0) < 2e-3
-        cd = sg.chord_data(generators.great_circle_curve((0, 0, 1), 256), 0, 128)
-        assert abs(cd.d - 2.0) < 1e-12
 
     def test_chord_below_arc(self, perturbed):
         prof = chord_arc.profile(perturbed, 64)

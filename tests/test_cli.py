@@ -241,6 +241,21 @@ class TestVerify:
         verdicts = json.loads((run / "verdicts.json").read_text())
         assert [v["check"] for v in verdicts] == ["fenchel"]
 
+    def test_failed_force_rerun_drops_old_manifest(self, tmp_path, capsys):
+        # the rerun stops on InsufficientData before it writes anything; the
+        # first run's manifest must not read as the rerun's result
+        run = tmp_path / "run"
+        cfgp = write_config(tmp_path / "cfg.json", n=128, dt=4e-4)
+        assert cli.main(["simulate", "--config", str(cfgp), "--out", str(run)]) == 0
+        cfgp = write_config(tmp_path / "cfg.json", n=64, dt=4e-4, l_floor=3.0)
+        capsys.readouterr()
+        assert cli.main(["simulate", "--config", str(cfgp), "--out", str(run), "--force"]) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == "InsufficientData"
+        assert not (run / "manifest.json").exists()
+        for command in ("verify", "report"):
+            assert cli.main([command, "--run", str(run)]) == 3
+            assert json.loads(capsys.readouterr().out)["error"] == "MissingArtifacts"
+
     def test_missing_listed_checkpoint(self, tmp_path):
         cfgp = write_config(tmp_path / "cfg.json", n=128, dt=4e-4, checkpoint_every=500)
         run = tmp_path / "run"

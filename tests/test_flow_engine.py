@@ -91,6 +91,11 @@ def cyclic_laplacian(ds):
     return lap
 
 
+def closed_rows(points):
+    """(3, n+1) coordinate rows of an (n, 3) array, vertex 0 repeated last."""
+    return np.concatenate([points.T, points[:1].T], axis=1)
+
+
 class TestCirculantSolve:
     @pytest.mark.parametrize("n", [8, 9, 64, 512])
     def test_matches_dense_solve(self, n):
@@ -100,7 +105,20 @@ class TestCirculantSolve:
         for dt in (1e-6, 5.0 * h * h):
             lap = cyclic_laplacian(np.full(n, h))
             expect = np.linalg.solve(np.eye(n) - dt * lap, p)
-            assert np.max(np.abs(flow_engine._solve_circulant(p, dt, h) - expect)) < 1e-13
+            got = flow_engine._solve_circulant(closed_rows(p), dt, h).T
+            assert np.max(np.abs(got - expect)) < 1e-13
+
+    @pytest.mark.parametrize("n", [8, 9, 63, 64, 511, 512, 1024])
+    def test_rows_match_vertex_array_solve_bitwise(self, n):
+        # the same solve on (n, 3) vertices along axis 0, as it was once written
+        p = np.random.default_rng(n + 1).normal(size=(n, 3))
+        h = 2 * np.pi / n
+        for dt in (1e-6, 5.0 * h * h):
+            lam = 1.0 + (4.0 * dt / (h * h)) * np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 2
+            expect = np.fft.irfft(np.fft.rfft(p, axis=0) / lam[:, None], n=n, axis=0)
+            got = flow_engine._solve_circulant(closed_rows(p), dt, h)
+            assert got.shape == (3, n)
+            assert np.array_equal(got.T, expect)
 
     def test_uniform_spacing_to_tolerance_is_enough(self):
         # a resampled curve is uniform to 1e-12 of ds, not exactly; the
@@ -111,7 +129,7 @@ class TestCirculantSolve:
         assert 0.0 < ds.max() - ds.min() <= sg._UNIFORM_RTOL * ds.mean()
         dt = flow_engine.dt_max(state_of(c))
         expect = np.linalg.solve(np.eye(c.n) - dt * cyclic_laplacian(ds), c.points)
-        got = flow_engine._solve_circulant(c.points, dt, c.length / c.n)
+        got = flow_engine._solve_circulant(c.rows, dt, c.length / c.n).T
         assert np.max(np.abs(got - expect)) < 1e-13
 
     def test_nonuniform_input_is_resampled_first(self):

@@ -6,12 +6,17 @@ from hypothesis import strategies as st
 
 from sphereflow import generators, run_io
 from sphereflow import sphere_geometry as sg
-from sphereflow.errors import CoincidentPoints, DegenerateSegment, NonConvergent, TooFewVertices
+from sphereflow.errors import DegenerateSegment, NonConvergent, TooFewVertices
 
 
 def equator(n):
     u = 2 * np.pi * np.arange(n) / n
     return np.column_stack([np.cos(u), np.sin(u), np.zeros(n)])
+
+
+def closed_rows(points):
+    """(3, n+1) coordinate rows of an (n, 3) array, vertex 0 repeated last."""
+    return np.concatenate([points.T, points[:1].T], axis=1)
 
 
 def parallel_points(theta, n, phase=0.0):
@@ -45,6 +50,19 @@ class TestMakeCurve:
         c = sg.make_curve(equator(64))
         with pytest.raises(ValueError):
             c.points[0, 0] = 2.0
+
+    def test_points_are_a_read_only_copy_of_the_rows(self, tmp_path):
+        pts = clustered_points(6, 100)
+        path = tmp_path / "curve.csv"
+        run_io.write_curve_csv(sg.make_curve(pts), path)
+        for c in (sg.make_curve(pts), sg.reparametrize_uniform(pts, 128),
+                  run_io.read_curve_csv(path)):
+            assert c.rows.shape == (3, c.n + 1) and not c.rows.flags.writeable
+            assert np.array_equal(c.rows[:, -1], c.rows[:, 0])
+            p = c.points
+            assert not p.flags.writeable and p.flags.c_contiguous
+            assert not np.shares_memory(p, c.rows)
+            assert np.array_equal(p, c.rows[:, :-1].T)
 
 
 # Reference versions of make_curve, reparametrize_uniform and frame_field on
@@ -185,44 +203,6 @@ class TestFrameField:
                                    np.full(n, np.cos(theta))])
             f = sg.frame_field(sg.make_curve(pts))
             assert np.max(np.abs(f.kappa - 1.0 / np.tan(theta))) <= 1.0 / n ** 2
-
-
-class TestChordData:
-    def test_antipodal(self):
-        c = sg.make_curve(equator(256))
-        cd = sg.chord_data(c, 0, 128)
-        assert abs(cd.d - 2.0) < 1e-12
-        assert abs(cd.rho - np.pi) < 1e-6
-        assert abs(cd.ell - np.pi) < 1e-4
-
-    def test_quarter_turn(self):
-        c = sg.make_curve(equator(256))
-        cd = sg.chord_data(c, 0, 64)
-        assert abs(cd.d - np.sqrt(2.0)) < 1e-12
-
-    def test_chord_direction_identity(self):
-        # <w, x> = -<w, y> = d/2 for unit vectors
-        c = generators.fourier_perturbed_curve((0, 0, 1), [2, 3], [0.2, 0.1], 128, seed=9)
-        rng = np.random.RandomState(0)
-        for _ in range(50):
-            i, j = rng.randint(0, 128, 2)
-            if i == j:
-                continue
-            cd = sg.chord_data(c, i, j)
-            assert abs(np.dot(cd.w, c.points[i]) - cd.d / 2) < 1e-12
-            assert abs(np.dot(cd.w, c.points[j]) + cd.d / 2) < 1e-12
-            assert abs(np.cos(cd.rho) - (1 - cd.d ** 2 / 2)) < 1e-12
-
-    def test_symmetry(self):
-        c = generators.fourier_perturbed_curve((0, 0, 1), [2], [0.25], 64)
-        for i, j in [(3, 40), (0, 33), (10, 11)]:
-            assert sg.chord_data(c, i, j).d == sg.chord_data(c, j, i).d
-            assert sg.chord_data(c, i, j).ell == sg.chord_data(c, j, i).ell
-
-    def test_coincident_points(self):
-        c = sg.make_curve(equator(64))
-        with pytest.raises(CoincidentPoints):
-            sg.chord_data(c, 5, 5)
 
 
 class TestReparametrize:
@@ -404,7 +384,7 @@ class TestPairBlocks:
         for n in (13, 14):    # odd, and even with the repeated half of gap n/2
             pts = rng.normal(size=(n, 3))
             seen, d2_seen, ks = [], [], []
-            for k, d2 in sg._gap_blocks(pts, min_gap):
+            for k, d2 in sg._gap_blocks(closed_rows(pts), min_gap):
                 assert d2.shape == (k.size, n)
                 r, i = np.nonzero(np.isfinite(d2))
                 j = (i + k[r]) % n
@@ -437,7 +417,7 @@ class TestPairBlocks:
         # a yielded block is valid only until the next one (see _gap_blocks)
         monkeypatch.setattr(sg, "_GAP_BLOCK_ENTRIES", 120)
         pts = np.random.default_rng(5).normal(size=(40, 3))
-        blocks = [d2 for _, d2 in sg._gap_blocks(pts, 2)]
+        blocks = [d2 for _, d2 in sg._gap_blocks(closed_rows(pts), 2)]
         assert len(blocks) == 7
         assert all(np.shares_memory(d2, blocks[0]) for d2 in blocks)
 
@@ -472,7 +452,7 @@ class TestValidateSimple:
         monkeypatch.setattr(sg, "_GAP_BLOCK_ENTRIES", 4 * n)
         mids = 0.5 * (p + q)
         # a block is valid only until the next one is requested: keep copies
-        blocks = [(k, d2.copy()) for k, d2 in sg._gap_blocks(mids, 2)]
+        blocks = [(k, d2.copy()) for k, d2 in sg._gap_blocks(closed_rows(mids), 2)]
         k, d2 = blocks[-1]
         assert len(blocks) > 1 and k[-1] == n // 2
         assert np.all(np.isfinite(d2[-1, ii[hit]])) and np.all(np.isinf(d2[-1, jj[hit]]))
