@@ -221,12 +221,12 @@ def reparametrize_uniform(curve, n_out: int) -> DiscreteCurve:
     """Resample to n_out vertices at equal polygon-arclength spacing.
 
     curve is a DiscreteCurve or an (n, 3) vertex array, which make_curve
-    turns into one first. New vertices are linearly
-    interpolated along the polygon (anchored at vertex 0) and re-projected
-    onto the sphere. Projection perturbs the spacing at O(ds^2), so the
-    resample iterates to its fixed point on plain coordinate arrays and
-    builds one curve at the end. Idempotent on already uniform curves;
-    length is preserved to O(n^-2).
+    turns into one first. New vertices are linearly interpolated along the
+    polygon (anchored at vertex 0) and re-projected onto the sphere.
+    Projection perturbs the spacing at O(ds^2), so the resample iterates to
+    its fixed point on plain coordinate rows and builds one curve at the
+    end. Idempotent on already uniform curves; length is preserved to
+    O(n^-2).
 
     Raises NonConvergent when the spacing is still not uniform after
     _MAX_PASSES passes. A resample whose spread is round-off after
