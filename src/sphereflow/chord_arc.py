@@ -25,9 +25,10 @@ from .sphere_geometry import DiscreteCurve, _cyclic_shifts, _gap_blocks, _gap_pa
 
 ADMISSIBLE_A_CAP = 1e6
 FILTER_SLACK = 1e-14           # relative to L, see min_Z and _run_binner
-# profile bins z by arithmetic, guarded by _BIN_GUARD * n_bins (see
-# _bin_index). The guard's bound needs 2 n_bins and every edge index to be
-# exact doubles, and keeps the guarded band below 2^-10 of a bin up to here.
+# _run_binner's single-bin test keeps a run _BIN_GUARD * n_bins inside both
+# edges of its bin. Its proof and _bin_index's need 2 n_bins and every edge
+# index to be exact doubles; up to here the guarded band stays below 2^-10
+# of a bin, and _bin_index's bound 6 n_bins u < 1/2 holds by far.
 _BIN_GUARD = 4.0 * np.finfo(float).eps
 PROFILE_MAX_BINS = 1 << 40
 # profile takes each gap row in runs of this many consecutive vertices; a
@@ -91,35 +92,28 @@ def _bin_index(z: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Bin k of each z in [0, 1/2] with edges[k] < z <= edges[k + 1].
 
     This is searchsorted(edges, z, side="left") - 1 for edges =
-    linspace(0, 1/2, m + 1), taken from t = z * 2m by truncation where t is
-    not within _BIN_GUARD * m of an integer, and from searchsorted where it is.
-    z = 0 is such a z (t = 0) and gets -1, as from searchsorted.
+    linspace(0, 1/2, m + 1), from one comparison with the nearest edge:
+    e = trunc(2m z + 1/2), and the bin is e - (z <= edges[e]). z = 0 gets
+    e = 0 and then -1, as from searchsorted; z = 1/2 gets e = m and m - 1.
 
-    Why the guard holds, with u = 2^-53 the unit roundoff: linspace makes
-    edges[k] = fl(k * fl(0.5/m)) = (k/2m)(1 + d1)(1 + d2), edges[m] = 1/2,
-    so 2m edges[k] lies within 3ku <= 3mu of k (2m and k are exact doubles).
-    t = fl(z * 2m) = 2mz(1 + d3) lies within about mu of 2mz, and
-    t - floor(t) is exact. So if k + g <= t <= k + 1 - g with g > 4mu, then
-    2m edges[k] < 2mz <= 2m edges[k + 1]: z is in bin k = floor(t).
-    _BIN_GUARD * m = 8mu is twice that, which also covers the u or so that
-    the test below rounds by (f - 0.5 is exact for f = t - floor(t) >= 1/4).
+    Why, with u = 2^-53 the unit roundoff: linspace makes edges[k] =
+    fl(k * fl(0.5/m)) = (k/2m)(1 + d1)(1 + d2), edges[m] = 1/2, so
+    2m edges[k] lies within 3ku <= 3mu of k (2m and k are exact doubles).
+    A z in bin k thus has k - 3mu < 2m z <= k + 1 + 3mu, and
+    fl(fl(2m z) + 1/2), within 3mu of 2m z + 1/2 and never negative,
+    truncates to k or k + 1 while 6mu < 1/2. Either way the comparison
+    gives k.
     """
     m = edges.size - 1
-    t = z * (2.0 * m)
-    idx = t.astype(np.intp)
-    t -= idx                         # t - floor(t), in place
-    t -= 0.5
-    np.abs(t, out=t)
-    near = np.flatnonzero(t >= 0.5 - _BIN_GUARD * m)
-    if near.size:
-        idx.flat[near] = np.searchsorted(edges, z.flat[near], side="left") - 1
-    return idx
+    e = (z * (2.0 * m) + 0.5).astype(np.intp)
+    e -= z <= edges[e]
+    return e
 
 
 def _run_binner(curve: DiscreteCurve, n_bins: int, w: int):
-    """Return run_bins(k) -> (b, single, two) over the runs i = q w .. q w + w - 1
+    """Return run_bins(k) -> (b, single) over the runs i = q w .. q w + w - 1
     of the _gap_blocks rows k. Every pair of a run with single set has its z
-    in bin b, and every pair of a run with two set in bin b or b + 1.
+    in bin b.
 
     With h = fl(L/n), S_p = s_p (p < n) or s_{p-n} + L (p >= n) and the
     drift E_p = S_p - p h, the pair (i, i + k) has the unfolded separation
@@ -132,8 +126,8 @@ def _run_binner(curve: DiscreteCurve, n_bins: int, w: int):
     reads J through strided views. In t = 2m z, the bounds are scaled by
     c = fl(2m/L), folded at m (t_lo = min(T_lo, 2m - T_hi), t_hi =
     min(T_hi, m)) and widened by 2m FILTER_SLACK. With b = trunc(t_lo) and
-    g = _BIN_GUARD * m, the run is single-bin if b + g <= t_lo and
-    t_hi <= b + 1 - g, and two-bin if b + g <= t_lo and t_hi <= b + 2 - g.
+    g = _BIN_GUARD * m = 8mu, the run is single-bin if b + g <= t_lo and
+    t_hi <= b + 1 - g.
 
     Why, with u = 2^-53: S_p < 2L and p h < 1.5L, so |E_p| < 2L, |J| < 3.5L
     and |J - I| < 7L. Relative to L, the computed e_p is within 5.5u of
@@ -143,20 +137,21 @@ def _run_binner(curve: DiscreteCurve, n_bins: int, w: int):
     (at most 16m) and the slack add 8u of 2m each, so t_lo and t_hi are
     within 2m 58u of 2m times the exact folded bounds. A pair's z (as
     profile takes it: two subtractions of at most L and a division) is
-    within 3u of its exact value, and t = fl(2m z) rounds by mu more.
-    2m FILTER_SLACK = 2m 1e-14 > 2m 62u, so every pair of the run has its t
-    in [t_lo, t_hi]. If that lies in [b + g, b + 1 - g], _bin_index's proof
-    puts the pair in bin b; if in [b + g, b + 2 - g], the same argument
-    gives 2m edges[b] < 2m z <= 2m edges[b + 2]. t_lo - b and t_hi - b are
-    exact where the test can pass (Sterbenz), and for t_lo < 0 trunc
-    rounds up and the test fails. Both tests give b <= m - 1, as
-    t_lo <= m - 2m FILTER_SLACK.
+    within 3u of its exact value. 2m FILTER_SLACK = 2m 1e-14 > 2m 62u, so
+    every pair of the run has 2m z in [t_lo, t_hi]. linspace makes
+    edges[k] = fl(k * fl(0.5/m)), so 2m edges[k] lies within 3ku <= 3mu of
+    k (2m and k are exact doubles). A single-bin run thus has
+    2m edges[b] < b + g <= 2m z <= b + 1 - g < 2m edges[b + 1] for each of
+    its pairs: g = 8mu exceeds 3mu by more than the u or so that g and
+    1 - g round by. t_lo - b and t_hi - b are exact where the test can pass
+    (Sterbenz), and for t_lo < 0 trunc rounds up and the test fails. The
+    test gives b <= m - 1, as t_lo <= m - 2m FILTER_SLACK.
     """
     n, length = curve.n, curve.length
     runs = n // w
     if runs == 0:                    # n < w: every pair is in the tail
         return lambda k: (np.zeros((k.size, 0), dtype=np.intp),
-                          np.zeros((k.size, 0), dtype=bool), np.zeros((k.size, 0), dtype=bool))
+                          np.zeros((k.size, 0), dtype=bool))
     s = curve.cum_lengths[:-1]
     h = length / n
     ph = np.arange(n + n // 2) * h
@@ -176,7 +171,7 @@ def _run_binner(curve: DiscreteCurve, n_bins: int, w: int):
     slack = FILTER_SLACK * two_m
     guard = _BIN_GUARD * n_bins
 
-    def run_bins(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def run_bins(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rows = slice(k[0], k[-1] + 1)
         t_hi = j_hi[rows] - i_lo
         t_hi *= scale
@@ -189,36 +184,9 @@ def _run_binner(curve: DiscreteCurve, n_bins: int, w: int):
         b = t_lo.astype(np.intp)
         t_lo -= b
         t_hi -= b
-        two = t_lo >= guard
-        single = two & (t_hi <= 1.0 - guard)
-        two &= t_hi <= 2.0 - guard
-        return b, single, two
+        return b, (t_lo >= guard) & (t_hi <= 1.0 - guard)
 
     return run_bins
-
-
-def _pair_bins(z: np.ndarray, b: np.ndarray, two: np.ndarray, edges: np.ndarray,
-               w: int) -> np.ndarray:
-    """_bin_index(z, edges) of a (rows, n) block, from run_bins' (b, two).
-
-    A pair in a run with two set lies in bin b or b + 1 (_run_binner), so
-    its bin is b + (z > edges[b + 1]), with no search. The other runs and
-    the tail of n mod w take _bin_index.
-    """
-    rows, n = z.shape
-    runs = b.shape[1]
-    span = runs * w
-    idx = np.empty(z.shape, dtype=np.intp)
-    above = z[:, :span].reshape(rows, runs, w) > np.take(edges, b + 1, mode="clip")[:, :, None]
-    # splitting the last axis of a row slice is always possible without a
-    # copy, so reshape returns a view here and the sum lands in idx
-    np.add(above, b[:, :, None], out=idx[:, :span].reshape(rows, runs, w))
-    rest = [_run_positions(np.flatnonzero(~two), runs, w, n).ravel()]
-    if span < n:
-        rest.append(((np.arange(rows) * n)[:, None] + np.arange(span, n)).ravel())
-    rest = np.concatenate(rest)
-    idx.flat[rest] = _bin_index(z.ravel()[rest], edges)
-    return idx
 
 
 def _run_positions(r: np.ndarray, runs: int, w: int, n: int) -> np.ndarray:
@@ -235,10 +203,13 @@ def _fold_in(psi: np.ndarray, key: np.ndarray, d: np.ndarray, idx: np.ndarray,
     bins and keys i * n + j of the pairs i < j behind the candidates hit
     that attain their bin's minimum best. A bin takes the smaller chord,
     and of equal chords the smaller key: the first pair in (i, j) order.
+    A chord of +inf (the repeated half of gap n/2, see _gap_blocks) is no
+    candidate.
     """
     best = np.full(psi.size + 1, np.inf)
     np.minimum.at(best, idx, d)
-    bins, keys = pairs_at(np.flatnonzero(d == best[idx]), best)
+    hit = np.flatnonzero(d == best[idx])
+    bins, keys = pairs_at(hit[d[hit] < np.inf], best)
     first = np.full(psi.size + 1, _NO_PAIR)
     np.minimum.at(first, bins, keys)
     best, first = best[:-1], first[:-1]
@@ -279,8 +250,6 @@ def _fold_run_rows(psi, key, k, d2, bins, single, curve, edges, w) -> None:
     if runs * w < n:
         pos.append(((np.arange(k.size) * n)[:, None] + np.arange(runs * w, n)).ravel())
     pos = np.concatenate(pos)
-    if 2 * k[-1] == n:               # the repeated half of gap n/2
-        pos = pos[pos < (k.size - 1) * n + n // 2]
     if pos.size == 0:
         return
     row, i = np.divmod(pos, n)
@@ -295,20 +264,17 @@ def _fold_run_rows(psi, key, k, d2, bins, single, curve, edges, w) -> None:
     _fold_in(psi, key, np.sqrt(d2.ravel()[pos]), idx, pairs_at)
 
 
-def _fold_pair_rows(psi, key, k, d2, z, bins, two, edges, w) -> None:
+def _fold_pair_rows(psi, key, k, d2, z, edges) -> None:
     """Fold rows k of a gap block into psi and key pair by pair; z are the
     pairs' separations, and d2 is square-rooted in place."""
     n = d2.shape[1]
-    idx = _pair_bins(z, bins, two, edges, w).ravel()
-    d = np.sqrt(d2, out=d2).ravel()
-    if 2 * k[-1] == n:               # the repeated half of gap n/2
-        idx, d = idx[:-(n // 2)], d[:-(n // 2)]
+    idx = _bin_index(z, edges).ravel()
 
     def pairs_at(hit, best):
         i, j = _gap_pairs(n, k, hit)
         return idx[hit], i * n + j
 
-    _fold_in(psi, key, d, idx, pairs_at)
+    _fold_in(psi, key, np.sqrt(d2, out=d2).ravel(), idx, pairs_at)
 
 
 def profile(curve: DiscreteCurve, n_bins: int) -> ChordArcProfile:
@@ -325,21 +291,20 @@ def profile(curve: DiscreteCurve, n_bins: int) -> ChordArcProfile:
 
     Each row of a gap block is cut into runs of _RUN consecutive i, whose
     z-ranges _run_binner bounds. A run is single-bin when its range lies in
-    one bin, at least _BIN_GUARD * m inside both edges; it is two-bin when
-    the range crosses at most one edge that way. A row whose runs are
-    mostly single-bin goes to _fold_run_rows: a single-bin run contributes
-    only its minimum chord, and the other pairs are gathered. Every other
-    row goes to _fold_pair_rows, pair by pair as a whole row; a pair of a
-    two-bin run then gets its bin from one comparison with the edge. (On a
-    resampled curve at n = 512 every gap sits on a bin edge, so every row
-    goes pair by pair there.) A gathered pair costs about twice a pair of a
-    whole row, so a row with fewer single-bin runs gains nothing from them.
+    one bin, at least _BIN_GUARD * m inside both edges. A row whose runs
+    are mostly single-bin goes to _fold_run_rows: a single-bin run
+    contributes only its minimum chord, and the other pairs are gathered.
+    Every other row goes to _fold_pair_rows, pair by pair as a whole row.
+    (On a resampled curve at n = 512 every gap sits on a bin edge, so every
+    row goes pair by pair there.) Either way a pair's bin comes from
+    _bin_index, one comparison with its nearest edge. A gathered pair costs
+    about twice a pair of a whole row, so a row with fewer single-bin runs
+    gains nothing from them.
 
     Ties: a run whose minimum attains its bin's minimum has its pairs'
     chords recomputed, and every pair attaining it is a candidate for the
-    first pair. The repeated half of gap n/2 (+inf, see _gap_blocks) is cut
-    from the whole rows and left out of the gathers, and none of its runs is
-    single-bin, so it never attains a minimum.
+    first pair. The repeated half of gap n/2 is +inf (see _gap_blocks), and
+    _fold_in takes no infinite chord as a candidate.
     """
     if not 16 <= n_bins <= PROFILE_MAX_BINS:
         raise PreconditionViolation(
@@ -354,9 +319,7 @@ def profile(curve: DiscreteCurve, n_bins: int) -> ChordArcProfile:
     key = np.full(n_bins, _NO_PAIR)
     z_buf = far_buf = None
     for k, d2 in _gap_blocks(curve.rows, 1):
-        bins, single, two = run_bins(k)
-        if 2 * k[-1] == n:           # runs in the repeated half of gap n/2
-            single[-1, -(-(n // 2) // w):] = False
+        bins, single = run_bins(k)
         by_run = 2 * np.count_nonzero(single, axis=1) > bins.shape[1]
         if by_run.any():
             r = _row_index(by_run)
@@ -368,7 +331,7 @@ def profile(curve: DiscreteCurve, n_bins: int) -> ChordArcProfile:
             rows = k[r].size
             z = _gap_separation(s_shifted[k[0]:k[-1] + 1][r], s, length,
                                 z_buf[:rows], far_buf[:rows])
-            _fold_pair_rows(psi, key, k[r], d2[r], z, bins[r], two[r], edges, w)
+            _fold_pair_rows(psi, key, k[r], d2[r], z, edges)
 
     empty = key == _NO_PAIR
     pair_i = np.where(empty, -1, key // n)

@@ -96,8 +96,9 @@ def read_curve_csv(path) -> DiscreteCurve:
     a row without exactly three fields or a field that is not a number.
     """
     pts = _read_rows(path, "curve", "x,y,z")
-    # the format leaves the closing edge implicit; drop an accidental repeat
-    if len(pts) > 1 and np.allclose(pts[0], pts[-1], atol=1e-14):
+    # the format leaves the closing edge implicit; drop an accidental repeat,
+    # which would be a degenerate closing segment, and no real last vertex
+    if len(pts) > 1 and np.allclose(pts[0], pts[-1], rtol=0.0, atol=1e-14):
         pts = pts[:-1]
     return make_curve(pts)
 

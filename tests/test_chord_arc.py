@@ -98,7 +98,7 @@ BIN_COUNTS = (16, 17, 100, 256, 1000, 1023, 4096, (1 << 20) + 3)
 
 
 class TestBinIndex:
-    """_bin_index against searchsorted, where the guard has to catch rounding."""
+    """_bin_index against searchsorted, where the nearest edge has to absorb rounding."""
 
     @staticmethod
     def expect(z, edges):
@@ -553,16 +553,29 @@ class TestRunPath:
         chord_arc.profile(curve, 256)
         assert sum(covered) >= 0.8 * curve.n * (curve.n - 1) / 2
 
-    def test_edge_aligned_gaps_need_no_search(self, monkeypatch):
+    def test_edge_aligned_gaps_bin_without_search(self, monkeypatch):
         # at n = 512 every gap sits on a bin edge: no run is single-bin, and
-        # each pair's bin comes from one comparison with its run's edge
+        # each pair's bin comes from one comparison with its nearest edge
         curve = perturbed_curve(512)
-        binned, folded = [], []
-        bin_index, fold = chord_arc._bin_index, chord_arc._fold_run_rows
-        monkeypatch.setattr(chord_arc, "_bin_index",
-                            lambda z, edges: binned.append(z.size) or bin_index(z, edges))
+        want = row_blocks.profile(curve, 256)
+        searched, folded = [], []
+        search, fold = np.searchsorted, chord_arc._fold_run_rows
+        monkeypatch.setattr(chord_arc.np, "searchsorted",
+                            lambda *args, **kw: searched.append(1) or search(*args, **kw))
         monkeypatch.setattr(chord_arc, "_fold_run_rows",
                             lambda *args: folded.append(1) or fold(*args))
-        prof = chord_arc.profile(curve, 256)
-        assert sum(binned) == 0 and not folded
-        assert prof.psi.tobytes() == row_blocks.profile(curve, 256).psi.tobytes()
+        got = chord_arc.profile(curve, 256)
+        assert not searched and not folded
+        for name in ("psi", "pair_i", "pair_j", "pair_z", "z_centers"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_fold_in_takes_no_infinite_chord():
+    # the repeated half of gap n/2 comes in as +inf; it must not claim a bin
+    psi = np.full(4, np.inf)
+    key = np.full(4, chord_arc._NO_PAIR)
+    idx = np.array([0, 2, 2, -1])
+    chord_arc._fold_in(psi, key, np.full(4, np.inf), idx,
+                       lambda hit, best: (idx[hit], hit))
+    assert np.all(psi == np.inf)
+    assert np.all(key == chord_arc._NO_PAIR)

@@ -54,6 +54,18 @@ def test_curve_reader_trims_repeated_closing_row(tmp_path):
     assert again.n == 64
 
 
+def test_curve_reader_keeps_a_last_vertex_near_the_first(tmp_path):
+    # 2e-6 rad short of closing the circle: a real vertex, not a repeat;
+    # vertex 0 has no zero coordinate, so numpy's default rtol calls it one
+    e1, e2, _ = sg.orthonormal_basis((1.0, 1.0, 1.0))
+    u = 0.3 + np.append(2 * np.pi * np.arange(63) / 64, 2 * np.pi - 2e-6)
+    curve = sg.make_curve(np.cos(u)[:, None] * e1 + np.sin(u)[:, None] * e2)
+    run_io.write_curve_csv(curve, tmp_path / "near.csv")
+    again = run_io.read_curve_csv(tmp_path / "near.csv")
+    assert again.n == 64
+    assert again.rows.tobytes() == curve.rows.tobytes()
+
+
 def test_curve_reader_rejects_bad_header(tmp_path):
     (tmp_path / "bad.csv").write_text("a,b,c\n1,0,0\n")
     with pytest.raises(ConfigParseError):
