@@ -94,7 +94,8 @@ def _bin_index(z: np.ndarray, edges: np.ndarray) -> np.ndarray:
     This is searchsorted(edges, z, side="left") - 1 for edges =
     linspace(0, 1/2, m + 1), from one comparison with the nearest edge:
     e = trunc(2m z + 1/2), and the bin is e - (z <= edges[e]). z = 0 gets
-    e = 0 and then -1, as from searchsorted; z = 1/2 gets e = m and m - 1.
+    e = 0 and then -1, as from searchsorted; z = 1/2 gets e = m and then
+    m - 1.
 
     Why, with u = 2^-53 the unit roundoff: linspace makes edges[k] =
     fl(k * fl(0.5/m)) = (k/2m)(1 + d1)(1 + d2), edges[m] = 1/2, so
@@ -296,10 +297,10 @@ def profile(curve: DiscreteCurve, n_bins: int) -> ChordArcProfile:
     contributes only its minimum chord, and the other pairs are gathered.
     Every other row goes to _fold_pair_rows, pair by pair as a whole row.
     (On a resampled curve at n = 512 every gap sits on a bin edge, so every
-    row goes pair by pair there.) Either way a pair's bin comes from
-    _bin_index, one comparison with its nearest edge. A gathered pair costs
-    about twice a pair of a whole row, so a row with fewer single-bin runs
-    gains nothing from them.
+    row goes pair by pair there.) A gathered pair and a pair of a whole row
+    both get their bin from _bin_index. A gathered pair costs about twice a
+    pair of a whole row, so a row with fewer single-bin runs gains nothing
+    from them.
 
     Ties: a run whose minimum attains its bin's minimum has its pairs'
     chords recomputed, and every pair attaining it is a candidate for the
