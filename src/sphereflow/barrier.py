@@ -199,7 +199,9 @@ def F_value(phi_val, a: float, L: float):
 
 def q_grid_margin(grid: int) -> tuple[float, tuple[float, float]]:
     """1 - max q(X, Y) over the pairs X < Y of a grid x grid lattice on
-    [0, 50]^2, and the (X, Y) where q is largest."""
+    [0, 50]^2, and the (X, Y) where q is largest. A grid below 2 has no pair."""
+    if grid < 2:
+        raise PreconditionViolation(f"the q grid needs at least 2 points, got {grid}")
     x = np.linspace(0.0, 50.0, grid)
     X, Y = np.meshgrid(x, x, indexing="ij")
     mask = Y > X

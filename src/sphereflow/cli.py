@@ -46,13 +46,8 @@ def cmd_simulate(config_path, out_dir=None, force: bool = False) -> int:
     run_dir = run_io.resolve_run_dir(cfg, out_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     started = run_io.utc_now()
-    with run_io.RunDirLock(run_dir / ".lock", force=force):
-        if (run_dir / "manifest.json").exists() and not force:
-            raise RunDirLocked(f"{run_dir} already holds a run (use --force to overwrite)")
-        # a forced rerun's old manifest and verdicts would otherwise read as the
-        # new run's, also when the rerun fails before it writes its own
-        (run_dir / "manifest.json").unlink(missing_ok=True)
-        (run_dir / "verdicts.json").unlink(missing_ok=True)
+    with run_io.RunDirLock(run_dir / ".lock"):
+        run_io.clear_run(run_dir, force)
         try:
             series, outcome = flow_engine.run(cfg)
             manifest = run_io.write_run(run_dir, cfg, series, outcome, started)

@@ -175,83 +175,62 @@ def resolve_run_dir(cfg: RunConfig, explicit=None) -> Path:
 
 @dataclass
 class RunDirLock:
-    """Exclusive ownership of a run directory through a lockfile.
-
-    The lockfile holds the owner's pid, host and start time as JSON, and
-    RunDirLocked names them. A lockfile whose owner is on this host and no
-    longer exists (os.kill(pid, 0) raises ProcessLookupError; a
-    PermissionError means it exists) is stale: with force it is replaced,
-    without it RunDirLocked says so. An owner on another host is never taken
-    for dead.
-    """
+    """Exclusive ownership of a run directory: flock on its lockfile, which
+    names the holder's pid, host and start time. The kernel drops the lock
+    however the holder exits, so no lock is stale. Release truncates the file,
+    never unlinks it: a process that opened it before an unlink could lock the
+    removed inode while another locks a new one. So a run keeps an empty .lock."""
 
     path: Path
-    force: bool = False
 
     def __enter__(self):
+        import fcntl   # POSIX; only simulate takes the lock
+        self._fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
         try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            fd = self._replace_stale()
+            fcntl.flock(self._fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except OSError as exc:
+            os.close(self._fd)
+            why = (f"is owned by {self._owner()}" if isinstance(exc, BlockingIOError)
+                   else f"cannot be locked ({exc}; lockfile {self.path})")
+            raise RunDirLocked(f"{self.path.parent} {why}") from None
         try:
-            with os.fdopen(fd, "w") as f:
-                json.dump({"pid": os.getpid(), "host": platform.node(),
-                           "started_at": utc_now()}, f)
+            os.ftruncate(self._fd, 0)   # what a killed holder wrote
+            os.write(self._fd, json.dumps({"pid": os.getpid(), "host": platform.node(),
+                                           "started_at": utc_now()}).encode())
         except BaseException:
-            os.unlink(self.path)
+            self.__exit__()
             raise
         return self
 
-    def _replace_stale(self) -> int:
-        text, owner = self._read_owner()
-        if not _owner_is_gone(owner):
-            raise RunDirLocked(f"{self.path.parent} is owned by {self._describe(owner)}")
-        if not self.force:
-            raise RunDirLocked(
-                f"{self.path.parent} is owned by {self._describe(owner)}, which is no "
-                f"longer running (use --force to replace the stale lockfile)")
-        if self._read_owner()[0] == text:   # not replaced meanwhile by another run
-            self.path.unlink(missing_ok=True)
+    def _owner(self) -> str:
         try:
-            return os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise RunDirLocked(
-                f"{self.path.parent} is owned by {self._describe(self._read_owner()[1])}"
-            ) from None
-
-    def _read_owner(self):
-        """(text, parsed JSON or None) of the lockfile; text is None if unreadable."""
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return None, None
-        try:
-            return text, json.loads(text)
-        except ValueError:
-            return text, None
-
-    def _describe(self, owner) -> str:
-        try:
+            owner = json.loads(self.path.read_text())
             return (f"pid {owner['pid']} on host {owner['host']}, "
                     f"started {owner['started_at']} (lockfile {self.path})")
-        except (KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError):
             return f"another process (lockfile {self.path} names no owner)"
 
     def __exit__(self, *exc):
-        self.path.unlink(missing_ok=True)
+        os.ftruncate(self._fd, 0)
+        os.close(self._fd)
 
 
-def _owner_is_gone(owner) -> bool:
-    """True only for an owner on this host whose pid names no process."""
-    try:
-        if owner["host"] != platform.node() or owner["pid"] <= 0:
-            return False
-        os.kill(owner["pid"], 0)
-    except ProcessLookupError:
-        return True
-    except (KeyError, TypeError, OverflowError, OSError):   # PermissionError: it exists
-        return False
-    return False
+RUN_FILES = ("manifest.json", "verdicts.json", "diagnostics.csv", "config.json")
+
+
+def clear_run(run_dir: Path, force: bool) -> None:
+    """Delete the files a run writes from run_dir, under its RunDirLock.
+
+    A directory that holds a run (it has a manifest) is RunDirLocked unless
+    force. The manifest goes first, and checkpoints/step_*.csv with the rest,
+    so that nothing of the last run reads as the next one's, even if the next
+    one fails before it writes; any other file stays.
+    """
+    if (run_dir / "manifest.json").exists() and not force:
+        raise RunDirLocked(f"{run_dir} already holds a run (use --force to overwrite)")
+    for path in [*(run_dir / name for name in RUN_FILES),
+                 *(run_dir / "checkpoints").glob("step_*.csv")]:
+        path.unlink(missing_ok=True)
 
 
 def checkpoint_name(step: int) -> str:

@@ -1,3 +1,6 @@
+import contextlib
+import errno
+import fcntl
 import hashlib
 import json
 import math
@@ -35,6 +38,21 @@ def assert_inventory_matches_disk(run: Path):
         data = (run / entry["path"]).read_bytes()
         assert entry["bytes"] == (run / entry["path"]).stat().st_size == len(data)
         assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+
+
+@contextlib.contextmanager
+def held_lock(path: Path, owner: dict):
+    """Hold path's flock in this process, with owner written in it, as a
+    running simulate does; on exit truncate the file and release the lock."""
+    with open(path, "a+") as f:
+        fcntl.flock(f, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        f.truncate(0)
+        f.write(json.dumps(owner))
+        f.flush()
+        try:
+            yield
+        finally:
+            f.truncate(0)
 
 
 @pytest.fixture(scope="module")
@@ -77,70 +95,85 @@ class TestSimulate:
         run_dir = tmp_path / "run"
         run_dir.mkdir()
         owner = {"pid": 4242, "host": "node-7", "started_at": "2026-01-02T03:04:05+00:00"}
-        (run_dir / ".lock").write_text(json.dumps(owner))
         cfgp = write_config(tmp_path / "cfg.json", output_dir=str(run_dir))
         capsys.readouterr()
-        assert cli.main(["simulate", "--config", str(cfgp)]) == 5
-        err = json.loads(capsys.readouterr().out)
-        assert err["error"] == "RunDirLocked"
-        assert "pid 4242 on host node-7" in err["message"]
-        assert owner["started_at"] in err["message"]
-        # the owner's lock stays, and nothing is written
-        assert json.loads((run_dir / ".lock").read_text()) == owner
-        assert sorted(p.name for p in run_dir.iterdir()) == [".lock"]
+        with held_lock(run_dir / ".lock", owner):
+            assert cli.main(["simulate", "--config", str(cfgp)]) == 5
+            err = json.loads(capsys.readouterr().out)
+            assert err["error"] == "RunDirLocked"
+            assert "pid 4242 on host node-7" in err["message"]
+            assert owner["started_at"] in err["message"]
+            # the owner's lock stays, and nothing is written
+            assert json.loads((run_dir / ".lock").read_text()) == owner
+            assert sorted(p.name for p in run_dir.iterdir()) == [".lock"]
 
-    @staticmethod
-    def reaped_pid():
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        child.wait()
-        return child.pid
-
-    def test_stale_lock_needs_force(self, tmp_path, capsys):
+    def test_lock_dies_with_its_holder(self, tmp_path, capsys):
+        # a simulate killed by SIGKILL leaves a lockfile that names it, and no lock
         run_dir = tmp_path / "run"
         run_dir.mkdir()
-        owner = {"pid": self.reaped_pid(), "host": platform.node(),
-                 "started_at": "2026-01-02T03:04:05+00:00"}
-        (run_dir / ".lock").write_text(json.dumps(owner))
         cfgp = write_config(tmp_path / "cfg.json", generator={"kind": "great_circle"},
                             n=128, dt=1e-4, t_max=0.05, output_dir=str(run_dir))
-        capsys.readouterr()
-        assert cli.main(["simulate", "--config", str(cfgp)]) == 5
-        err = json.loads(capsys.readouterr().out)
-        assert err["error"] == "RunDirLocked"
-        assert f"pid {owner['pid']} on host {owner['host']}" in err["message"]
-        assert "no longer running" in err["message"]
-        assert json.loads((run_dir / ".lock").read_text()) == owner
-        assert cli.main(["simulate", "--config", str(cfgp), "--force"]) == 0
+        code = ("import sys, time; from pathlib import Path; from sphereflow import run_io; "
+                "run_io.RunDirLock(Path(sys.argv[1])).__enter__(); print('locked', flush=True); "
+                "time.sleep(120)")
+        src = Path(cli.__file__).resolve().parents[1]
+        child = subprocess.Popen([sys.executable, "-c", code, str(run_dir / ".lock")],
+                                 env={**os.environ, "PYTHONPATH": str(src)},
+                                 stdout=subprocess.PIPE, text=True)
+        try:
+            assert child.stdout.readline() == "locked\n"
+            capsys.readouterr()
+            assert cli.main(["simulate", "--config", str(cfgp), "--force"]) == 5
+            err = json.loads(capsys.readouterr().out)
+            assert err["error"] == "RunDirLocked"
+            assert f"pid {child.pid} on host {platform.node()}" in err["message"]
+            assert sorted(p.name for p in run_dir.iterdir()) == [".lock"]
+        finally:
+            child.kill()
+            child.wait()
+            child.stdout.close()
+        assert json.loads((run_dir / ".lock").read_text())["pid"] == child.pid
+        assert cli.main(["simulate", "--config", str(cfgp)]) == 0
         assert (run_dir / "manifest.json").is_file()
-        assert not (run_dir / ".lock").exists()
+        assert (run_dir / ".lock").read_text() == ""
 
     @pytest.mark.parametrize("pid", ["self", 1])
     def test_force_keeps_a_live_owners_lock(self, tmp_path, capsys, pid):
-        # this process, and pid 1, which exists whether or not we may signal it
+        # the lock, not the pid it names, decides: this process, or pid 1
         run_dir = tmp_path / "run"
         run_dir.mkdir()
         owner = {"pid": os.getpid() if pid == "self" else pid, "host": platform.node(),
                  "started_at": "2026-01-02T03:04:05+00:00"}
-        (run_dir / ".lock").write_text(json.dumps(owner))
         cfgp = write_config(tmp_path / "cfg.json", generator={"kind": "great_circle"},
                             n=128, dt=1e-4, t_max=0.05, output_dir=str(run_dir))
         capsys.readouterr()
-        assert cli.main(["simulate", "--config", str(cfgp), "--force"]) == 5
-        assert "no longer running" not in json.loads(capsys.readouterr().out)["message"]
-        assert json.loads((run_dir / ".lock").read_text()) == owner
-        assert sorted(p.name for p in run_dir.iterdir()) == [".lock"]
+        with held_lock(run_dir / ".lock", owner):
+            assert cli.main(["simulate", "--config", str(cfgp), "--force"]) == 5
+            assert f"pid {owner['pid']} on host" in json.loads(capsys.readouterr().out)["message"]
+            assert json.loads((run_dir / ".lock").read_text()) == owner
+            assert sorted(p.name for p in run_dir.iterdir()) == [".lock"]
 
     def test_lock_is_taken_before_the_manifest_check(self, completed_run, tmp_path, capsys):
         # a run dir that holds a run and is locked reports its owner
-        (completed_run / ".lock").write_text(json.dumps(
-            {"pid": 4243, "host": "node-8", "started_at": "2026-01-02T03:04:05+00:00"}))
-        try:
-            cfgp = write_config(tmp_path / "cfg.json", output_dir=str(completed_run))
-            capsys.readouterr()
+        owner = {"pid": 4243, "host": "node-8", "started_at": "2026-01-02T03:04:05+00:00"}
+        cfgp = write_config(tmp_path / "cfg.json", output_dir=str(completed_run))
+        capsys.readouterr()
+        with held_lock(completed_run / ".lock", owner):
             assert cli.main(["simulate", "--config", str(cfgp)]) == 5
-            assert "pid 4243 on host node-8" in json.loads(capsys.readouterr().out)["message"]
-        finally:
-            (completed_run / ".lock").unlink()
+        assert "pid 4243 on host node-8" in json.loads(capsys.readouterr().out)["message"]
+
+    def test_lock_error_is_run_dir_locked(self, tmp_path, capsys, monkeypatch):
+        # a filesystem without locks: exit 5 with the errno, no traceback
+        def no_locks(fd, op):
+            raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))
+
+        monkeypatch.setattr(fcntl, "flock", no_locks)
+        cfgp = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "run"))
+        capsys.readouterr()
+        assert cli.main(["simulate", "--config", str(cfgp)]) == 5
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "RunDirLocked"
+        assert f"[Errno {errno.ENOLCK}]" in err["message"]
 
     def test_equator_great_circle(self, tmp_path):
         cfgp = tmp_path / "cfg.json"
@@ -200,7 +233,8 @@ class TestVerify:
         assert cli.main(["verify", "--run", str(tmp_path)]) == 3
 
     def test_force_rerun_loads_only_manifest_checkpoints(self, tmp_path, monkeypatch):
-        # a rerun with another cadence leaves the first run's checkpoints on disk
+        # a rerun with another cadence leaves none of the first run's
+        # checkpoints, and verify reads only the listed ones, not one planted
         run = tmp_path / "run"
         for every in (50, 70):
             cfgp = write_config(tmp_path / "cfg.json", n=128, dt=4e-4, checkpoint_every=every)
@@ -209,7 +243,10 @@ class TestVerify:
         manifest = json.loads((run / "manifest.json").read_text())
         listed = {f["path"] for f in manifest["files"] if f["path"].startswith("checkpoints/")}
         on_disk = {f"checkpoints/{p.name}" for p in (run / "checkpoints").iterdir()}
-        assert "checkpoints/step_00000050.csv" in on_disk - listed
+        assert on_disk == listed
+        assert "checkpoints/step_00000050.csv" not in listed
+        shutil.copy(run / "checkpoints" / "step_00000070.csv",
+                    run / "checkpoints" / "step_00000050.csv")
         loaded = []
         read_curve_csv = run_io.read_curve_csv
 
@@ -252,9 +289,24 @@ class TestVerify:
         assert cli.main(["simulate", "--config", str(cfgp), "--out", str(run), "--force"]) == 1
         assert json.loads(capsys.readouterr().out)["error"] == "InsufficientData"
         assert not (run / "manifest.json").exists()
+        assert not (run / "diagnostics.csv").exists()
+        assert not list((run / "checkpoints").iterdir())
         for command in ("verify", "report"):
             assert cli.main([command, "--run", str(run)]) == 3
             assert json.loads(capsys.readouterr().out)["error"] == "MissingArtifacts"
+
+    def test_force_rerun_keeps_other_files(self, tmp_path):
+        # a rerun deletes only the names a run writes
+        run = tmp_path / "run"
+        cfgp = write_config(tmp_path / "cfg.json", n=128, dt=4e-4)
+        assert cli.main(["simulate", "--config", str(cfgp), "--out", str(run)]) == 0
+        kept = [run / "notes.txt", run / "manifest.json.bak", run / "checkpoints" / "step_0.txt",
+                run / "checkpoints" / "start.csv"]
+        for path in kept:
+            path.write_text(path.name)
+        assert cli.main(["simulate", "--config", str(cfgp), "--out", str(run), "--force"]) == 0
+        assert all(path.read_text() == path.name for path in kept)
+        assert_inventory_matches_disk(run)
 
     def test_missing_listed_checkpoint(self, tmp_path):
         cfgp = write_config(tmp_path / "cfg.json", n=128, dt=4e-4, checkpoint_every=500)
@@ -373,6 +425,14 @@ class TestBarrierCheckCommand:
                          "--out", str(out), "--grid", "80"]) == 0
         report = json.loads(out.read_text())
         assert "skipped" in report["cases"][0]
+
+
+    @pytest.mark.parametrize("grid", ["1", "0", "-3"])
+    def test_grid_below_two_is_an_error(self, capsys, grid):
+        assert cli.main(["barrier-check", "--grid", grid]) == 1
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "PreconditionViolation"
+        assert f"got {grid}" in err["message"]
 
 
 class TestRoundTrips:

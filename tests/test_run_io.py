@@ -1,4 +1,5 @@
 import datetime as _dt
+import fcntl
 import json
 import math
 import os
@@ -147,12 +148,21 @@ def test_lockfile_names_its_owner(tmp_path):
 
 
 def test_lockfile_without_owner(tmp_path):
-    # a lockfile from a process that died before writing it
-    (tmp_path / ".lock").write_text("")
-    with pytest.raises(RunDirLocked, match="names no owner"):
-        with run_io.RunDirLock(tmp_path / ".lock"):
-            pass
+    # a holder that has not written its record yet
+    with open(tmp_path / ".lock", "w") as held:
+        fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        with pytest.raises(RunDirLocked, match="names no owner"):
+            with run_io.RunDirLock(tmp_path / ".lock"):
+                pass
     assert (tmp_path / ".lock").exists()
+
+
+def test_lockfile_is_emptied_not_removed(tmp_path):
+    # a record left by a killed holder is replaced; release leaves an empty file
+    (tmp_path / ".lock").write_text('{"pid": 4242, "host": "node-7", "started_at": "x"}')
+    with run_io.RunDirLock(tmp_path / ".lock"):
+        assert json.loads((tmp_path / ".lock").read_text())["pid"] == os.getpid()
+    assert (tmp_path / ".lock").read_text() == ""
 
 
 def test_diagnostics_reader_rejects_truncated_row(tmp_path):
