@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import barrier
 from .errors import InsufficientData, NotAdmissible, PreconditionViolation
-from .sphere_geometry import DiscreteCurve, _cyclic_shifts, _gap_blocks, _gap_pairs
+from .sphere_geometry import DiscreteCurve, _cyclic_shifts, _gap_blocks, _gap_pairs, frame_field
 
 ADMISSIBLE_A_CAP = 1e6
 FILTER_SLACK = 1e-14           # relative to L, see min_Z and _run_binner
@@ -420,6 +420,18 @@ def admissible_a(curve: DiscreteCurve, tol: float = 1e-3) -> float:
         else:
             lo = mid
     return hi
+
+
+def resolve_a(curve: DiscreteCurve, tol: float = 1e-3) -> tuple[float, float]:
+    """(a_pairs, a_curv): the smallest a that the vertex pairs admit
+    (admissible_a, to relative tol) and the smallest that the curvature bound
+    at tau = 0 admits (barrier.curvature_a, exact). Z >= 0 must hold for
+    both, so a run takes the larger: as y -> x, Z >= 0 becomes the curvature
+    bound, which pairs at cyclic gap m >= 2 cannot see (a gap-m pair sees
+    1 - 1/m^2 of the curvature in ell - d).
+    """
+    kmax = float(np.max(np.abs(frame_field(curve).kappa)))
+    return admissible_a(curve, tol), barrier.curvature_a(kmax * kmax + 1.0, curve.length)
 
 
 def cubic_fit(prof: ChordArcProfile, min_spacings: float = 16.0) -> float:

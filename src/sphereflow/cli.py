@@ -157,7 +157,7 @@ def cmd_report(run_dir) -> int:
     print(f"config hash   : {manifest.get('config_hash', '')[:16]}")
     print(f"code version  : {manifest.get('code_version')}")
     print(f"outcome       : {outcome.get('kind')}")
-    for key in ("T_est", "fit_residual", "a_resolved"):
+    for key in ("T_est", "fit_residual", "a_resolved", "a_pairs", "a_curv"):
         if key in outcome:
             print(f"{key:14s}: {outcome[key]}")
     for key in ("z_est", "axis"):

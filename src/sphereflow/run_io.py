@@ -253,10 +253,15 @@ class RunArtifacts:
     manifest: dict
 
 
-def outcome_summary(outcome: Outcome | None, a: float, error: str | None = None) -> dict:
+def outcome_summary(outcome: Outcome | None, series: DiagnosticsSeries,
+                    error: str | None = None) -> dict:
+    out = ({"kind": "error", "error": error or "unknown"} if outcome is None
+           else {"kind": outcome.kind})
+    out["a_resolved"] = series.a_resolved
+    if series.a_pairs is not None:
+        out.update(a_pairs=series.a_pairs, a_curv=series.a_curv)
     if outcome is None:
-        return {"kind": "error", "error": error or "unknown", "a_resolved": a}
-    out = {"kind": outcome.kind, "a_resolved": a}
+        return out
     if outcome.T_est is not None:
         out["T_est"] = outcome.T_est
     if outcome.fit_residual is not None:
@@ -290,7 +295,7 @@ def write_run(run_dir: Path, cfg: RunConfig, series: DiagnosticsSeries,
         "started_at": started_at,
         "finished_at": utc_now(),
         "code_version": __version__,
-        "outcome": outcome_summary(outcome, series.a_resolved, error),
+        "outcome": outcome_summary(outcome, series, error),
         "files": inventory,
     }
     _atomic_write_json(manifest, run_dir / "manifest.json")

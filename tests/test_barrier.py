@@ -199,6 +199,27 @@ class TestGridMargins:
             assert margin > 0.0
 
 
+class TestCurvatureA:
+    @pytest.mark.parametrize("a", [0.25, 1.0, 2.0428, 7.5])
+    @pytest.mark.parametrize("L", [0.3, np.pi, 2 * np.pi])
+    def test_inverts_the_bound_at_tau_zero(self, a, L):
+        kbar_sq = float(barrier.curvature_bound(L, a, 0.0))
+        assert abs(barrier.curvature_a(kbar_sq, L) - a) <= 1e-12 * a
+
+    def test_zero_when_the_bound_holds_at_a_zero(self):
+        L = 5.0
+        at_zero = float(barrier.curvature_bound(L, 0.0, 0.0))
+        assert barrier.curvature_a(at_zero * (1 - 1e-9), L) == 0.0
+        assert barrier.curvature_a(1.0, L) == 0.0
+
+    def test_floats_and_arrays_give_the_same_bound(self):
+        L = np.linspace(0.05, 6.5, 2000)
+        tau = np.linspace(0.0, 0.05, 2000)
+        whole = barrier.curvature_bound(L, 1.7, tau)
+        each = [barrier.curvature_bound(float(x), 1.7, float(t)) for x, t in zip(L, tau)]
+        assert whole.tobytes() == np.array(each).tobytes()
+
+
 class TestComparisonResidual:
     def test_small_on_grid(self):
         z = np.linspace(1e-4, 1 - 1e-4, 500)

@@ -244,6 +244,43 @@ class TestAdmissibleA:
         assert calls[:4] == [0.0, 1.0, 2.0, 4.0] and len(calls) == 14
 
 
+def pipeline_curve(n, seed):
+    return generators.fourier_perturbed_curve((0, 0, 1), [1, 3], [0.2, 0.1], n,
+                                              antipodal_symmetric=True, seed=seed)
+
+
+def step0_margin(curve, a):
+    kmax = float(np.max(np.abs(sg.frame_field(curve).kappa)))
+    return barrier.curvature_margin(kmax, curve.length, a, 0.0)
+
+
+class TestResolveA:
+    @pytest.mark.parametrize("n, seeds", [(512, range(12)), (2048, (0, 1, 7, 9))])
+    def test_step0_curvature_margin(self, n, seeds):
+        # the pairs' part alone leaves the curvature bound short at t = 0
+        for seed in seeds:
+            curve = pipeline_curve(n, seed)
+            a_pairs, a_curv = chord_arc.resolve_a(curve)
+            assert a_curv > a_pairs
+            assert step0_margin(curve, a_pairs) < -1e-3
+            assert step0_margin(curve, max(a_pairs, a_curv)) >= -1e-14
+
+    def test_pairs_part_is_admissible_a(self, monkeypatch):
+        # through the module global, so a wrapper set there sees the call
+        curve = pipeline_curve(512, 7)
+        calls = []
+        admissible_a = chord_arc.admissible_a
+        monkeypatch.setattr(chord_arc, "admissible_a",
+                            lambda c, tol: calls.append(tol) or admissible_a(c, tol))
+        a_pairs, a_curv = chord_arc.resolve_a(curve, 1e-3)
+        assert calls == [1e-3]
+        assert a_pairs == admissible_a(curve) == 2.013671875
+        assert round(a_curv, 4) == 2.0428
+
+    def test_parallel_needs_neither_part(self):
+        assert chord_arc.resolve_a(generators.parallel_curve(np.pi / 3, 512)) == (0.0, 0.0)
+
+
 class TestCubicFit:
     @pytest.mark.parametrize("theta,target", [
         (np.pi / 6, 1.0 / 6.0),

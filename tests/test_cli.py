@@ -71,6 +71,23 @@ class TestSimulate:
         assert abs(out["T_est"] - math.log(2)) / math.log(2) < 0.01
         assert abs(np.linalg.norm(out["z_est"]) - 1.0) < 1e-9
 
+    def test_manifest_records_both_parts_of_a(self, completed_run, capsys):
+        # a parallel meets the curvature bound and the pairs at a = 0
+        outcome = json.loads((completed_run / "manifest.json").read_text())["outcome"]
+        assert outcome["a_resolved"] == outcome["a_pairs"] == outcome["a_curv"] == 0.0
+        capsys.readouterr()
+        assert cli.main(["report", "--run", str(completed_run)]) == 0
+        out = capsys.readouterr().out
+        assert "a_pairs       : 0.0" in out and "a_curv        : 0.0" in out
+
+    def test_explicit_a_is_taken_as_given(self, tmp_path):
+        cfgp = write_config(tmp_path / "cfg.json", generator={"kind": "great_circle"},
+                            n=128, dt=1e-4, t_max=0.05, a=0.75)
+        assert cli.main(["simulate", "--config", str(cfgp), "--out", str(tmp_path / "run")]) == 0
+        outcome = json.loads((tmp_path / "run" / "manifest.json").read_text())["outcome"]
+        assert outcome["a_resolved"] == 0.75
+        assert "a_pairs" not in outcome and "a_curv" not in outcome
+
     def test_manifest_lists_every_file(self, completed_run):
         manifest = json.loads((completed_run / "manifest.json").read_text())
         listed = {f["path"] for f in manifest["files"]}

@@ -76,13 +76,11 @@ class TestFiniteTimeChecks:
         assert chk.details["final_max_dev"] <= 0.05
 
     def test_curvature_margins_equal_recorded_column(self, parallel_run):
-        # one formula: the check recomputes what the flow recorded. The flow
-        # evaluates it on Python floats, where (2 pi / L) ** 2 calls C pow; the
-        # check squares numpy arrays. The two can differ in the bound's last
-        # bit, which moves the margin by about one machine epsilon.
+        # one formula: the check recomputes on arrays, bit for bit, what the
+        # flow recorded from Python floats
         series = parallel_run["series"]
         chk = eh.check_curvature_bound(series, series.a_resolved)
-        np.testing.assert_allclose(chk.margins, series.column("curv_margin"), rtol=0, atol=1e-14)
+        assert chk.margins.tobytes() == series.column("curv_margin").tobytes()
 
     def test_curvature_consistency_with_roundness(self, parallel_run):
         # bound + sandwich imply the rescaled curvature cap
@@ -222,6 +220,15 @@ def test_decay_fit_fields():
     expect_c = (2 * 1.5 ** 2 / (4 * math.pi ** 2)) * math.expm1(2.0) ** (-delta)
     assert abs(C - expect_c) < 1e-15
     assert eh.decay_fit(0.0, 1.0) == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("fixture", ["perturbed_equator_run", "symmetrized_equator_run",
+                                     "perturbed_parallel_run"])
+def test_resolved_a_meets_the_curvature_bound_at_start(fixture, request):
+    # a_resolved is the larger of resolve_a's parts; the curvature part binds
+    series = request.getfixturevalue(fixture)["series"]
+    assert series.a_resolved == max(series.a_pairs, series.a_curv) == series.a_curv
+    assert series.column("curv_margin")[0] >= -1e-14
 
 
 def test_bound_check_serialization(parallel_run):
