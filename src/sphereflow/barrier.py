@@ -139,16 +139,15 @@ def circle_radius(T: float, t: float) -> float:
 
 def curvature_bound(L, a: float, tau):
     """Bound on max kappa_bar^2 = 1 + kappa^2 at length L and rescaled time tau:
-    (2 pi / L)^2 (1 + (2 a^2 / pi^2) e^{-8 pi^2 tau}). Vectorised over L, tau;
-    the square is a product, so floats and arrays give the same bits."""
+    (2 pi / L)^2 (1 + (2 a^2 / pi^2) e^{-8 pi^2 tau}). Vectorised over L, tau,
+    with the same bits for floats as for arrays (no pow)."""
     k = 2.0 * np.pi / L
     return k * k * (1.0 + sharp_excess(a) * np.exp(-2.0 * FOUR_PI_SQ * tau))
 
 
 def curvature_a(kappa_bar_sq: float, L: float) -> float:
-    """Smallest a >= 0 with kappa_bar_sq <= curvature_bound(L, a, 0): the bound
-    inverted, pi sqrt(x / 2) with x = kappa_bar_sq (L / 2 pi)^2 - 1, and 0 when
-    x <= 0."""
+    """Smallest a >= 0 with kappa_bar_sq <= curvature_bound(L, a, 0): pi sqrt(x / 2),
+    x = kappa_bar_sq (L / 2 pi)^2 - 1, and 0 when x <= 0."""
     x = kappa_bar_sq * (L / (2.0 * np.pi)) ** 2 - 1.0
     return math.pi * math.sqrt(0.5 * x) if x > 0.0 else 0.0
 

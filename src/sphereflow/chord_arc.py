@@ -424,12 +424,10 @@ def admissible_a(curve: DiscreteCurve, tol: float = 1e-3) -> float:
 
 def resolve_a(curve: DiscreteCurve, tol: float = 1e-3) -> tuple[float, float]:
     """(a_pairs, a_curv): the smallest a that the vertex pairs admit
-    (admissible_a, to relative tol) and the smallest that the curvature bound
-    at tau = 0 admits (barrier.curvature_a, exact). Z >= 0 must hold for
-    both, so a run takes the larger: as y -> x, Z >= 0 becomes the curvature
-    bound, which pairs at cyclic gap m >= 2 cannot see (a gap-m pair sees
-    1 - 1/m^2 of the curvature in ell - d).
-    """
+    (admissible_a), and the smallest that the curvature bound at tau = 0
+    admits. The bound is Z >= 0 in the limit y -> x, which pairs at cyclic gap
+    m >= 2 cannot see: they see 1 - 1/m^2 of the curvature in ell - d. A run
+    takes the larger part."""
     kmax = float(np.max(np.abs(frame_field(curve).kappa)))
     return admissible_a(curve, tol), barrier.curvature_a(kmax * kmax + 1.0, curve.length)
 

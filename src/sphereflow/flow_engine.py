@@ -58,8 +58,7 @@ class DiagnosticsSeries:
     a growable array. min_Z is NaN between scheduled O(n^2) evaluations;
     dLdt_obs is the flow-induced length rate, without resampling jumps;
     curv_margin is the relative clearance below the curvature bound. a_pairs
-    and a_curv are chord_arc.resolve_a's parts of a_resolved, None when the
-    config gives a."""
+    and a_curv are resolve_a's parts of a_resolved (None for a given a)."""
 
     checkpoints: list[tuple[int, DiscreteCurve]] = field(default_factory=list)
     a_resolved: float = math.nan
@@ -179,14 +178,13 @@ def run(cfg: RunConfig) -> tuple[DiagnosticsSeries, Outcome]:
         raise NotSimple("initial curve is not embedded")
     if cfg.symmetrize:
         curve = symmetrize(curve)
-    if cfg.a is not None:
-        a, series = cfg.a, DiagnosticsSeries(a_resolved=cfg.a)
-    else:
+    a_pairs = a_curv = None
+    if cfg.a is None:
         a_pairs, a_curv = chord_arc.resolve_a(curve, cfg.admissible_tol)
-        a = max(a_pairs, a_curv)
-        series = DiagnosticsSeries(a_resolved=a, a_pairs=a_pairs, a_curv=a_curv)
+    a = cfg.a if cfg.a is not None else max(a_pairs, a_curv)
 
     state = FlowState(curve=curve, t=0.0, tau=0.0, step_index=0)
+    series = DiagnosticsSeries(a_resolved=a, a_pairs=a_pairs, a_curv=a_curv)
     series.checkpoints.append((0, curve))
     n0, L0 = curve.n, curve.length
 

@@ -215,22 +215,17 @@ class RunDirLock:
         os.close(self._fd)
 
 
-RUN_FILES = ("manifest.json", "verdicts.json", "diagnostics.csv", "config.json")
-
-
 def clear_run(run_dir: Path, force: bool) -> None:
-    """Delete the files a run writes from run_dir, under its RunDirLock.
-
-    A directory that holds a run (it has a manifest) is RunDirLocked unless
-    force. The manifest goes first, and checkpoints/step_*.csv with the rest,
-    so that nothing of the last run reads as the next one's, even if the next
-    one fails before it writes; any other file stays.
-    """
+    """Refuse a run_dir that holds a run unless force, then delete what a run
+    writes there, the manifest first, and nothing else; call it under the
+    RunDirLock. None of the last run's files can then pass for the next
+    one's, even when that one fails."""
     if (run_dir / "manifest.json").exists() and not force:
         raise RunDirLocked(f"{run_dir} already holds a run (use --force to overwrite)")
-    for path in [*(run_dir / name for name in RUN_FILES),
-                 *(run_dir / "checkpoints").glob("step_*.csv")]:
-        path.unlink(missing_ok=True)
+    for name in ("manifest.json", "verdicts.json", "diagnostics.csv", "config.json"):
+        (run_dir / name).unlink(missing_ok=True)
+    for path in (run_dir / "checkpoints").glob("step_*.csv"):
+        path.unlink()
 
 
 def checkpoint_name(step: int) -> str:
@@ -255,21 +250,13 @@ class RunArtifacts:
 
 def outcome_summary(outcome: Outcome | None, series: DiagnosticsSeries,
                     error: str | None = None) -> dict:
-    out = ({"kind": "error", "error": error or "unknown"} if outcome is None
-           else {"kind": outcome.kind})
-    out["a_resolved"] = series.a_resolved
-    if series.a_pairs is not None:
-        out.update(a_pairs=series.a_pairs, a_curv=series.a_curv)
-    if outcome is None:
-        return out
-    if outcome.T_est is not None:
-        out["T_est"] = outcome.T_est
-    if outcome.fit_residual is not None:
-        out["fit_residual"] = outcome.fit_residual
-    if outcome.z_est is not None:
-        out["z_est"] = [float(v) for v in outcome.z_est]
-    if outcome.axis is not None:
-        out["axis"] = [float(v) for v in outcome.axis]
+    """Kind, barrier parameter and its parts, and each outcome field that is set."""
+    out = {"kind": outcome.kind} if outcome else {"kind": "error", "error": error or "unknown"}
+    values = {k: getattr(series, k) for k in ("a_resolved", "a_pairs", "a_curv")}
+    if outcome:
+        values.update(T_est=outcome.T_est, fit_residual=outcome.fit_residual,
+                      z_est=outcome.z_est, axis=outcome.axis)
+    out.update((k, np.asarray(v).tolist()) for k, v in values.items() if v is not None)
     return out
 
 

@@ -25,7 +25,8 @@ MIN_VERTICES = 8
 
 # A resample stops when max ds - min ds <= _UNIFORM_RTOL * mean ds, or after
 # _MAX_PASSES interpolation passes. The spread shrinks about 5x a pass, and
-# coarse curves (n = 8 to 12) need up to 15 passes. On the odd-n dumbbell
+# coarse curves (n = 8 to 15) need up to 17 passes (n >= 16 at most 10, over
+# seeds 0..59 of fourier_perturbed modes 0, 2, 3). On the odd-n dumbbell
 # fourier_perturbed_curve((0, 0, 1), [2], [1.35], n) it shrinks more slowly,
 # at least 1.58x a pass after pass 20, and every odd n from 15 to 2047 needs
 # at most 48 passes. Past n ~ 8000 the spread of |p_{i+1} - p_i| bottoms out
