@@ -179,7 +179,7 @@ class RunDirLock:
     names the holder's pid, host and start time. The kernel drops the lock
     however the holder exits, so no lock is stale. Release truncates the file,
     never unlinks it: a process that opened it before an unlink could lock the
-    removed inode while another locks a new one. So a run keeps an empty .lock."""
+    removed inode while another locks a new one. So a run directory keeps an empty .lock."""
 
     path: Path
 

@@ -147,7 +147,7 @@ class TestSimulate:
             assert sorted(p.name for p in run_dir.iterdir()) == [".lock"]
         finally:
             child.kill()
-            child.wait()
+            child.wait(timeout=30)
             child.stdout.close()
         assert json.loads((run_dir / ".lock").read_text())["pid"] == child.pid
         assert cli.main(["simulate", "--config", str(cfgp)]) == 0
