@@ -26,7 +26,7 @@ L^2 = 4 pi^2 (1 - e^{-2(T-t)}); each is written here once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -206,27 +206,23 @@ def F_value(phi_val, a: float, L: float):
     return (1.0 / np.pi ** 2 - (t / a) ** 2) * (L * L - a * a * rest) - (1.0 + (a / np.pi) ** 2) * rest
 
 
-def q_grid_margin(grid: int) -> tuple[float, tuple[float, float]]:
-    """1 - max q(X, Y) over the pairs X < Y of a grid x grid lattice on
-    [0, 50]^2, and the (X, Y) where q is largest. A grid below 2 has no pair."""
+def q_grid_margin(grid: int) -> PropertyCheck:
+    """q < 1 over the pairs X < Y of a grid x grid lattice on [0, 50]^2: the
+    least 1 - q and the (X, Y) where q is largest. A grid below 2 has no pair."""
     if grid < 2:
         raise PreconditionViolation(f"the q grid needs at least 2 points, got {grid}")
     x = np.linspace(0.0, 50.0, grid)
     X, Y = np.meshgrid(x, x, indexing="ij")
     mask = Y > X
     X, Y = X[mask], Y[mask]
-    qv = q(X, Y)
-    k = int(np.argmax(qv))
-    return float(1.0 - qv[k]), (float(X[k]), float(Y[k]))
+    return _grid_check("q_below_one", grid, np.column_stack([X, Y]), q(X, Y), lambda v: 1.0 - v)
 
 
-def F_margin(a: float, L: float) -> tuple[float, float]:
-    """-max F over phi = phi_max(a) k / (F_GRID + 1), k = 1..F_GRID, and the
-    phi where F is largest; positive iff F < 0 at every grid point."""
+def F_margin(a: float, L: float) -> PropertyCheck:
+    """F < 0 at phi = phi_max(a) k / (F_GRID + 1), k = 1..F_GRID: the least
+    -F and the phi where F is largest."""
     pv = phi_max(a) * np.arange(1, F_GRID + 1) / (F_GRID + 1.0)
-    fvals = F_value(pv, a, L)
-    j = int(np.argmax(fvals))
-    return float(-fvals[j]), float(pv[j])
+    return _grid_check("F_negative", F_GRID, pv, F_value(pv, a, L))
 
 
 def a0_for_length(L: float, tol: float = 1e-12) -> float:
@@ -279,27 +275,33 @@ def comparison_residual(z, a: float, tau: float = 0.0):
 
 @dataclass(frozen=True)
 class PropertyCheck:
-    """Grid verdict for one structural property of the profile."""
+    """Grid verdict for one property of the profile: its least margin over the
+    grid of the given size and the grid point where that margin falls."""
 
-    name: str
-    passed: bool
+    property: str
+    grid: int
     min_margin: float
-    worst_z: float
+    worst_point: float | tuple[float, ...]
+    passed: bool
 
 
-@dataclass(frozen=True)
-class PropertyReport:
-    a: float
-    L: float
-    grid_size: int
-    checks: list[PropertyCheck] = field(default_factory=list)
+def _grid_check(prop: str, grid: int, points, value, margin=np.negative,
+                holds=None) -> PropertyCheck:
+    """The check of a property that bounds value from above at the grid points
+    (one per value; a row each when a point has several coordinates). It is
+    decided at the first point where value is largest, as the raw value picks
+    it, not the margin, which can round two values alike: margin(v) is the
+    clearance there, and the property holds iff holds(v), by default iff the
+    margin is positive."""
+    k = int(np.argmax(value))
+    v = value[k]
+    m = float(margin(v))
+    point = points[k].tolist()
+    return PropertyCheck(prop, grid, m, tuple(point) if isinstance(point, list) else point,
+                         bool(holds(v)) if holds else m > 0.0)
 
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
-
-def check_properties(a: float, L: float, grid_size: int = 2001) -> PropertyReport:
+def check_properties(a: float, L: float, grid_size: int = 2001) -> list[PropertyCheck]:
     """Grid verification of the four structural properties of phi.
 
     (i) symmetry under z -> 1-z, (ii) |phi'| <= 1, (iii) strict concavity of
@@ -313,32 +315,18 @@ def check_properties(a: float, L: float, grid_size: int = 2001) -> PropertyRepor
     if peak > 2.0:
         raise PreconditionViolation(
             f"L*max(phi) = {peak:.6g} > 2; h(L*phi) undefined on part of the range")
-    checks: list[PropertyCheck] = []
     z = np.linspace(0.0, 1.0, grid_size)
     zi = z[1:-1]
-
-    vals = phi(z, a)
-    asym = np.abs(vals - phi(1.0 - z, a))
-    worst = int(np.argmax(asym))
-    checks.append(PropertyCheck("symmetry", bool(asym[worst] <= 1e-12),
-                                float(1e-12 - asym[worst]), float(z[worst])))
-
-    ev = phi_derivatives(zi, a)
-    slope = np.abs(ev.phi_prime)
-    worst = int(np.argmax(slope))
-    checks.append(PropertyCheck("gradient_le_one", bool(slope[worst] <= 1.0 + 1e-12),
-                                float(1.0 - slope[worst]), float(zi[worst])))
-
     step = z[1] - z[0]
-    d2 = (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / (step * step)
-    worst = int(np.argmax(d2))
-    checks.append(PropertyCheck("concavity", bool(d2[worst] < 0.0),
-                                float(-d2[worst]), float(zi[worst])))
-
+    vals = phi(z, a)
     hvals = h(L * vals)
-    d2h = (hvals[2:] - 2.0 * hvals[1:-1] + hvals[:-2]) / (step * step)
-    worst = int(np.argmax(d2h))
-    checks.append(PropertyCheck("concavity_of_h", bool(d2h[worst] < 0.0),
-                                float(-d2h[worst]), float(zi[worst])))
-
-    return PropertyReport(a=a, L=L, grid_size=grid_size, checks=checks)
+    return [
+        _grid_check("symmetry", grid_size, z, np.abs(vals - phi(1.0 - z, a)),
+                    lambda v: 1e-12 - v, lambda v: v <= 1e-12),
+        _grid_check("gradient_le_one", grid_size, zi, np.abs(phi_derivatives(zi, a).phi_prime),
+                    lambda v: 1.0 - v, lambda v: v <= 1.0 + 1e-12),
+        _grid_check("concavity", grid_size, zi,
+                    (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / (step * step)),
+        _grid_check("concavity_of_h", grid_size, zi,
+                    (hvals[2:] - 2.0 * hvals[1:-1] + hvals[:-2]) / (step * step)),
+    ]

@@ -77,24 +77,18 @@ def cmd_profile(curve_path, n_bins: int, out_dir=None) -> int:
     return 0
 
 
-def _property_entries(report) -> list[dict]:
-    return [{"property": c.name, "grid": report.grid_size,
-             "min_margin": c.min_margin, "worst_point": c.worst_z}
-            for c in report.checks]
-
-
 def cmd_barrier_check(a_list, L_list, out_path=None, grid: int = 200) -> int:
     """Property grids, F sign grids, and the q(X, Y) grid; JSON report."""
     a_list = list(a_list) if a_list else list(DEFAULT_A_LIST)
     L_list = list(L_list) if L_list else list(DEFAULT_L_LIST)
 
-    q_margin, q_worst = barrier.q_grid_margin(grid)
-    report = {
-        "q_grid": {"property": "q_below_one", "grid": grid,
-                   "min_margin": q_margin, "worst_point": list(q_worst)},
-        "cases": [],
-    }
-    violations = 0 if q_margin > 0.0 else 1
+    def entry(check: barrier.PropertyCheck) -> dict:
+        return {"property": check.property, "grid": check.grid,
+                "min_margin": check.min_margin, "worst_point": check.worst_point}
+
+    q_check = barrier.q_grid_margin(grid)
+    report = {"q_grid": entry(q_check), "cases": []}
+    violations = int(not q_check.passed)
 
     for L in L_list:
         for a in a_list:
@@ -104,15 +98,11 @@ def cmd_barrier_check(a_list, L_list, out_path=None, grid: int = 200) -> int:
                                    "needs a >= a0(L); property (iv) and F not evaluated")
                 report["cases"].append(case)
                 continue
-            prop = barrier.check_properties(a, L)
-            case["properties"] = _property_entries(prop)
-            if not prop.all_passed:
-                violations += 1
-            f_margin, f_worst = barrier.F_margin(a, L)
-            case["F"] = {"property": "F_negative", "grid": barrier.F_GRID,
-                         "min_margin": f_margin, "worst_point": f_worst}
-            if f_margin <= 0.0:
-                violations += 1
+            props = barrier.check_properties(a, L)
+            f_check = barrier.F_margin(a, L)
+            case["properties"] = [entry(c) for c in props]
+            case["F"] = entry(f_check)
+            violations += (not all(c.passed for c in props)) + (not f_check.passed)
             report["cases"].append(case)
 
     report["violations"] = violations

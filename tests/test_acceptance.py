@@ -51,16 +51,16 @@ def test_criterion_2_barrier_equality_residual():
 
 
 def test_criterion_3_barrier_grids():
-    q_margin, _ = barrier.q_grid_margin(500)
+    q_margin = barrier.q_grid_margin(500).min_margin
 
     f_ok = True
     for L in (math.pi, TWO_PI):
         for a in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
-            f_ok &= barrier.F_margin(a, L)[0] > 0.0
+            f_ok &= barrier.F_margin(a, L).min_margin > 0.0
     for L in (3 * math.pi, 4 * math.pi):
         a0 = barrier.a0_for_length(L)
         for factor in (1.0, 1.5, 3.0):
-            f_ok &= barrier.F_margin(a0 * factor, L)[0] > 0.0
+            f_ok &= barrier.F_margin(a0 * factor, L).min_margin > 0.0
 
     conc_ok = True
     pairs = [(1.0, math.pi), (1.0, TWO_PI),
@@ -68,8 +68,7 @@ def test_criterion_3_barrier_grids():
              (barrier.a0_for_length(4 * math.pi) * 1.001, 4 * math.pi),
              (5.0, 3 * math.pi), (10.0, 4 * math.pi)]
     for a, L in pairs:
-        rep = barrier.check_properties(a, L)
-        conc_ok &= rep.all_passed
+        conc_ok &= all(c.passed for c in barrier.check_properties(a, L))
 
     ok = q_margin > 0.0 and f_ok and conc_ok
     _report(3, "q/F/concavity grids", ok,

@@ -159,17 +159,17 @@ class TestA0:
 
 class TestProperties:
     def test_reference_case(self):
-        rep = barrier.check_properties(1.0, 2 * np.pi)
-        assert rep.all_passed
-        assert [c.name for c in rep.checks] == [
+        checks = barrier.check_properties(1.0, 2 * np.pi)
+        assert all(c.passed for c in checks)
+        assert [c.property for c in checks] == [
             "symmetry", "gradient_le_one", "concavity", "concavity_of_h"]
 
     def test_case1_short_curve(self):
-        assert barrier.check_properties(1.0, np.pi).all_passed
+        assert all(c.passed for c in barrier.check_properties(1.0, np.pi))
 
     def test_case2_long_curve(self):
         # L = 7 > 2 pi needs a >= a0(7) ~ 1.93 for h(L phi) to stay defined
-        assert barrier.check_properties(2.0, 7.0).all_passed
+        assert all(c.passed for c in barrier.check_properties(2.0, 7.0))
 
     def test_precondition_violation(self):
         # a = 0.5 gives L*max(phi) = 2.21 > 2 at L = 7
@@ -186,17 +186,17 @@ class TestGridMargins:
         x = np.linspace(0.0, 50.0, 40)
         pairs = [(xi, yj) for xi in x for yj in x if yj > xi]
         qs = [float(barrier.q(xi, yj)) for xi, yj in pairs]
-        margin, worst = barrier.q_grid_margin(40)
-        assert margin == 1.0 - max(qs) and worst == pairs[int(np.argmax(qs))]
+        check = barrier.q_grid_margin(40)
+        assert check.min_margin == 1.0 - max(qs) and check.worst_point == pairs[int(np.argmax(qs))]
 
     def test_F_margin_against_point_scan(self):
         for a, L in ((0.5, np.pi), (barrier.a0_for_length(3 * np.pi), 3 * np.pi)):
             top = barrier.phi_max(a)
             pv = [top * k / (barrier.F_GRID + 1) for k in range(1, barrier.F_GRID + 1)]
             fs = [float(barrier.F_value(p, a, L)) for p in pv]
-            margin, worst = barrier.F_margin(a, L)
-            assert margin == -max(fs) and worst == pv[int(np.argmax(fs))]
-            assert margin > 0.0
+            check = barrier.F_margin(a, L)
+            assert check.min_margin == -max(fs) and check.worst_point == pv[int(np.argmax(fs))]
+            assert check.min_margin > 0.0
 
 
 class TestCurvatureA:
