@@ -192,14 +192,15 @@ def F_value(phi_val, a: float, L: float):
              - (1 + a^2/pi^2) (4 - L^2 phi^2) tan(a phi)/(a phi)
 
     Valid for phi in (0, arctan(a/pi)/a); negative there iff h(L*phi(z)) is
-    strictly concave at the matching z.
+    strictly concave at the matching z. At a = 0, tan(a phi)/a -> phi gives
+    the constant L^2/pi^2 - 4.
     """
-    if a <= 0.0:
-        raise DomainError("F is defined for a > 0")
     pv = np.asarray(phi_val, dtype=float)
     top = phi_max(a)
     if np.any(pv <= 0.0) or np.any(pv >= top):
         raise DomainError(f"phi must lie in (0, {top:.6g}) for a={a}")
+    if a == 0.0:
+        return np.full_like(pv, L * L / np.pi ** 2 - 4.0)
     t = np.tan(a * pv)
     tanc = t / (a * pv)
     rest = (4.0 - (L * pv) ** 2) * tanc

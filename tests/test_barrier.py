@@ -125,6 +125,14 @@ class TestF:
     def test_domain(self):
         with pytest.raises(DomainError):
             barrier.F_value(0.9, 1.0, np.pi)  # above phi_max(1) ~ 0.308
+        with pytest.raises(DomainError):
+            barrier.F_value(0.1, -1.0, np.pi)
+
+    def test_a_zero_is_the_small_a_limit(self):
+        pv = barrier.phi_max(0.0) * np.linspace(0.01, 0.99, 50)
+        limit = barrier.F_value(pv, 0.0, 3.0)
+        assert np.all(limit == 9.0 / np.pi ** 2 - 4.0)
+        assert np.max(np.abs(barrier.F_value(pv, 1e-6, 3.0) - limit)) < 1e-9
 
     def test_sign_matches_concavity_of_h(self):
         # oracle: second difference of h(L*phi) in z; the identity ties its

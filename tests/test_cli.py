@@ -443,6 +443,24 @@ class TestBarrierCheckCommand:
         report = json.loads(out.read_text())
         assert "skipped" in report["cases"][0]
 
+    def test_a_zero_is_the_limiting_profile(self, capsys):
+        # tan(a phi)/a -> phi, so F is the constant L^2/pi^2 - 4 at a = 0
+        assert cli.main(["barrier-check", "--a", "0", "--L", "3.0", "--grid", "20"]) == 0
+        case = json.loads(capsys.readouterr().out)["cases"][0]
+        assert case["F"]["min_margin"] == 4.0 - 9.0 / math.pi ** 2
+
+    def test_a_zero_at_the_great_circle_reports_its_violations(self, capsys):
+        # L = 2 pi at a = 0 is the equality case: F = 0, and h(L phi) is not
+        # strictly concave at z = 1/2
+        assert cli.main(["barrier-check", "--a", "0", "--L", str(2 * math.pi),
+                         "--grid", "20"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        case = report["cases"][0]
+        assert report["violations"] == 2
+        assert case["F"]["min_margin"] == 0.0
+        margins = {p["property"]: p["min_margin"] for p in case["properties"]}
+        assert -1.1e-6 < margins["concavity_of_h"] < -1.0e-6
+        assert all(m > 0.0 for name, m in margins.items() if name != "concavity_of_h")
 
     @pytest.mark.parametrize("grid", ["1", "0", "-3"])
     def test_grid_below_two_is_an_error(self, capsys, grid):
