@@ -14,8 +14,8 @@ from . import barrier, chord_arc, estimate_harness, flow_engine, run_io
 from .config import load_config
 from .errors import (
     ConfigParseError,
+    CorruptArtifacts,
     MissingArtifacts,
-    NonConvergent,
     NotSimple,
     RunDirLocked,
     SphereFlowError,
@@ -27,14 +27,15 @@ _EXIT_CODES = {
     MissingArtifacts: 3,
     NotSimple: 4,
     RunDirLocked: 5,
+    CorruptArtifacts: 6,
 }
 
 DEFAULT_A_LIST = (0.1, 0.5, 1.0, 2.0, 10.0)
 DEFAULT_L_LIST = (math.pi, 2.0 * math.pi, 3.0 * math.pi, 4.0 * math.pi)
 
 
-def _fail(exc: SphereFlowError) -> int:
-    print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
+def _fail(exc: SphereFlowError, **extra) -> int:
+    print(json.dumps({"error": type(exc).__name__, "message": str(exc), **extra}))
     for klass, code in _EXIT_CODES.items():
         if isinstance(exc, klass):
             return code
@@ -50,13 +51,12 @@ def cmd_simulate(config_path, out_dir=None, force: bool = False) -> int:
         run_io.clear_run(run_dir, force)
         try:
             series, outcome = flow_engine.run(cfg)
-            manifest = run_io.write_run(run_dir, cfg, series, outcome, started)
-        except NonConvergent as exc:
+        except SphereFlowError as exc:
+            # the run says what stopped it, with the diagnostics it got to
             series = getattr(exc, "series", flow_engine.DiagnosticsSeries())
-            run_io.write_run(run_dir, cfg, series, None, started, error=str(exc))
-            print(json.dumps({"error": "NonConvergent", "message": str(exc),
-                              "run_dir": str(run_dir)}))
-            return 1
+            run_io.write_run(run_dir, cfg, series, None, started, error=exc)
+            return _fail(exc, run_dir=str(run_dir))
+        manifest = run_io.write_run(run_dir, cfg, series, outcome, started)
     print(json.dumps({"run_dir": str(run_dir), "outcome": manifest["outcome"]}))
     return 0
 
@@ -115,8 +115,8 @@ def cmd_barrier_check(a_list, L_list, out_path=None, grid: int = 200) -> int:
 
 def cmd_verify(run_dir) -> int:
     art = run_io.load_run(run_dir)
-    outcome = art.manifest.get("outcome", {})
-    kind = outcome.get("kind")
+    outcome = art.manifest["outcome"]
+    kind = outcome["kind"]
     if kind not in ("finite_time_shrink", "great_circle"):
         raise MissingArtifacts(f"{run_dir} has no classified outcome (kind={kind!r})")
     required = ("a_resolved", "T_est", "z_est") if kind == "finite_time_shrink" else ("a_resolved",)
@@ -137,26 +137,21 @@ def cmd_verify(run_dir) -> int:
 
 
 def cmd_report(run_dir) -> int:
-    run_dir = Path(run_dir)
-    manifest_path = run_dir / "manifest.json"
-    if not manifest_path.exists():
-        raise MissingArtifacts(f"{run_dir} has no manifest.json")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    outcome = manifest.get("outcome", {})
+    manifest, _ = run_io.read_manifest(run_dir)
+    verdicts = run_io.read_verdicts(run_dir)
+    outcome = manifest["outcome"]
     print(f"run directory : {run_dir}")
     print(f"config hash   : {manifest.get('config_hash', '')[:16]}")
     print(f"code version  : {manifest.get('code_version')}")
-    print(f"outcome       : {outcome.get('kind')}")
-    for key in ("T_est", "fit_residual", "a_resolved", "a_pairs", "a_curv"):
+    print(f"outcome       : {outcome['kind']}")
+    for key in ("error", "message", "T_est", "fit_residual", "a_resolved", "a_pairs", "a_curv"):
         if key in outcome:
             print(f"{key:14s}: {outcome[key]}")
     for key in ("z_est", "axis"):
         if key in outcome:
             print(f"{key:14s}: {np.round(outcome[key], 6).tolist()}")
-    print(f"files         : {len(manifest.get('files', []))}")
-    verdicts_path = run_dir / "verdicts.json"
-    if verdicts_path.exists():
-        verdicts = json.loads(verdicts_path.read_text(encoding="utf-8"))
+    print(f"files         : {len(manifest['files'])}")
+    if verdicts is not None:
         print(f"{'check':18s}{'verdict':9s}{'min_margin':>14s}{'worst_step':>12s}")
         for v in verdicts:
             print(f"{v['check']:18s}{v['verdict']:9s}{v['min_margin']:>14.3e}{v['worst_step']:>12d}")

@@ -60,3 +60,7 @@ class MissingArtifacts(SphereFlowError):
 
 class RunDirLocked(SphereFlowError):
     """Another process owns the run directory."""
+
+
+class CorruptArtifacts(SphereFlowError):
+    """A run file differs in size or SHA-256 from its manifest entry."""

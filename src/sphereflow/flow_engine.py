@@ -27,7 +27,15 @@ import numpy as np
 from . import chord_arc, generators
 from .barrier import FOUR_PI_SQ, BarrierParams, circle_radius, curvature_margin
 from .config import RunConfig
-from .errors import Degenerate, InsufficientData, NonConvergent, NotSimple, SelfIntersection, StepTooLarge
+from .errors import (
+    Degenerate,
+    InsufficientData,
+    NonConvergent,
+    NotSimple,
+    SelfIntersection,
+    SphereFlowError,
+    StepTooLarge,
+)
 from .sphere_geometry import (
     DiscreteCurve,
     _is_uniform,
@@ -58,10 +66,11 @@ class DiagnosticsSeries:
     a growable array. min_Z is NaN between scheduled O(n^2) evaluations;
     dLdt_obs is the flow-induced length rate, without resampling jumps;
     curv_margin is the relative clearance below the curvature bound. a_pairs
-    and a_curv are resolve_a's parts of a_resolved (None for a given a)."""
+    and a_curv are resolve_a's parts of a_resolved (None for a given a), and
+    a_resolved is None until the run has an a."""
 
     checkpoints: list[tuple[int, DiscreteCurve]] = field(default_factory=list)
-    a_resolved: float = math.nan
+    a_resolved: float | None = None
     a_pairs: float | None = None
     a_curv: float | None = None
     _rows: np.ndarray = field(init=False, repr=False,
@@ -170,8 +179,8 @@ def run(cfg: RunConfig) -> tuple[DiagnosticsSeries, Outcome]:
     great-circle plateau, or t_max; classify the outcome.
 
     Raises NonConvergent when t_max arrives without a classifiable state or
-    a resample does not converge, with the partial diagnostics attached as
-    its `series`.
+    a resample does not converge. Any error raised once the diagnostics have
+    begun, the extinction fit's included, carries them as its `series`.
     """
     curve = generators.initial_curve(cfg)
     if not validate_simple(curve):
@@ -199,10 +208,9 @@ def run(cfg: RunConfig) -> tuple[DiagnosticsSeries, Outcome]:
                       curvature_margin(kmax, L, a, st.tau))
         return kmax
 
-    kappa_max = record(state, math.nan, with_z=True)
-
     finished = None
     try:
+        kappa_max = record(state, math.nan, with_z=True)
         while finished is None:
             # The spatial cap keeps the stencil resolved; the curvature cap keeps
             # dt a fixed fraction of the flow timescale 1/kappa_bar^2, which near
@@ -240,12 +248,13 @@ def run(cfg: RunConfig) -> tuple[DiagnosticsSeries, Outcome]:
                                        and kappa_max <= 0.5):
             raise NonConvergent(
                 f"t_max={cfg.t_max} reached with L={L:.4f}, max|kappa|={kappa_max:.3e}")
-    except NonConvergent as exc:
+        if finished == "shrunk":
+            T_est, rms = _extinction_fit(series)
+    except SphereFlowError as exc:
         exc.series = series  # partial diagnostics for the caller to persist
         raise
 
     if finished == "shrunk":
-        T_est, rms = _extinction_fit(series)
         centroid = np.mean(state.curve.points, axis=0)
         z_est = centroid / np.linalg.norm(centroid)
         return series, Outcome(kind="finite_time_shrink", T_est=T_est, z_est=z_est,

@@ -3,9 +3,11 @@
 All CSV uses '.' decimals, LF line endings, and repr-style float formatting
 (shortest round-trip), so identical runs produce byte-identical files and
 reading a file back reproduces the exact doubles. A manifest's inventory gives
-the size and SHA-256 of each file as written. Both CSV readers parse rows
-alike: the diagnostics step is an integer, and a row that breaks the format is
-a ConfigParseError naming the file and the line.
+the size and SHA-256 of each file as written, and load_run reads no file that
+differs from it. Both CSV readers parse rows alike: the diagnostics step is an
+integer, and a row that breaks the format is a ConfigParseError naming the
+file and the line, as is a run's JSON file that does not parse or has a field
+of the wrong type.
 """
 
 from __future__ import annotations
@@ -23,8 +25,19 @@ import numpy as np
 
 from . import __version__, barrier
 from .chord_arc import ChordArcProfile
-from .config import RunConfig, config_from_dict, config_hash, config_to_dict
-from .errors import ConfigParseError, MissingArtifacts, RunDirLocked
+from .config import (
+    RunConfig,
+    _field,
+    _integer,
+    _list_of,
+    _number,
+    _optional,
+    _string,
+    config_from_dict,
+    config_hash,
+    config_to_dict,
+)
+from .errors import ConfigParseError, CorruptArtifacts, MissingArtifacts, RunDirLocked, SphereFlowError
 from .flow_engine import DIAGNOSTICS_COLUMNS, DiagnosticsSeries, Outcome
 from .sphere_geometry import DiscreteCurve, make_curve
 
@@ -249,9 +262,11 @@ class RunArtifacts:
 
 
 def outcome_summary(outcome: Outcome | None, series: DiagnosticsSeries,
-                    error: str | None = None) -> dict:
-    """Kind, barrier parameter and its parts, and each outcome field that is set."""
-    out = {"kind": outcome.kind} if outcome else {"kind": "error", "error": error or "unknown"}
+                    error: SphereFlowError | None = None) -> dict:
+    """Kind, barrier parameter and its parts, and each outcome field that is set;
+    without an outcome, kind error and the error's class and message."""
+    out = ({"kind": outcome.kind} if outcome else
+           {"kind": "error", "error": type(error).__name__, "message": str(error)})
     values = {k: getattr(series, k) for k in ("a_resolved", "a_pairs", "a_curv")}
     if outcome:
         values.update(T_est=outcome.T_est, fit_residual=outcome.fit_residual,
@@ -261,7 +276,8 @@ def outcome_summary(outcome: Outcome | None, series: DiagnosticsSeries,
 
 
 def write_run(run_dir: Path, cfg: RunConfig, series: DiagnosticsSeries,
-              outcome: Outcome | None, started_at: str, error: str | None = None) -> dict:
+              outcome: Outcome | None, started_at: str,
+              error: SphereFlowError | None = None) -> dict:
     """Persist diagnostics, checkpoints, and the manifest (atomically, last).
 
     Each inventory entry's size and SHA-256 are those of the bytes written.
@@ -293,29 +309,103 @@ def utc_now() -> str:
     return _dt.datetime.now(_dt.timezone.utc).isoformat()
 
 
+def _read_json(path: Path, kind: str):
+    """The JSON value in path: MissingArtifacts when there is no such file,
+    ConfigParseError naming it when it does not parse."""
+    if not path.is_file():
+        raise MissingArtifacts(f"{kind} {path} not found")
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:   # JSONDecodeError and UnicodeDecodeError both are
+        raise ConfigParseError(f"{path}: {exc}") from None
+
+
+def _is_object(v) -> bool:
+    return isinstance(v, dict)
+
+
+def read_manifest(run_dir) -> tuple[dict, RunConfig]:
+    """run_dir's manifest.json and its config, with the fields that verify and
+    report read checked for their JSON types.
+
+    Raises MissingArtifacts when the file is absent, and ConfigParseError
+    naming it when it does not parse or a field is missing or has the wrong type.
+    """
+    path = Path(run_dir) / "manifest.json"
+    manifest = _read_json(path, "manifest")
+    try:
+        if not _is_object(manifest):
+            raise ConfigParseError("the manifest must be a JSON object")
+        cfg = config_from_dict(_field(manifest, "config", None, _is_object, "an object"))
+        _field(manifest, "config_hash", "", _string, "a string")
+        outcome = _field(manifest, "outcome", None, _is_object, "an object")
+        _field(outcome, "kind", None, _string, "a string", "outcome.")
+        for name in ("a_resolved", "a_pairs", "a_curv", "T_est", "fit_residual"):
+            _field(outcome, name, None, _optional(_number), "a number", "outcome.")
+        for name in ("z_est", "axis"):
+            _field(outcome, name, None, _optional(_list_of(_number, 3)),
+                   "a list of 3 numbers", "outcome.")
+        for entry in _field(manifest, "files", None, _list_of(_is_object), "a list of objects"):
+            _field(entry, "path", None, _string, "a string", "files[].")
+            _field(entry, "bytes", None, _integer, "an integer", "files[].")
+            _field(entry, "sha256", None, _string, "a string", "files[].")
+    except ConfigParseError as exc:
+        raise ConfigParseError(f"{path}: {exc}") from None
+    return manifest, cfg
+
+
+def read_verdicts(run_dir) -> list[dict] | None:
+    """run_dir's verdicts.json, None when there is none; each verdict is checked
+    for the fields report prints, as read_manifest checks the manifest."""
+    path = Path(run_dir) / "verdicts.json"
+    if not path.exists():
+        return None
+    verdicts = _read_json(path, "verdicts")
+    try:
+        if not _list_of(_is_object)(verdicts):
+            raise ConfigParseError("verdicts must be a list of objects")
+        for v in verdicts:
+            _field(v, "check", None, _string, "a string")
+            _field(v, "verdict", None, _string, "a string")
+            _field(v, "min_margin", None, _number, "a number")
+            _field(v, "worst_step", None, _integer, "an integer")
+    except ConfigParseError as exc:
+        raise ConfigParseError(f"{path}: {exc}") from None
+    return verdicts
+
+
+def _check_inventory(run_dir: Path, entry: dict) -> None:
+    """The listed file exists with the size and SHA-256 its manifest entry gives."""
+    path = run_dir / entry["path"]
+    if not path.is_file():
+        raise MissingArtifacts(f"{run_dir} lacks {entry['path']}, which its manifest lists")
+    data = path.read_bytes()
+    if len(data) != entry["bytes"]:
+        raise CorruptArtifacts(f"{path} has {len(data)} bytes, its manifest lists {entry['bytes']}")
+    if hashlib.sha256(data).hexdigest() != entry["sha256"]:
+        raise CorruptArtifacts(f"{path} does not match the SHA-256 its manifest lists")
+
+
 def load_run(run_dir) -> RunArtifacts:
     """Load manifest, diagnostics, and the checkpoints the manifest lists.
 
-    Raises MissingArtifacts when a listed file is absent.
+    Every listed file is checked against its inventory entry before any is
+    parsed. Raises MissingArtifacts when a listed file is absent and
+    CorruptArtifacts when one differs in size or SHA-256 from its entry.
     """
     run_dir = Path(run_dir)
-    manifest_path = run_dir / "manifest.json"
-    diag_path = run_dir / "diagnostics.csv"
-    if not manifest_path.exists() or not diag_path.exists():
-        raise MissingArtifacts(f"{run_dir} lacks manifest.json/diagnostics.csv")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    cfg = config_from_dict(manifest["config"])
-    series = read_diagnostics_csv(diag_path)
-    # only the checkpoints the manifest names: a rerun with another cadence
-    # can leave stale files next to them
-    for entry in manifest.get("files", []):
-        rel = entry["path"]
-        if not rel.startswith("checkpoints/"):
-            continue
-        step = _checkpoint_step(rel)
-        if not (run_dir / rel).is_file():
-            raise MissingArtifacts(f"{run_dir} lacks {rel}, which its manifest lists")
-        series.checkpoints.append((step, read_curve_csv(run_dir / rel)))
+    manifest, cfg = read_manifest(run_dir)
+    listed = [entry["path"] for entry in manifest["files"]]
+    if "diagnostics.csv" not in listed:
+        raise MissingArtifacts(f"{run_dir}/manifest.json lists no diagnostics.csv")
+    for entry in manifest["files"]:
+        _check_inventory(run_dir, entry)
+    series = read_diagnostics_csv(run_dir / "diagnostics.csv")
+    # only the checkpoints the manifest names: a file the program does not
+    # write can sit next to them
+    for rel in listed:
+        if rel.startswith("checkpoints/"):
+            series.checkpoints.append((_checkpoint_step(rel), read_curve_csv(run_dir / rel)))
     if not series.checkpoints:
         raise MissingArtifacts(f"{run_dir} has no checkpoint curves")
     return RunArtifacts(config=cfg, series=series, manifest=manifest)

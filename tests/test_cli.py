@@ -14,10 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sphereflow import cli, generators, run_io
+from sphereflow import chord_arc, cli, generators, run_io
 from sphereflow import sphere_geometry as sg
 from sphereflow.config import config_from_dict, load_config
-from sphereflow.errors import ConfigParseError
+from sphereflow.errors import ConfigParseError, NotAdmissible
 
 
 def write_config(path, **overrides):
@@ -28,6 +28,23 @@ def write_config(path, **overrides):
     cfg.update(overrides)
     path.write_text(json.dumps(cfg))
     return path
+
+
+def relist(run: Path, rel: str):
+    """Rewrite rel's manifest entry to the size and SHA-256 of the file on disk."""
+    manifest = json.loads((run / "manifest.json").read_text())
+    data = (run / rel).read_bytes()
+    for entry in manifest["files"]:
+        if entry["path"] == rel:
+            entry.update(bytes=len(data), sha256=hashlib.sha256(data).hexdigest())
+    (run / "manifest.json").write_text(json.dumps(manifest))
+
+
+def change_last_digit(text: str, line: int) -> str:
+    """text with the last character, a digit, of the given line changed."""
+    lines = text.split("\n")
+    lines[line] = lines[line][:-1] + ("1" if lines[line][-1] != "1" else "2")
+    return "\n".join(lines)
 
 
 def assert_inventory_matches_disk(run: Path):
@@ -214,7 +231,8 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", str(cfgp), "--out", str(tmp_path / "run")]) == 1
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert manifest["outcome"]["kind"] == "error"
-        assert "did not converge" in manifest["outcome"]["error"]
+        assert manifest["outcome"]["error"] == "NonConvergent"
+        assert "did not converge" in manifest["outcome"]["message"]
         rows = (tmp_path / "run" / "diagnostics.csv").read_text().splitlines()
         assert len(rows) >= 2
         assert_inventory_matches_disk(tmp_path / "run")
@@ -296,21 +314,53 @@ class TestVerify:
         assert [v["check"] for v in verdicts] == ["fenchel"]
 
     def test_failed_force_rerun_drops_old_manifest(self, tmp_path, capsys):
-        # the rerun stops on InsufficientData before it writes anything; the
-        # first run's manifest must not read as the rerun's result
+        # the rerun stops on InsufficientData in the extinction fit; its own
+        # manifest says so, and none of the first run's files is left
         run = tmp_path / "run"
         cfgp = write_config(tmp_path / "cfg.json", n=128, dt=4e-4)
         assert cli.main(["simulate", "--config", str(cfgp), "--out", str(run)]) == 0
+        first = json.loads((run / "manifest.json").read_text())
         cfgp = write_config(tmp_path / "cfg.json", n=64, dt=4e-4, l_floor=3.0)
         capsys.readouterr()
         assert cli.main(["simulate", "--config", str(cfgp), "--out", str(run), "--force"]) == 1
-        assert json.loads(capsys.readouterr().out)["error"] == "InsufficientData"
-        assert not (run / "manifest.json").exists()
-        assert not (run / "diagnostics.csv").exists()
-        assert not list((run / "checkpoints").iterdir())
-        for command in ("verify", "report"):
-            assert cli.main([command, "--run", str(run)]) == 3
-            assert json.loads(capsys.readouterr().out)["error"] == "MissingArtifacts"
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "InsufficientData" and err["run_dir"] == str(run)
+        manifest = json.loads((run / "manifest.json").read_text())
+        assert manifest["outcome"]["kind"] == "error"
+        assert manifest["outcome"]["error"] == "InsufficientData"
+        assert manifest["outcome"]["message"] == err["message"]
+        assert manifest["config"]["n"] == 64
+        listed = {f["path"] for f in manifest["files"] if f["path"].startswith("checkpoints/")}
+        on_disk = {f"checkpoints/{p.name}" for p in (run / "checkpoints").iterdir()}
+        assert listed and on_disk == listed
+        assert {f["sha256"] for f in manifest["files"]}.isdisjoint(
+            f["sha256"] for f in first["files"])
+        assert_inventory_matches_disk(run)
+        assert cli.main(["verify", "--run", str(run)]) == 3
+        assert json.loads(capsys.readouterr().out)["error"] == "MissingArtifacts"
+        assert cli.main(["report", "--run", str(run)]) == 0
+        out = capsys.readouterr().out
+        assert "outcome       : error" in out
+        assert "error         : InsufficientData" in out
+        assert f"message       : {err['message']}" in out
+
+    def test_error_before_the_flow_starts_writes_error_run(self, tmp_path, capsys, monkeypatch):
+        # NotAdmissible comes before any diagnostics: the run names the error,
+        # lists an empty diagnostics.csv and records no a
+        def refuse(curve, tol):
+            raise NotAdmissible("no a up to the cap")
+
+        monkeypatch.setattr(chord_arc, "resolve_a", refuse)
+        run = tmp_path / "run"
+        cfgp = write_config(tmp_path / "cfg.json", n=64, dt=4e-4)
+        assert cli.main(["simulate", "--config", str(cfgp), "--out", str(run)]) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == "NotAdmissible"
+        manifest = json.loads((run / "manifest.json").read_text())
+        assert manifest["outcome"] == {"kind": "error", "error": "NotAdmissible",
+                                       "message": "no a up to the cap"}
+        assert [f["path"] for f in manifest["files"]] == ["diagnostics.csv", "config.json"]
+        assert (run / "diagnostics.csv").read_text() == run_io.DIAGNOSTICS_HEADER + "\n"
+        assert_inventory_matches_disk(run)
 
     def test_force_rerun_keeps_other_files(self, tmp_path):
         # a rerun deletes only the names a run writes
@@ -333,6 +383,7 @@ class TestVerify:
         assert cli.main(["verify", "--run", str(run)]) == 3
 
     def test_unparsable_checkpoint_is_config_error(self, tmp_path, capsys):
+        # the manifest lists the edited bytes, so the row parser sees them
         cfgp = write_config(tmp_path / "cfg.json", n=128, dt=4e-4, checkpoint_every=500)
         run = tmp_path / "run"
         assert cli.main(["simulate", "--config", str(cfgp), "--out", str(run)]) == 0
@@ -340,11 +391,56 @@ class TestVerify:
         lines = ckpt.read_text().splitlines()
         lines[5] = lines[5].replace(",", ",x", 1)
         ckpt.write_text("\n".join(lines) + "\n")
+        relist(run, "checkpoints/step_00000500.csv")
         capsys.readouterr()
         assert cli.main(["verify", "--run", str(run)]) == 2
         err = json.loads(capsys.readouterr().out)
         assert err["error"] == "ConfigParseError"
         assert "step_00000500.csv, line 6" in err["message"]
+
+    @pytest.mark.parametrize("rel, edit, what", [
+        # a vertex or a diagnostics cell changed in place: the same size
+        ("checkpoints/step_00000500.csv", lambda text: change_last_digit(text, 6), "SHA-256"),
+        ("diagnostics.csv", lambda text: change_last_digit(text, 3), "SHA-256"),
+        # a blank line more, which the row parser would skip
+        ("checkpoints/step_00000000.csv", lambda text: text + "\n", "bytes"),
+    ])
+    def test_file_that_differs_from_its_manifest_entry(self, completed_run, tmp_path,
+                                                       capsys, rel, edit, what):
+        run = tmp_path / "run"
+        shutil.copytree(completed_run, run)
+        path = run / rel
+        path.write_text(edit(path.read_text()))
+        capsys.readouterr()
+        assert cli.main(["verify", "--run", str(run)]) == 6
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "CorruptArtifacts"
+        assert str(path) in err["message"] and what in err["message"]
+
+    @pytest.mark.parametrize("command, name, edit", [
+        ("verify", "manifest.json", lambda text: text[:100]),
+        ("report", "manifest.json", lambda text: text[:100]),
+        ("verify", "manifest.json", lambda text: json.dumps(
+            {k: v for k, v in json.loads(text).items() if k != "config"})),
+        ("verify", "manifest.json", lambda text: json.dumps(
+            {**json.loads(text), "outcome": {**json.loads(text)["outcome"], "a_resolved": "x"}})),
+        ("report", "manifest.json", lambda text: json.dumps(
+            {**json.loads(text), "files": {}})),
+        ("report", "verdicts.json", lambda text: text[:50]),
+        ("report", "verdicts.json", lambda text: json.dumps(
+            [{**v, "worst_step": None} for v in json.loads(text)])),
+    ])
+    def test_malformed_run_file_is_config_error(self, completed_run, tmp_path, capsys,
+                                                command, name, edit):
+        run = tmp_path / "run"
+        shutil.copytree(completed_run, run)
+        if not (run / "verdicts.json").exists():
+            assert cli.main(["verify", "--run", str(run)]) == 0
+        (run / name).write_text(edit((run / name).read_text()))
+        capsys.readouterr()
+        assert cli.main([command, "--run", str(run)]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "ConfigParseError" and str(run / name) in err["message"]
 
     @pytest.mark.parametrize("checks", [["great_circle"], []])
     def test_no_applicable_check_fails(self, tmp_path, capsys, checks):

@@ -29,6 +29,26 @@ class TestStep:
         expect = 2 * math.pi * math.sqrt(1 - math.exp(2 * st.t) * math.cos(theta0) ** 2)
         assert abs(st.curve.length - expect) / expect < 5e-3
 
+    @pytest.mark.parametrize("n, dt", [(128, 1.6e-3), (256, 4e-4), (512, 1e-4)])
+    def test_parallel_follows_the_schemes_own_recurrence(self, n, dt):
+        # A regular polygon on a parallel stays one, and its x and y rows are
+        # pure mode +-1: the solve divides them by 1 + dt / sin^2(theta) and
+        # leaves z, so tan(theta') = tan(theta) / (1 + dt / sin^2(theta)) and
+        # L = 2 n sin(theta) sin(pi / n), exactly. Round-off accumulates about
+        # linearly: 3.9e-16 to 7.5e-16 relative per step, 2.3e-13 (465 steps)
+        # to 5.5e-12 (7399 steps) in all, down to L = 1. The bound allows
+        # 4e-15 per step; a term of first order in dt off would be ~dt per step.
+        theta = math.pi / 3
+        st = state_of(generators.parallel_curve(theta, n))
+        worst = 0.0
+        while st.curve.length >= 1.0:
+            h = min(dt, flow_engine.dt_max(st))
+            st = flow_engine.step(st, h)
+            theta = math.atan(math.tan(theta) / (1.0 + h / math.sin(theta) ** 2))
+            L = 2 * n * math.sin(theta) * math.sin(math.pi / n)
+            worst = max(worst, abs(st.curve.length - L) / L)
+        assert worst <= 4e-15 * st.step_index
+
     def test_length_decreases(self):
         c = generators.fourier_perturbed_curve((0, 0, 1), [2, 3], [0.2, 0.1], 256, seed=8)
         st = state_of(c)

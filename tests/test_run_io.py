@@ -4,6 +4,7 @@ import json
 import math
 import os
 import platform
+import re
 
 import numpy as np
 import pytest
@@ -123,6 +124,24 @@ def test_curve_csv_write_read_is_bitwise(tmp_path):
 
 def test_missing_artifacts(tmp_path):
     with pytest.raises(MissingArtifacts):
+        run_io.load_run(tmp_path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[]", "JSON object"),
+    ('{"config": {"generator": {"kind": "great_circle"}}, "outcome": {"kind": "x"}}',
+     "files must be a list of objects"),
+    ('{"config": {"generator": {"kind": "great_circle"}}, "outcome": {"kind": "x"},'
+     ' "files": [{"path": "diagnostics.csv", "bytes": "12", "sha256": ""}]}',
+     "files[].bytes must be an integer"),
+    ('{"config": {"generator": {"kind": "great_circle"}}, "files": []}',
+     "outcome must be an object"),
+    ('{"config": {"generator": {"kind": "spiral"}}, "outcome": {"kind": "x"}, "files": []}',
+     "generator.kind"),
+])
+def test_malformed_manifest_names_the_file(tmp_path, text, message):
+    (tmp_path / "manifest.json").write_text(text)
+    with pytest.raises(ConfigParseError, match=f"manifest.json: .*{re.escape(message)}"):
         run_io.load_run(tmp_path)
 
 
