@@ -309,19 +309,53 @@ def utc_now() -> str:
     return _dt.datetime.now(_dt.timezone.utc).isoformat()
 
 
-def _read_json(path: Path, kind: str):
-    """The JSON value in path: MissingArtifacts when there is no such file,
-    ConfigParseError naming it when it does not parse."""
+def _read_json(path: Path, kind: str, check):
+    """The JSON value in path and what check(value) returns. MissingArtifacts
+    when there is no such file; ConfigParseError naming it when it does not
+    parse or check finds a field missing or of the wrong type."""
     if not path.is_file():
         raise MissingArtifacts(f"{kind} {path} not found")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:   # JSONDecodeError and UnicodeDecodeError both are
+        value = json.loads(path.read_text(encoding="utf-8"))
+        return value, check(value)
+    # JSONDecodeError and UnicodeDecodeError are ValueErrors
+    except (ValueError, ConfigParseError) as exc:
         raise ConfigParseError(f"{path}: {exc}") from None
 
 
 def _is_object(v) -> bool:
     return isinstance(v, dict)
+
+
+def _check_manifest(manifest) -> RunConfig:
+    """The manifest's config, after the fields verify and report read."""
+    if not _is_object(manifest):
+        raise ConfigParseError("the manifest must be a JSON object")
+    cfg = config_from_dict(_field(manifest, "config", None, _is_object, "an object"))
+    _field(manifest, "config_hash", "", _string, "a string")
+    outcome = _field(manifest, "outcome", None, _is_object, "an object")
+    _field(outcome, "kind", None, _string, "a string", "outcome.")
+    for name in ("a_resolved", "a_pairs", "a_curv", "T_est", "fit_residual"):
+        _field(outcome, name, None, _optional(_number), "a number", "outcome.")
+    for name in ("z_est", "axis"):
+        _field(outcome, name, None, _optional(_list_of(_number, 3)),
+               "a list of 3 numbers", "outcome.")
+    for entry in _field(manifest, "files", None, _list_of(_is_object), "a list of objects"):
+        _field(entry, "path", None, _string, "a string", "files[].")
+        _field(entry, "bytes", None, _integer, "an integer", "files[].")
+        _field(entry, "sha256", None, _string, "a string", "files[].")
+    return cfg
+
+
+def _check_verdicts(verdicts) -> None:
+    """The fields report prints of each verdict."""
+    if not _list_of(_is_object)(verdicts):
+        raise ConfigParseError("verdicts must be a list of objects")
+    for v in verdicts:
+        _field(v, "check", None, _string, "a string")
+        _field(v, "verdict", None, _string, "a string")
+        _field(v, "min_margin", None, _number, "a number")
+        _field(v, "worst_step", None, _integer, "an integer")
 
 
 def read_manifest(run_dir) -> tuple[dict, RunConfig]:
@@ -331,47 +365,14 @@ def read_manifest(run_dir) -> tuple[dict, RunConfig]:
     Raises MissingArtifacts when the file is absent, and ConfigParseError
     naming it when it does not parse or a field is missing or has the wrong type.
     """
-    path = Path(run_dir) / "manifest.json"
-    manifest = _read_json(path, "manifest")
-    try:
-        if not _is_object(manifest):
-            raise ConfigParseError("the manifest must be a JSON object")
-        cfg = config_from_dict(_field(manifest, "config", None, _is_object, "an object"))
-        _field(manifest, "config_hash", "", _string, "a string")
-        outcome = _field(manifest, "outcome", None, _is_object, "an object")
-        _field(outcome, "kind", None, _string, "a string", "outcome.")
-        for name in ("a_resolved", "a_pairs", "a_curv", "T_est", "fit_residual"):
-            _field(outcome, name, None, _optional(_number), "a number", "outcome.")
-        for name in ("z_est", "axis"):
-            _field(outcome, name, None, _optional(_list_of(_number, 3)),
-                   "a list of 3 numbers", "outcome.")
-        for entry in _field(manifest, "files", None, _list_of(_is_object), "a list of objects"):
-            _field(entry, "path", None, _string, "a string", "files[].")
-            _field(entry, "bytes", None, _integer, "an integer", "files[].")
-            _field(entry, "sha256", None, _string, "a string", "files[].")
-    except ConfigParseError as exc:
-        raise ConfigParseError(f"{path}: {exc}") from None
-    return manifest, cfg
+    return _read_json(Path(run_dir) / "manifest.json", "manifest", _check_manifest)
 
 
 def read_verdicts(run_dir) -> list[dict] | None:
-    """run_dir's verdicts.json, None when there is none; each verdict is checked
-    for the fields report prints, as read_manifest checks the manifest."""
+    """run_dir's verdicts.json, None when there is none, checked as
+    read_manifest checks the manifest."""
     path = Path(run_dir) / "verdicts.json"
-    if not path.exists():
-        return None
-    verdicts = _read_json(path, "verdicts")
-    try:
-        if not _list_of(_is_object)(verdicts):
-            raise ConfigParseError("verdicts must be a list of objects")
-        for v in verdicts:
-            _field(v, "check", None, _string, "a string")
-            _field(v, "verdict", None, _string, "a string")
-            _field(v, "min_margin", None, _number, "a number")
-            _field(v, "worst_step", None, _integer, "an integer")
-    except ConfigParseError as exc:
-        raise ConfigParseError(f"{path}: {exc}") from None
-    return verdicts
+    return _read_json(path, "verdicts", _check_verdicts)[0] if path.exists() else None
 
 
 def _check_inventory(run_dir: Path, entry: dict) -> None:
