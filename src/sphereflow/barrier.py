@@ -265,11 +265,10 @@ def comparison_residual(z, a: float, tau: float = 0.0):
     zz = np.asarray(z, dtype=float)
     if np.any(zz <= 0.0) or np.any(zz >= 1.0):
         raise DomainError("residual is defined on z in (0, 1)")
-    params = BarrierParams(a=a, tau=tau)
-    b = params.a_eff
-    c, cp, d = _cd(zz, b)
+    b = BarrierParams(a=a, tau=tau).a_eff
+    c, cp, _ = _cd(zz, b)
     ev = phi_derivatives(zz, b)
-    d_tau = FOUR_PI_SQ * (ev.phi - c / d)
+    d_tau = -FOUR_PI_SQ * b * dphi_da(zz, b)
     return d_tau - 4.0 * (ev.phi_double_prime + np.pi ** 2 * ev.phi) \
         - 8.0 * ev.phi_prime * cp / c + 8.0 * ev.phi_prime ** 2 / c
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -202,6 +203,11 @@ def main(argv=None) -> int:
         return args.handler(args)
     except SphereFlowError as exc:
         return _fail(exc)
+    except BrokenPipeError:
+        # stdout's reader is gone; the interpreter's final flush goes to devnull
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -169,7 +169,7 @@ def load_config(path) -> RunConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigParseError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError and UnicodeDecodeError
         raise ConfigParseError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_dict(raw)
 

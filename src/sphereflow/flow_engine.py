@@ -249,7 +249,7 @@ def run(cfg: RunConfig) -> tuple[DiagnosticsSeries, Outcome]:
             raise NonConvergent(
                 f"t_max={cfg.t_max} reached with L={L:.4f}, max|kappa|={kappa_max:.3e}")
         if finished == "shrunk":
-            T_est, rms = _extinction_fit(series)
+            T_est, rms = extinction_fit(series)
     except SphereFlowError as exc:
         exc.series = series  # partial diagnostics for the caller to persist
         raise
@@ -265,12 +265,12 @@ def run(cfg: RunConfig) -> tuple[DiagnosticsSeries, Outcome]:
     return series, Outcome(kind="great_circle", axis=area_vec / np.linalg.norm(area_vec))
 
 
-def _extinction_fit(series: DiagnosticsSeries) -> tuple[float, float]:
-    """Fit L^2 = 4 pi^2 (1 - e^{-2(T-t)}) over the final decade of L.
+def extinction_fit(series: DiagnosticsSeries) -> tuple[float, float]:
+    """(T, rms) of L^2 = 4 pi^2 (1 - e^{-2(T-t)}) fitted over the final decade of L.
 
-    Least squares on the relative misfit of L^2 (weights 1/L^4), linear in
-    beta = e^{-2T} so the solve is closed-form. Relative weighting anchors T
-    to the smallest-L records, where the model comparison is most sensitive.
+    Least squares on the relative misfit of L^2 (weights 1/L^4; rms is its root
+    mean square), linear in beta = e^{-2T} so the solve is closed-form. Relative
+    weighting anchors T to the smallest-L records, where the model is most sensitive.
     """
     t = series.column("t")
     L = series.column("L")
@@ -289,11 +289,6 @@ def _extinction_fit(series: DiagnosticsSeries) -> tuple[float, float]:
     model = FOUR_PI_SQ * (1.0 - beta * g)
     rms = float(np.sqrt(np.mean(((Lw ** 2 - model) / Lw ** 2) ** 2)))
     return T, rms
-
-
-def estimate_extinction(series: DiagnosticsSeries) -> float:
-    """Extinction time from the length history (see _extinction_fit)."""
-    return _extinction_fit(series)[0]
 
 
 def rescaled_curve(curve: DiscreteCurve, t: float, T_est: float,

@@ -3,11 +3,11 @@
 All CSV uses '.' decimals, LF line endings, and repr-style float formatting
 (shortest round-trip), so identical runs produce byte-identical files and
 reading a file back reproduces the exact doubles. A manifest's inventory gives
-the size and SHA-256 of each file as written, and load_run reads no file that
-differs from it. Both CSV readers parse rows alike: the diagnostics step is an
-integer, and a row that breaks the format is a ConfigParseError naming the
-file and the line, as is a run's JSON file that does not parse or has a field
-of the wrong type.
+the size and SHA-256 of each file as written; load_run reads each listed file
+once and parses the bytes only if they match. Both CSV readers parse rows
+alike: the diagnostics step is an integer, and a row that breaks the format is
+a ConfigParseError naming the file and the line, as is a run's JSON file that
+does not parse or has a field of the wrong type.
 """
 
 from __future__ import annotations
@@ -56,33 +56,41 @@ def _write(path, data: bytes) -> bytes:
     return data
 
 
-def _read_rows(path, kind: str, header: str, int_columns: int = 0) -> np.ndarray:
-    """The rows after the header of a CSV file as one float array, a column per
-    header field, parsed in one call. Blank lines and whitespace around fields
-    are ignored; the first int_columns fields must be integers, as int() reads
-    them. A bad header, row or field is a ConfigParseError naming the line."""
+def _read_file(path, kind: str) -> bytes:
+    """path's bytes, in one read; MissingArtifacts when it is not a regular file."""
     path = Path(path)
-    if not path.exists():
-        raise MissingArtifacts(f"{kind} file {path} not found")
-    lines = path.read_text(encoding="utf-8").splitlines() or [""]
-    got = lines[0].strip()
-    if got.replace(" ", "") != header:
-        raise ConfigParseError(f"{path}: expected header {header!r}, got {got!r}")
+    if not path.is_file():
+        raise MissingArtifacts(f"{kind} {path} not found")
+    return path.read_bytes()
+
+
+def _parse_rows(path, data: bytes, header: str, int_columns: int = 0) -> np.ndarray:
+    """The rows after the header of CSV bytes read from path as one float array,
+    a column per header field, parsed in one call. Blank lines and whitespace
+    around fields are ignored; the first int_columns fields must be integers, as
+    int() reads them. Bytes that are not UTF-8, or a bad header, row or field,
+    are a ConfigParseError naming path (and the line)."""
     width = header.count(",") + 1
-    body = [line for line in map(str.strip, lines[1:]) if line]
     try:
+        lines = data.decode("utf-8").splitlines() or [""]
+        got = lines[0].strip()
+        if got.replace(" ", "") != header:
+            raise ConfigParseError(f"{path}: expected header {header!r}, got {got!r}")
+        body = [line for line in map(str.strip, lines[1:]) if line]
         if any(line.count(",") != width - 1 for line in body):
             raise ValueError
         fields = ",".join(body).split(",") if body else []
         for k in range(int_columns):
             list(map(int, fields[k::width]))   # raises ValueError as int() does
         return np.array(fields, dtype=float).reshape(-1, width)
+    except UnicodeDecodeError as exc:
+        raise ConfigParseError(f"{path}: not UTF-8 ({exc})") from None
     except ValueError:
         raise ConfigParseError(_bad_row(path, lines, width, int_columns)) from None
 
 
 def _bad_row(path: Path, lines: list[str], width: int, int_columns: int) -> str:
-    """What is wrong with the first row that _read_rows rejects."""
+    """What is wrong with the first row that _parse_rows rejects."""
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -103,12 +111,13 @@ def write_curve_csv(curve: DiscreteCurve, path) -> bytes:
 
 
 def read_curve_csv(path) -> DiscreteCurve:
-    """Curve from an x,y,z CSV; blank lines and whitespace around fields are ignored.
+    """Curve from an x,y,z CSV file, parsed as _parse_rows parses; MissingArtifacts
+    when path is not a regular file."""
+    return _parse_curve(path, _read_file(path, "curve file"))
 
-    Raises ConfigParseError, naming the file and the line, for a bad header,
-    a row without exactly three fields or a field that is not a number.
-    """
-    pts = _read_rows(path, "curve", "x,y,z")
+
+def _parse_curve(path, data: bytes) -> DiscreteCurve:
+    pts = _parse_rows(path, data, "x,y,z")
     # the format leaves the closing edge implicit; drop an accidental repeat,
     # which would be a degenerate closing segment, and no real last vertex
     if len(pts) > 1 and np.allclose(pts[0], pts[-1], rtol=0.0, atol=1e-14):
@@ -123,12 +132,13 @@ def write_diagnostics_csv(series: DiagnosticsSeries, path) -> bytes:
 
 
 def read_diagnostics_csv(path) -> DiagnosticsSeries:
-    """Diagnostics from a CSV in DIAGNOSTICS_COLUMNS order; step must be an integer.
+    """Diagnostics from a CSV file in DIAGNOSTICS_COLUMNS order, step an integer;
+    errors as for read_curve_csv."""
+    return _parse_diagnostics(path, _read_file(path, "diagnostics file"))
 
-    Raises ConfigParseError as read_curve_csv does.
-    """
-    return DiagnosticsSeries.from_rows(
-        _read_rows(path, "diagnostics", DIAGNOSTICS_HEADER, int_columns=1))
+
+def _parse_diagnostics(path, data: bytes) -> DiagnosticsSeries:
+    return DiagnosticsSeries.from_rows(_parse_rows(path, data, DIAGNOSTICS_HEADER, int_columns=1))
 
 
 def write_profile_csv(prof: ChordArcProfile, path) -> bytes:
@@ -249,7 +259,7 @@ def _checkpoint_step(rel: str) -> int:
     """Step of a manifest path checkpoints/step_<step>.csv (see checkpoint_name)."""
     name = rel[len("checkpoints/"):]
     digits = name[len("step_"):-len(".csv")]
-    if not (name.startswith("step_") and name.endswith(".csv") and digits.isdigit()):
+    if not (name.startswith("step_") and name.endswith(".csv") and digits.isdecimal()):
         raise ConfigParseError(f"manifest lists {rel!r}, which is not a checkpoint name")
     return int(digits)
 
@@ -310,13 +320,10 @@ def utc_now() -> str:
 
 
 def _read_json(path: Path, kind: str, check):
-    """The JSON value in path and what check(value) returns. MissingArtifacts
-    when there is no such file; ConfigParseError naming it when it does not
-    parse or check finds a field missing or of the wrong type."""
-    if not path.is_file():
-        raise MissingArtifacts(f"{kind} {path} not found")
+    """The JSON value in path and what check(value) returns; ConfigParseError
+    naming path when it does not parse or check finds a field missing or wrong."""
     try:
-        value = json.loads(path.read_text(encoding="utf-8"))
+        value = json.loads(_read_file(path, kind).decode("utf-8"))
         return value, check(value)
     # JSONDecodeError and UnicodeDecodeError are ValueErrors
     except (ValueError, ConfigParseError) as exc:
@@ -359,12 +366,8 @@ def _check_verdicts(verdicts) -> None:
 
 
 def read_manifest(run_dir) -> tuple[dict, RunConfig]:
-    """run_dir's manifest.json and its config, with the fields that verify and
-    report read checked for their JSON types.
-
-    Raises MissingArtifacts when the file is absent, and ConfigParseError
-    naming it when it does not parse or a field is missing or has the wrong type.
-    """
+    """run_dir's manifest.json and its config, read by _read_json, which
+    checks the fields that verify and report read for their JSON types."""
     return _read_json(Path(run_dir) / "manifest.json", "manifest", _check_manifest)
 
 
@@ -375,38 +378,35 @@ def read_verdicts(run_dir) -> list[dict] | None:
     return _read_json(path, "verdicts", _check_verdicts)[0] if path.exists() else None
 
 
-def _check_inventory(run_dir: Path, entry: dict) -> None:
-    """The listed file exists with the size and SHA-256 its manifest entry gives."""
+def _checked_bytes(run_dir: Path, entry: dict) -> bytes:
+    """The listed file's bytes, with the size and SHA-256 its entry gives."""
     path = run_dir / entry["path"]
-    if not path.is_file():
-        raise MissingArtifacts(f"{run_dir} lacks {entry['path']}, which its manifest lists")
-    data = path.read_bytes()
+    data = _read_file(path, "listed file")
     if len(data) != entry["bytes"]:
         raise CorruptArtifacts(f"{path} has {len(data)} bytes, its manifest lists {entry['bytes']}")
     if hashlib.sha256(data).hexdigest() != entry["sha256"]:
         raise CorruptArtifacts(f"{path} does not match the SHA-256 its manifest lists")
+    return data
 
 
 def load_run(run_dir) -> RunArtifacts:
     """Load manifest, diagnostics, and the checkpoints the manifest lists.
 
-    Every listed file is checked against its inventory entry before any is
-    parsed. Raises MissingArtifacts when a listed file is absent and
-    CorruptArtifacts when one differs in size or SHA-256 from its entry.
+    Each listed file is read once and checked against its inventory entry, all
+    before any is parsed, and the bytes checked are the bytes parsed. Raises
+    MissingArtifacts when a listed file is absent and CorruptArtifacts when one
+    differs in size or SHA-256 from its entry.
     """
     run_dir = Path(run_dir)
     manifest, cfg = read_manifest(run_dir)
-    listed = [entry["path"] for entry in manifest["files"]]
-    if "diagnostics.csv" not in listed:
+    files = {entry["path"]: _checked_bytes(run_dir, entry) for entry in manifest["files"]}
+    if "diagnostics.csv" not in files:
         raise MissingArtifacts(f"{run_dir}/manifest.json lists no diagnostics.csv")
-    for entry in manifest["files"]:
-        _check_inventory(run_dir, entry)
-    series = read_diagnostics_csv(run_dir / "diagnostics.csv")
-    # only the checkpoints the manifest names: a file the program does not
-    # write can sit next to them
-    for rel in listed:
+    series = _parse_diagnostics(run_dir / "diagnostics.csv", files["diagnostics.csv"])
+    # only listed checkpoints: a file the program did not write can sit beside them
+    for rel, data in files.items():
         if rel.startswith("checkpoints/"):
-            series.checkpoints.append((_checkpoint_step(rel), read_curve_csv(run_dir / rel)))
+            series.checkpoints.append((_checkpoint_step(rel), _parse_curve(run_dir / rel, data)))
     if not series.checkpoints:
         raise MissingArtifacts(f"{run_dir} has no checkpoint curves")
     return RunArtifacts(config=cfg, series=series, manifest=manifest)

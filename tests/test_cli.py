@@ -246,6 +246,39 @@ def test_main_calls_commands_through_module_globals(monkeypatch):
     assert calls == ["somewhere"]
 
 
+def test_closed_stdout_exits_without_traceback(tmp_path, monkeypatch):
+    # stdout's file descriptor now points at devnull, so the final flush is quiet
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return self.fd
+
+    with open(tmp_path / "stdout", "wb") as held:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(held.fileno()))
+        assert cli.main(["barrier-check", "--grid", "20"]) == 1
+        monkeypatch.undo()
+        assert os.path.samestat(os.fstat(held.fileno()), os.stat(os.devnull))
+
+
+def test_console_exits_quietly_into_a_closed_pipe():
+    src = Path(cli.__file__).resolve().parents[1]
+    read_end, write_end = os.pipe()
+    os.close(read_end)   # no reader: the first write to stdout fails
+    try:
+        proc = subprocess.run([sys.executable, "-m", "sphereflow.cli", "barrier-check"],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+
+
 def test_cli_import_loads_no_scipy():
     src = Path(cli.__file__).resolve().parents[1]
     code = ("import sys, sphereflow.cli; "
@@ -267,9 +300,10 @@ class TestVerify:
     def test_empty_dir(self, tmp_path):
         assert cli.main(["verify", "--run", str(tmp_path)]) == 3
 
-    def test_force_rerun_loads_only_manifest_checkpoints(self, tmp_path, monkeypatch):
+    def test_force_rerun_loads_only_manifest_checkpoints(self, tmp_path):
         # a rerun with another cadence leaves none of the first run's
-        # checkpoints, and verify reads only the listed ones, not one planted
+        # checkpoints, and verify reads only the listed ones: a planted file
+        # that does not parse changes nothing
         run = tmp_path / "run"
         for every in (50, 70):
             cfgp = write_config(tmp_path / "cfg.json", n=128, dt=4e-4, checkpoint_every=every)
@@ -280,18 +314,10 @@ class TestVerify:
         on_disk = {f"checkpoints/{p.name}" for p in (run / "checkpoints").iterdir()}
         assert on_disk == listed
         assert "checkpoints/step_00000050.csv" not in listed
-        shutil.copy(run / "checkpoints" / "step_00000070.csv",
-                    run / "checkpoints" / "step_00000050.csv")
-        loaded = []
-        read_curve_csv = run_io.read_curve_csv
-
-        def recording_read(path):
-            loaded.append(Path(path).relative_to(run).as_posix())
-            return read_curve_csv(path)
-
-        monkeypatch.setattr(run_io, "read_curve_csv", recording_read)
+        (run / "checkpoints" / "step_00000050.csv").write_bytes(b"x,y,z\nnot,a,curve\n\xff\n")
         assert cli.main(["verify", "--run", str(run)]) == 0
-        assert sorted(loaded) == sorted(listed)
+        steps = [step for step, _ in run_io.load_run(run).series.checkpoints]
+        assert sorted(f"checkpoints/{run_io.checkpoint_name(s)}" for s in steps) == sorted(listed)
 
     def test_force_rerun_drops_old_verdicts(self, tmp_path, capsys):
         # report must not show the first run's verdicts as the rerun's
@@ -397,6 +423,49 @@ class TestVerify:
         err = json.loads(capsys.readouterr().out)
         assert err["error"] == "ConfigParseError"
         assert "step_00000500.csv, line 6" in err["message"]
+
+    def test_non_utf8_diagnostics_is_config_error(self, completed_run, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(completed_run, run)
+        data = (run / "diagnostics.csv").read_bytes()
+        (run / "diagnostics.csv").write_bytes(data.replace(b"nan", b"n\xe4n", 1))
+        relist(run, "diagnostics.csv")
+        capsys.readouterr()
+        assert cli.main(["verify", "--run", str(run)]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "ConfigParseError"
+        assert err["message"].startswith(f"{run / 'diagnostics.csv'}: not UTF-8")
+
+    def test_checkpoint_name_with_a_superscript_digit_is_config_error(self, completed_run,
+                                                                      tmp_path, capsys):
+        # "2" and superscript two are both str.isdigit(), but int() reads only the first
+        run = tmp_path / "run"
+        shutil.copytree(completed_run, run)
+        (run / "checkpoints" / "step_00000000.csv").rename(run / "checkpoints" / "step_\u00b2.csv")
+        manifest = json.loads((run / "manifest.json").read_text())
+        for entry in manifest["files"]:
+            if entry["path"] == "checkpoints/step_00000000.csv":
+                entry["path"] = "checkpoints/step_\u00b2.csv"
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert cli.main(["verify", "--run", str(run)]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "ConfigParseError" and "not a checkpoint name" in err["message"]
+
+    def test_load_run_opens_each_listed_file_once(self, completed_run, monkeypatch):
+        # the bytes that are hashed are the bytes that are parsed
+        opened = []
+        path_open = Path.open
+
+        def counting_open(self, *args, **kwargs):
+            opened.append(self.relative_to(completed_run).as_posix())
+            return path_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counting_open)
+        art = run_io.load_run(completed_run)
+        listed = [entry["path"] for entry in art.manifest["files"]]
+        assert len(listed) > 2 and len(art.series.checkpoints) == len(listed) - 2
+        assert sorted(opened) == sorted(listed + ["manifest.json"])
 
     @pytest.mark.parametrize("rel, edit, what", [
         # a vertex or a diagnostics cell changed in place: the same size
@@ -511,6 +580,20 @@ class TestProfileCommand:
         assert err["error"] == "ConfigParseError"
         assert err["message"] == f"{path}, {message}"
 
+    def test_non_utf8_curve_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("x,y,z\n1.0,0.0,0.0 # caf\u00e9\n".encode("latin-1"))
+        assert cli.main(["profile", "--curve", str(path), "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "ConfigParseError"
+        assert err["message"].startswith(f"{path}: not UTF-8")
+
+    def test_directory_as_curve_is_missing(self, tmp_path, capsys):
+        assert cli.main(["profile", "--curve", str(tmp_path), "--out", str(tmp_path)]) == 3
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "MissingArtifacts"
+        assert str(tmp_path) in err["message"]
+
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SPHEREFLOW_OUT", str(tmp_path / "root"))
         curve = generators.great_circle_curve((0, 0, 1), 128)
@@ -611,6 +694,13 @@ class TestConfigValidation:
                             generator={"kind": "great_circle", "axiz": [1, 0, 0]})
         assert cli.main(["simulate", "--config", str(cfgp), "--out", str(tmp_path / "run")]) == 2
         assert "axiz" in json.loads(capsys.readouterr().out)["message"]
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_bytes(b'{"generator": {"kind": "parallel"}, "output_dir": "r\xe9sum\xe9"}')
+        assert cli.main(["simulate", "--config", str(cfgp), "--out", str(tmp_path / "run")]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "ConfigParseError" and str(cfgp) in err["message"]
 
     def test_missing_generator(self):
         with pytest.raises(ConfigParseError):

@@ -249,21 +249,23 @@ class TestEstimateExtinction:
         T = 1.0
         t_end = T + 0.5 * math.log1p(-(0.03 / (2 * math.pi)) ** 2)
         series = self.synthetic(T, t_end)
-        assert abs(flow_engine.estimate_extinction(series) - 1.0) < 1e-6
+        T_fit, rms = flow_engine.extinction_fit(series)
+        assert abs(T_fit - 1.0) < 1e-6
+        assert rms < 1e-9   # round-off of the model itself
 
     def test_exact_parallel_data(self):
         # closed-form shrinking parallel with theta0 = pi/3: T = ln 2
         T = math.log(2.0)
         t_end = T + 0.5 * math.log1p(-(0.05 / (2 * math.pi)) ** 2)
         series = self.synthetic(T, t_end, count=600)
-        assert abs(flow_engine.estimate_extinction(series) - T) / T < 1e-3
+        assert abs(flow_engine.extinction_fit(series)[0] - T) / T < 1e-3
 
     def test_flat_series_rejected(self):
         series = flow_engine.DiagnosticsSeries()
         for k in range(100):
             series.append(k, k * 1e-3, 0.0, 2 * math.pi, 0.0, math.nan, math.nan, 0.0)
         with pytest.raises(InsufficientData):
-            flow_engine.estimate_extinction(series)
+            flow_engine.extinction_fit(series)
 
 
 class TestRescaledCurve:

@@ -8,6 +8,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from sphereflow import chord_arc, flow_engine, generators, run_io
 from sphereflow import sphere_geometry as sg
@@ -241,3 +243,40 @@ def test_diagnostics_csv_round_trip_with_nan_cells(tmp_path):
     assert second.read_bytes() == first.read_bytes()
     again.append(*series.rows()[0])   # a series read back still grows
     assert again.column("step").size == 301
+
+
+# unit vectors, every one exactly what make_curve keeps (unit to 1e-13)
+_coord = st.floats(-1.0, 1.0)
+_unit = (st.tuples(_coord, _coord, _coord).map(np.array)
+         .filter(lambda v: np.linalg.norm(v) > 0.1).map(lambda v: v / np.linalg.norm(v)))
+# step an integer, every other column any double; nan is the one the writer prints
+_cell = st.floats(allow_nan=False) | st.just(math.nan)
+_record = st.tuples(st.integers(0, 2 ** 53).map(float),
+                    *[_cell] * (len(flow_engine.DIAGNOSTICS_COLUMNS) - 1))
+_round_trip_settings = settings(max_examples=60, deadline=None,
+                                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_round_trip_settings
+@given(points=st.lists(_unit, min_size=8, max_size=40, unique_by=lambda v: tuple(v.round(10))))
+def test_curve_csv_round_trip_property(tmp_path, points):
+    # the format's preconditions: consecutive rows distinct, the last row no
+    # repeat of the first (the reader drops one within 1e-14)
+    pts = np.array(points)
+    assume(np.linalg.norm(np.diff(pts, axis=0, append=pts[:1]), axis=1).min() >= 1e-13)
+    curve = sg.make_curve(pts)
+    assert np.array_equal(curve.points.view(np.uint64), pts.view(np.uint64))
+    run_io.write_curve_csv(curve, tmp_path / "curve.csv")
+    again = run_io.read_curve_csv(tmp_path / "curve.csv")
+    assert np.array_equal(again.rows.view(np.uint64), curve.rows.view(np.uint64))
+
+
+@_round_trip_settings
+@given(records=st.lists(_record, max_size=40))
+def test_diagnostics_csv_round_trip_property(tmp_path, records):
+    series = flow_engine.DiagnosticsSeries()
+    for record in records:
+        series.append(*record)
+    run_io.write_diagnostics_csv(series, tmp_path / "diagnostics.csv")
+    again = run_io.read_diagnostics_csv(tmp_path / "diagnostics.csv")
+    assert np.array_equal(again.rows().view(np.uint64), series.rows().view(np.uint64))
