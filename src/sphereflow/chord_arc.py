@@ -54,20 +54,8 @@ class ChordArcProfile:
     mean_spacing: float
 
     @property
-    def n_bins(self) -> int:
-        return self.z_centers.size
-
-    @property
     def empty_bins(self) -> np.ndarray:
         return np.isnan(self.psi)
-
-
-@dataclass(frozen=True)
-class ZReport:
-    """Minimum of the gap Z over admissible vertex pairs."""
-
-    min_value: float
-    pair: tuple[int, int]
 
 
 def _separation(curve: DiscreteCurve, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -348,10 +336,8 @@ def profile(curve: DiscreteCurve, n_bins: int) -> ChordArcProfile:
                            mean_spacing=curve.length / curve.n)
 
 
-def min_Z(curve: DiscreteCurve, params: barrier.BarrierParams) -> ZReport:
+def min_Z(curve: DiscreteCurve, params: barrier.BarrierParams) -> float:
     """Minimum gap d - L*phi(ell/L; a_eff) over pairs at cyclic distance >= 2.
-
-    On ties the first pair i < j in (i, j) order is reported.
 
     Only the pairs that a bound per cyclic gap k cannot rule out get their
     exact gap. With e_i = s_i - i L/n, the drift of the arclength from
@@ -370,7 +356,6 @@ def min_Z(curve: DiscreteCurve, params: barrier.BarrierParams) -> ZReport:
     dz = float(np.max(drift) - np.min(drift)) / length
     slack = FILTER_SLACK * length
     bound = value = math.inf
-    key = -1
     for k, d2 in _gap_blocks(curve.rows, 2):
         z = k / n
         d2_min = np.min(d2, axis=1)
@@ -385,11 +370,8 @@ def min_Z(curve: DiscreteCurve, params: barrier.BarrierParams) -> ZReport:
         flat = live[r] * n + i
         i, j = _gap_pairs(n, k, flat)
         gaps = np.sqrt(d2.ravel()[flat]) - length * barrier.phi(_separation(curve, i, j), a_eff)
-        best = gaps.min()
-        best_key = int((i * n + j)[gaps == best].min())
-        if best < value or (best == value and best_key < key):
-            value, key = float(best), best_key
-    return ZReport(min_value=value, pair=divmod(key, n))
+        value = min(value, float(gaps.min()))
+    return value
 
 
 def admissible_a(curve: DiscreteCurve, tol: float = 1e-3) -> float:
@@ -402,7 +384,7 @@ def admissible_a(curve: DiscreteCurve, tol: float = 1e-3) -> float:
     signals a curve too close to self-touching.
     """
     def admits(a: float) -> bool:
-        return min_Z(curve, barrier.BarrierParams(a)).min_value >= 0.0
+        return min_Z(curve, barrier.BarrierParams(a)) >= 0.0
 
     if admits(0.0):
         return 0.0

@@ -13,23 +13,8 @@ import numpy as np
 
 from . import barrier, chord_arc, estimate_harness, flow_engine, run_io
 from .config import load_config
-from .errors import (
-    ConfigParseError,
-    CorruptArtifacts,
-    MissingArtifacts,
-    NotSimple,
-    RunDirLocked,
-    SphereFlowError,
-)
+from .errors import MissingArtifacts, NotSimple, SphereFlowError
 from .sphere_geometry import validate_simple
-
-_EXIT_CODES = {
-    ConfigParseError: 2,
-    MissingArtifacts: 3,
-    NotSimple: 4,
-    RunDirLocked: 5,
-    CorruptArtifacts: 6,
-}
 
 DEFAULT_A_LIST = (0.1, 0.5, 1.0, 2.0, 10.0)
 DEFAULT_L_LIST = (math.pi, 2.0 * math.pi, 3.0 * math.pi, 4.0 * math.pi)
@@ -37,10 +22,7 @@ DEFAULT_L_LIST = (math.pi, 2.0 * math.pi, 3.0 * math.pi, 4.0 * math.pi)
 
 def _fail(exc: SphereFlowError, **extra) -> int:
     print(json.dumps({"error": type(exc).__name__, "message": str(exc), **extra}))
-    for klass, code in _EXIT_CODES.items():
-        if isinstance(exc, klass):
-            return code
-    return 1
+    return exc.exit_code
 
 
 def cmd_simulate(config_path, out_dir=None, force: bool = False) -> int:
@@ -52,10 +34,13 @@ def cmd_simulate(config_path, out_dir=None, force: bool = False) -> int:
         run_io.clear_run(run_dir, force)
         try:
             series, outcome = flow_engine.run(cfg)
-        except SphereFlowError as exc:
-            # the run says what stopped it, with the diagnostics it got to
+        except BaseException as exc:
+            # the run says what stopped it, with the diagnostics it got to;
+            # an exception that is not the package's goes on after that
             series = getattr(exc, "series", flow_engine.DiagnosticsSeries())
             run_io.write_run(run_dir, cfg, series, None, started, error=exc)
+            if not isinstance(exc, SphereFlowError):
+                raise
             return _fail(exc, run_dir=str(run_dir))
         manifest = run_io.write_run(run_dir, cfg, series, outcome, started)
     print(json.dumps({"run_dir": str(run_dir), "outcome": manifest["outcome"]}))

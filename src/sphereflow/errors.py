@@ -2,7 +2,9 @@
 
 
 class SphereFlowError(Exception):
-    """Base class for all sphereflow errors."""
+    """Base class for all sphereflow errors. exit_code is the exit code a
+    command ends with on the error; a subclass that sets none has its parent's."""
+    exit_code = 1
 
 
 class TooFewVertices(SphereFlowError):
@@ -15,10 +17,11 @@ class DegenerateSegment(SphereFlowError):
 
 class NotSimple(SphereFlowError):
     """The curve self-intersects."""
+    exit_code = 4
 
 
 class SelfIntersection(NotSimple):
-    """A flow step detected loss of embeddedness."""
+    """A flow run found a stepped curve that is not embedded."""
 
 
 class StepTooLarge(SphereFlowError):
@@ -52,15 +55,19 @@ class PreconditionViolation(SphereFlowError):
 
 class ConfigParseError(SphereFlowError):
     """Run configuration missing, malformed, or out of range."""
+    exit_code = 2
 
 
 class MissingArtifacts(SphereFlowError):
     """Run directory lacks the files needed for verification."""
+    exit_code = 3
 
 
 class RunDirLocked(SphereFlowError):
     """Another process owns the run directory."""
+    exit_code = 5
 
 
 class CorruptArtifacts(SphereFlowError):
     """A run file differs in size or SHA-256 from its manifest entry."""
+    exit_code = 6

@@ -90,9 +90,9 @@ def check_chord_arc(series: DiagnosticsSeries, a: float) -> BoundCheck:
     margins, steps = [], []
     for step, curve in series.checkpoints:
         r = _record_row(series, step)
-        rep = chord_arc.min_Z(curve, BarrierParams(a=a, tau=float(tau[r])))
+        gap = chord_arc.min_Z(curve, BarrierParams(a=a, tau=float(tau[r])))
         eps = EPS_DISC_COEFF * float(np.max(curve.seg_lengths)) ** 2 * curve.length
-        margins.append(rep.min_value + eps)
+        margins.append(gap + eps)
         steps.append(step)
     return _finish("chord_arc", margins, steps, 0.0, {"a": a})
 

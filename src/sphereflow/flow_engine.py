@@ -33,7 +33,6 @@ from .errors import (
     NonConvergent,
     NotSimple,
     SelfIntersection,
-    SphereFlowError,
     StepTooLarge,
 )
 from .sphere_geometry import (
@@ -130,8 +129,7 @@ def _solve_circulant(rows: np.ndarray, dt: float, h: float) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(rows[:, :n], axis=1) / lam, n=n, axis=1)
 
 
-def step(state: FlowState, dt: float, *, c_cfl: float = 5.0,
-         check_simple: bool = False) -> FlowState:
+def step(state: FlowState, dt: float, *, c_cfl: float = 5.0) -> FlowState:
     """One semi-implicit flow step of size dt, then projection and resampling.
 
     The solve needs uniform spacing; a non-uniform input curve is resampled
@@ -152,8 +150,6 @@ def step(state: FlowState, dt: float, *, c_cfl: float = 5.0,
     L_old, L_new = state.curve.length, new_curve.length
     if L_new < HARD_LENGTH_FLOOR:
         raise Degenerate(f"length collapsed to {L_new:.3e}")
-    if check_simple and not validate_simple(new_curve):
-        raise SelfIntersection(f"embeddedness lost at t={state.t + dt:.6g}")
 
     tau = state.tau + 0.5 * dt * (1.0 / L_old ** 2 + 1.0 / L_new ** 2)
     return FlowState(curve=new_curve, t=state.t + dt, tau=tau,
@@ -179,8 +175,9 @@ def run(cfg: RunConfig) -> tuple[DiagnosticsSeries, Outcome]:
     great-circle plateau, or t_max; classify the outcome.
 
     Raises NonConvergent when t_max arrives without a classifiable state or
-    a resample does not converge. Any error raised once the diagnostics have
-    begun, the extinction fit's included, carries them as its `series`.
+    a resample does not converge. Any exception raised once the diagnostics
+    have begun, the package's or not (KeyboardInterrupt, OSError, ...), the
+    extinction fit's included, carries them as its `series`.
     """
     curve = generators.initial_curve(cfg)
     if not validate_simple(curve):
@@ -202,7 +199,7 @@ def run(cfg: RunConfig) -> tuple[DiagnosticsSeries, Outcome]:
         kmax = float(np.max(np.abs(frame.kappa)))
         mz = math.nan
         if with_z:
-            mz = chord_arc.min_Z(st.curve, BarrierParams(a=a, tau=st.tau)).min_value
+            mz = chord_arc.min_Z(st.curve, BarrierParams(a=a, tau=st.tau))
         L = st.curve.length
         series.append(st.step_index, st.t, st.tau, L, kmax, mz, dldt,
                       curvature_margin(kmax, L, a, st.tau))
@@ -218,8 +215,10 @@ def run(cfg: RunConfig) -> tuple[DiagnosticsSeries, Outcome]:
             # every scale (per-step defect is O(dt^2 kappa_bar^2)).
             dt = min(cfg.dt, dt_max(state, cfg.c_cfl),
                      cfg.dt_curvature_frac / (1.0 + kappa_max * kappa_max))
-            check = (state.step_index + 1) % cfg.simple_every == 0
-            new_state = step(state, dt, c_cfl=cfg.c_cfl, check_simple=check)
+            new_state = step(state, dt, c_cfl=cfg.c_cfl)
+            if (new_state.step_index % cfg.simple_every == 0
+                    and not validate_simple(new_state.curve)):
+                raise SelfIntersection(f"embeddedness lost at t={new_state.t:.6g}")
             if cfg.symmetrize:
                 new_state = replace(new_state, curve=symmetrize(new_state.curve))
             dldt = (new_state.curve.length - state.curve.length) / dt
@@ -250,7 +249,7 @@ def run(cfg: RunConfig) -> tuple[DiagnosticsSeries, Outcome]:
                 f"t_max={cfg.t_max} reached with L={L:.4f}, max|kappa|={kappa_max:.3e}")
         if finished == "shrunk":
             T_est, rms = extinction_fit(series)
-    except SphereFlowError as exc:
+    except BaseException as exc:
         exc.series = series  # partial diagnostics for the caller to persist
         raise
 

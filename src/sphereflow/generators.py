@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import GeneratorSpec, RunConfig
+from .config import RunConfig
 from .errors import ConfigParseError
 from .sphere_geometry import DiscreteCurve, make_curve, orthonormal_basis, reparametrize_uniform
 
@@ -83,10 +83,7 @@ def fourier_perturbed_curve(axis, modes, amplitudes, n: int,
 
 def initial_curve(cfg: RunConfig) -> DiscreteCurve:
     """Build the starting curve described by cfg.generator, n vertices."""
-    return curve_from_spec(cfg.generator, cfg.n, cfg.seed)
-
-
-def curve_from_spec(spec: GeneratorSpec, n: int, seed: int | None = None) -> DiscreteCurve:
+    spec, n = cfg.generator, cfg.n
     if spec.kind == "parallel":
         return parallel_curve(spec.theta0, n)
     if spec.kind == "great_circle":
@@ -94,7 +91,7 @@ def curve_from_spec(spec: GeneratorSpec, n: int, seed: int | None = None) -> Dis
     if spec.kind == "fourier_perturbed":
         return fourier_perturbed_curve(spec.axis, spec.modes, spec.amplitudes, n,
                                        antipodal_symmetric=spec.antipodal_symmetric,
-                                       seed=seed)
+                                       seed=cfg.seed)
     if spec.kind == "from_file":
         from .run_io import read_curve_csv
         return reparametrize_uniform(read_curve_csv(spec.path), n)

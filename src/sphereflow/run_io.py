@@ -37,7 +37,7 @@ from .config import (
     config_hash,
     config_to_dict,
 )
-from .errors import ConfigParseError, CorruptArtifacts, MissingArtifacts, RunDirLocked, SphereFlowError
+from .errors import ConfigParseError, CorruptArtifacts, MissingArtifacts, RunDirLocked
 from .flow_engine import DIAGNOSTICS_COLUMNS, DiagnosticsSeries, Outcome
 from .sphere_geometry import DiscreteCurve, make_curve
 
@@ -255,13 +255,21 @@ def checkpoint_name(step: int) -> str:
     return f"step_{step:08d}.csv"
 
 
-def _checkpoint_step(rel: str) -> int:
-    """Step of a manifest path checkpoints/step_<step>.csv (see checkpoint_name)."""
-    name = rel[len("checkpoints/"):]
-    digits = name[len("step_"):-len(".csv")]
-    if not (name.startswith("step_") and name.endswith(".csv") and digits.isdecimal()):
-        raise ConfigParseError(f"manifest lists {rel!r}, which is not a checkpoint name")
-    return int(digits)
+def _listed_checkpoints(run_dir: Path, files: list[dict]) -> list[tuple[int, str]]:
+    """(step, path) of the checkpoints/ entries of a manifest's files, in order.
+    Each path must be "checkpoints/" + checkpoint_name(step), and the steps must
+    increase; anything else is a ConfigParseError naming the manifest."""
+    manifest, listed = run_dir / "manifest.json", []
+    for rel in (entry["path"] for entry in files if entry["path"].startswith("checkpoints/")):
+        digits = rel[len("checkpoints/step_"):-len(".csv")]
+        if not (digits.isascii() and digits.isdigit() and len(digits) < 20
+                and rel == "checkpoints/" + checkpoint_name(int(digits))):
+            raise ConfigParseError(f"{manifest} lists {rel!r}, which is not a checkpoint name")
+        if listed and int(digits) <= listed[-1][0]:
+            raise ConfigParseError(f"{manifest} lists {rel!r} after step {listed[-1][0]}; "
+                                   "checkpoint steps must increase")
+        listed.append((int(digits), rel))
+    return listed
 
 
 @dataclass
@@ -272,9 +280,9 @@ class RunArtifacts:
 
 
 def outcome_summary(outcome: Outcome | None, series: DiagnosticsSeries,
-                    error: SphereFlowError | None = None) -> dict:
+                    error: BaseException | None = None) -> dict:
     """Kind, barrier parameter and its parts, and each outcome field that is set;
-    without an outcome, kind error and the error's class and message."""
+    without an outcome, kind error and the exception's class and message."""
     out = ({"kind": outcome.kind} if outcome else
            {"kind": "error", "error": type(error).__name__, "message": str(error)})
     values = {k: getattr(series, k) for k in ("a_resolved", "a_pairs", "a_curv")}
@@ -287,7 +295,7 @@ def outcome_summary(outcome: Outcome | None, series: DiagnosticsSeries,
 
 def write_run(run_dir: Path, cfg: RunConfig, series: DiagnosticsSeries,
               outcome: Outcome | None, started_at: str,
-              error: SphereFlowError | None = None) -> dict:
+              error: BaseException | None = None) -> dict:
     """Persist diagnostics, checkpoints, and the manifest (atomically, last).
 
     Each inventory entry's size and SHA-256 are those of the bytes written.
@@ -394,19 +402,21 @@ def load_run(run_dir) -> RunArtifacts:
 
     Each listed file is read once and checked against its inventory entry, all
     before any is parsed, and the bytes checked are the bytes parsed. Raises
-    MissingArtifacts when a listed file is absent and CorruptArtifacts when one
-    differs in size or SHA-256 from its entry.
+    ConfigParseError when a checkpoint entry is not named as the program names
+    it or its step does not increase, MissingArtifacts when a listed file is
+    absent and CorruptArtifacts when one differs in size or SHA-256 from its
+    entry.
     """
     run_dir = Path(run_dir)
     manifest, cfg = read_manifest(run_dir)
+    checkpoints = _listed_checkpoints(run_dir, manifest["files"])
     files = {entry["path"]: _checked_bytes(run_dir, entry) for entry in manifest["files"]}
     if "diagnostics.csv" not in files:
         raise MissingArtifacts(f"{run_dir}/manifest.json lists no diagnostics.csv")
     series = _parse_diagnostics(run_dir / "diagnostics.csv", files["diagnostics.csv"])
     # only listed checkpoints: a file the program did not write can sit beside them
-    for rel, data in files.items():
-        if rel.startswith("checkpoints/"):
-            series.checkpoints.append((_checkpoint_step(rel), _parse_curve(run_dir / rel, data)))
+    for step, rel in checkpoints:
+        series.checkpoints.append((step, _parse_curve(run_dir / rel, files[rel])))
     if not series.checkpoints:
         raise MissingArtifacts(f"{run_dir} has no checkpoint curves")
     return RunArtifacts(config=cfg, series=series, manifest=manifest)

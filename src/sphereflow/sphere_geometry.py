@@ -218,16 +218,14 @@ def _is_uniform(ds: np.ndarray) -> bool:
     return bool(ds.max() - ds.min() <= _UNIFORM_RTOL * (ds.sum() / ds.size))
 
 
-def reparametrize_uniform(curve, n_out: int) -> DiscreteCurve:
+def reparametrize_uniform(curve: DiscreteCurve, n_out: int) -> DiscreteCurve:
     """Resample to n_out vertices at equal polygon-arclength spacing.
 
-    curve is a DiscreteCurve or an (n, 3) vertex array, which make_curve
-    turns into one first. New vertices are linearly interpolated along the
-    polygon (anchored at vertex 0) and re-projected onto the sphere.
-    Projection perturbs the spacing at O(ds^2), so the resample iterates to
-    its fixed point on plain coordinate rows and builds one curve at the
-    end. Idempotent on already uniform curves; length is preserved to
-    O(n^-2).
+    New vertices are linearly interpolated along the polygon (anchored at
+    vertex 0) and re-projected onto the sphere. Projection perturbs the
+    spacing at O(ds^2), so the resample iterates to its fixed point on plain
+    coordinate rows and builds one curve at the end. Idempotent on already
+    uniform curves; length is preserved to O(n^-2).
 
     Raises NonConvergent when the spacing is still not uniform after
     _MAX_PASSES passes. A resample whose spread is round-off after
@@ -235,8 +233,6 @@ def reparametrize_uniform(curve, n_out: int) -> DiscreteCurve:
     """
     if n_out < MIN_VERTICES:
         raise TooFewVertices(f"need at least {MIN_VERTICES} vertices, got {n_out}")
-    if not isinstance(curve, DiscreteCurve):
-        curve = make_curve(curve)
     if curve.n == n_out and _is_uniform(curve.seg_lengths):
         return curve
     rows, ds = curve.rows, curve.seg_lengths

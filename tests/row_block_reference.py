@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from sphereflow import barrier
-from sphereflow.chord_arc import ADMISSIBLE_A_CAP, FILTER_SLACK, ChordArcProfile, ZReport
+from sphereflow.chord_arc import ADMISSIBLE_A_CAP, FILTER_SLACK, ChordArcProfile
 from sphereflow.sphere_geometry import _arc_intersections
 
 BLOCK_ENTRIES = 1 << 16
@@ -86,14 +86,11 @@ def profile(curve, n_bins):
 def min_Z(curve, params):
     a_eff = params.a_eff
     length = curve.length
-    value, pair = math.inf, (-1, -1)
+    value = math.inf
     for rows, cols, d, z in chords(curve, 2):
         gaps = d - length * barrier.phi(z, a_eff)
-        k = int(np.argmin(gaps))
-        if gaps.flat[k] < value:
-            r, c = divmod(k, cols.size)
-            value, pair = float(gaps.flat[k]), (int(rows[r, 0]), int(cols[0, c]))
-    return ZReport(min_value=value, pair=pair)
+        value = min(value, float(np.min(gaps)))
+    return value
 
 
 def admissible_a(curve, tol=1e-3):

@@ -87,10 +87,10 @@ def test_criterion_4_chord_arc_under_flow(perturbed_equator_run, perturbed_paral
         details.append(f"{label}: a*={a_star:.3f} min margin={chk.min_margin:.2e}")
         # negative control: halving a must fail at t = 0
         step0, curve0 = series.checkpoints[0]
-        rep = chord_arc.min_Z(curve0, BarrierParams(a_star / 2.0))
+        gap = chord_arc.min_Z(curve0, BarrierParams(a_star / 2.0))
         eps0 = 10.0 * float(np.max(curve0.seg_lengths)) ** 2 * curve0.length
-        ok &= rep.min_value + eps0 < 0.0
-        details.append(f"{label} control minZ(a*/2)={rep.min_value:.2e}")
+        ok &= gap + eps0 < 0.0
+        details.append(f"{label} control minZ(a*/2)={gap:.2e}")
     _report(4, "chord-arc estimate under flow", ok, "; ".join(details))
 
 

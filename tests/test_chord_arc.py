@@ -132,23 +132,16 @@ class TestMinZ:
     def test_parallel_positive_for_positive_a(self):
         c = generators.parallel_curve(np.pi / 4, 256)
         for a in (0.5, 2.0, 10.0):
-            assert chord_arc.min_Z(c, BarrierParams(a)).min_value > 0.0
+            assert chord_arc.min_Z(c, BarrierParams(a)) > 0.0
 
     def test_equator_limit_barrier_grazes(self):
         c = generators.great_circle_curve((0, 0, 1), 512)
-        rep = chord_arc.min_Z(c, BarrierParams(0.0))
-        assert 0.0 <= rep.min_value <= 1e-3 * c.length
+        assert 0.0 <= chord_arc.min_Z(c, BarrierParams(0.0)) <= 1e-3 * c.length
 
     def test_monotone_in_a(self, perturbed):
-        vals = [chord_arc.min_Z(perturbed, BarrierParams(a)).min_value
+        vals = [chord_arc.min_Z(perturbed, BarrierParams(a))
                 for a in (0.0, 0.5, 1.0, 2.0, 4.0, 16.0)]
         assert np.all(np.diff(vals) >= 0.0)
-
-    def test_pair_exclusion(self, perturbed):
-        rep = chord_arc.min_Z(perturbed, BarrierParams(1.0))
-        i, j = rep.pair
-        gap = abs(i - j)
-        assert min(gap, perturbed.n - gap) >= 2
 
     def test_near_diagonal_positivity(self):
         # pairs at cyclic distance 2..8 stay strictly above the profile
@@ -185,15 +178,15 @@ class TestAdmissibleA:
         a_star = chord_arc.admissible_a(perturbed, tol=1e-4)
         # brute-force oracle: coarse log sweep brackets the bisection answer
         grid = np.logspace(-2, 2, 200)
-        ok = np.array([chord_arc.min_Z(perturbed, BarrierParams(float(a))).min_value >= 0
+        ok = np.array([chord_arc.min_Z(perturbed, BarrierParams(float(a))) >= 0
                        for a in grid])
         first = grid[int(np.argmax(ok))]
         assert ok[-1]
         below = grid[~ok]
         assert below.size and below[-1] <= a_star <= first * 1.01
         # certification and minimality
-        assert chord_arc.min_Z(perturbed, BarrierParams(a_star)).min_value >= 0.0
-        assert chord_arc.min_Z(perturbed, BarrierParams(a_star * 0.999)).min_value < 0.0
+        assert chord_arc.min_Z(perturbed, BarrierParams(a_star)) >= 0.0
+        assert chord_arc.min_Z(perturbed, BarrierParams(a_star * 0.999)) < 0.0
 
     def test_reproducible_across_resolution(self):
         vals = [chord_arc.admissible_a(
@@ -329,11 +322,9 @@ def any_curve(request, generic):
 
 def kernel_outputs(curve):
     prof = chord_arc.profile(curve, 64)
-    reps = [chord_arc.min_Z(curve, BarrierParams(a)) for a in (0.0, 1.0, 20.0)]
     return {"psi": prof.psi, "pair_i": prof.pair_i, "pair_j": prof.pair_j,
             "pair_z": prof.pair_z,
-            "min_Z": np.array([r.min_value for r in reps]),
-            "min_Z_pairs": np.array([r.pair for r in reps]),
+            "min_Z": np.array([chord_arc.min_Z(curve, BarrierParams(a)) for a in (0.0, 1.0, 20.0)]),
             "admissible_a": np.array([chord_arc.admissible_a(curve, tol=1e-6)]),
             "simple_candidates": np.stack(sg._simple_candidates(curve))}
 
@@ -378,7 +369,7 @@ class TestPairwiseKernel:
         monkeypatch.setattr(sg, "_GAP_BLOCK_ENTRIES", entries)
         p, s, L, n = generic.points, generic.cum_lengths, generic.length, generic.n
         for a in (0.0, 1.0, 20.0):
-            best, pair = np.inf, None
+            best = np.inf
             for i in range(n):
                 for j in range(i + 2, n):
                     if j - i > n - 2:
@@ -386,16 +377,13 @@ class TestPairwiseKernel:
                     arc = s[j] - s[i]
                     z = min(arc, L - arc) / L
                     gap = float(np.linalg.norm(p[i] - p[j])) - L * float(barrier.phi(z, a))
-                    if gap < best:
-                        best, pair = gap, (i, j)
-            rep = chord_arc.min_Z(generic, BarrierParams(a))
-            assert rep.pair == pair
-            assert abs(rep.min_value - best) <= 1e-13
+                    best = min(best, gap)
+            assert abs(chord_arc.min_Z(generic, BarrierParams(a)) - best) <= 1e-13
 
     def test_admissible_a_matches_unfiltered_bisection(self, perturbed):
         # the bisection of the definition, with min_Z over all pairs each time
         def admits(a):
-            return chord_arc.min_Z(perturbed, BarrierParams(a)).min_value >= 0.0
+            return chord_arc.min_Z(perturbed, BarrierParams(a)) >= 0.0
 
         assert not admits(0.0)
         hi = 1.0
@@ -443,8 +431,7 @@ class TestPairwiseKernel:
             return phi(z, a)
 
         monkeypatch.setattr(barrier, "phi", counting_phi)
-        rep = chord_arc.min_Z(state.curve, params)
-        assert (rep.min_value, rep.pair) == (expect.min_value, expect.pair)
+        assert chord_arc.min_Z(state.curve, params) == expect
         assert sum(evaluated) < 4 * state.curve.n
 
 
@@ -505,8 +492,8 @@ class TestMatchesRowBlocks:
         for a in (0.0, 0.3, 1.0, 2.013671875, 20.0):
             got = chord_arc.min_Z(curve, BarrierParams(a))
             want = row_blocks.min_Z(curve, BarrierParams(a))
-            assert got.pair == want.pair
-            assert np.float64(got.min_value).tobytes() == np.float64(want.min_value).tobytes()
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_validate_simple_candidates(self, curve):
         got, want = sg._simple_candidates(curve), row_blocks.simple_candidates(curve)

@@ -14,10 +14,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sphereflow import chord_arc, cli, generators, run_io
+from sphereflow import chord_arc, cli, flow_engine, generators, run_io
 from sphereflow import sphere_geometry as sg
 from sphereflow.config import config_from_dict, load_config
-from sphereflow.errors import ConfigParseError, NotAdmissible
+from sphereflow.errors import ConfigParseError, NotAdmissible, SphereFlowError
+
+# The exit codes README.md gives; every other package error exits with 1.
+README_CODES = {"ConfigParseError": 2, "MissingArtifacts": 3, "NotSimple": 4,
+                "SelfIntersection": 4, "RunDirLocked": 5, "CorruptArtifacts": 6}
 
 
 def write_config(path, **overrides):
@@ -237,6 +241,46 @@ class TestSimulate:
         assert len(rows) >= 2
         assert_inventory_matches_disk(tmp_path / "run")
 
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt(), OSError(errno.EIO, "read failed")],
+                             ids=["KeyboardInterrupt", "OSError"])
+    def test_foreign_exception_writes_error_run_and_propagates(self, tmp_path, monkeypatch,
+                                                               exc):
+        # the third step raises an exception that is not the package's: the
+        # run holds the records before it, and the exception goes on
+        step, calls = flow_engine.step, []
+
+        def failing_step(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise exc
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(flow_engine, "step", failing_step)
+        run = tmp_path / "run"
+        cfgp = write_config(tmp_path / "cfg.json", n=64, dt=4e-4)
+        with pytest.raises(type(exc)) as info:
+            cli.main(["simulate", "--config", str(cfgp), "--out", str(run)])
+        assert info.value is exc
+        outcome = json.loads((run / "manifest.json").read_text())["outcome"]
+        assert (outcome["kind"], outcome["error"], outcome["message"]) == (
+            "error", type(exc).__name__, str(exc))
+        series = run_io.read_diagnostics_csv(run / "diagnostics.csv")
+        assert list(series.column("step")) == [0, 1, 2]
+        assert_inventory_matches_disk(run)
+        assert (run / ".lock").read_text() == ""
+
+
+def test_every_error_carries_the_readme_exit_code():
+    errors, todo = [], [SphereFlowError]
+    while todo:
+        klass = todo.pop()
+        errors.append(klass)
+        todo.extend(klass.__subclasses__())
+    assert len(errors) > len(README_CODES)
+    for klass in errors:
+        assert klass.exit_code == README_CODES.get(klass.__name__, 1), klass.__name__
+        assert cli._fail(klass("x")) == klass.exit_code
+
 
 def test_main_calls_commands_through_module_globals(monkeypatch):
     # a wrapper set on the module attribute (as a tracer does) must see the call
@@ -436,21 +480,52 @@ class TestVerify:
         assert err["error"] == "ConfigParseError"
         assert err["message"].startswith(f"{run / 'diagnostics.csv'}: not UTF-8")
 
-    def test_checkpoint_name_with_a_superscript_digit_is_config_error(self, completed_run,
-                                                                      tmp_path, capsys):
-        # "2" and superscript two are both str.isdigit(), but int() reads only the first
+    @pytest.mark.parametrize("name", ["step_\u00b2.csv", "step_" + "\u0660" * 8 + ".csv",
+                                      "step_0.csv", "step_+0000000.csv", "step_00000000.CSV",
+                                      "step_" + "1" * 5000 + ".csv"],
+                             ids=["superscript", "arabic_indic", "unpadded", "plus_sign",
+                                  "upper_case", "5000_digits"])
+    def test_checkpoint_not_named_as_written_is_config_error(self, completed_run, tmp_path,
+                                                             capsys, name):
+        # superscript two is str.isdigit() and int() cannot read it; Arabic-Indic
+        # zeros are str.isdecimal() and int() reads them; int() refuses 5000
+        # digits. The program writes only checkpoint_name(step), and the names
+        # are checked before any listed file is read.
         run = tmp_path / "run"
         shutil.copytree(completed_run, run)
-        (run / "checkpoints" / "step_00000000.csv").rename(run / "checkpoints" / "step_\u00b2.csv")
         manifest = json.loads((run / "manifest.json").read_text())
         for entry in manifest["files"]:
             if entry["path"] == "checkpoints/step_00000000.csv":
-                entry["path"] = "checkpoints/step_\u00b2.csv"
+                entry["path"] = f"checkpoints/{name}"
         (run / "manifest.json").write_text(json.dumps(manifest))
         capsys.readouterr()
         assert cli.main(["verify", "--run", str(run)]) == 2
         err = json.loads(capsys.readouterr().out)
-        assert err["error"] == "ConfigParseError" and "not a checkpoint name" in err["message"]
+        assert err["error"] == "ConfigParseError"
+        assert err["message"].startswith(str(run / "manifest.json"))
+        assert "not a checkpoint name" in err["message"]
+
+    @pytest.mark.parametrize("edit", ["swap", "repeat"])
+    def test_checkpoints_out_of_step_order_are_config_error(self, completed_run, tmp_path,
+                                                            capsys, edit):
+        # the last listed checkpoint is the final curve that roundness judges
+        run = tmp_path / "run"
+        shutil.copytree(completed_run, run)
+        manifest = json.loads((run / "manifest.json").read_text())
+        files = manifest["files"]
+        at = [k for k, entry in enumerate(files) if entry["path"].startswith("checkpoints/")]
+        assert len(at) >= 2
+        if edit == "swap":
+            files[at[-2]], files[at[-1]] = files[at[-1]], files[at[-2]]
+        else:
+            files.append(files[at[0]])
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert cli.main(["verify", "--run", str(run)]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "ConfigParseError"
+        assert err["message"].startswith(str(run / "manifest.json"))
+        assert "checkpoint steps must increase" in err["message"]
 
     def test_load_run_opens_each_listed_file_once(self, completed_run, monkeypatch):
         # the bytes that are hashed are the bytes that are parsed

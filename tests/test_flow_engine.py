@@ -76,16 +76,6 @@ class TestStep:
         with pytest.raises(StepTooLarge):
             flow_engine.step(st, 1.0, c_cfl=5.0)
 
-    def test_self_intersection_detected(self):
-        n = 256
-        u = 2 * np.pi * np.arange(n) / n
-        lam = 0.8 * np.sin(u + 0.3)
-        phi = 0.5 * np.sin(2 * u + 0.6)
-        bad = sg.make_curve(np.column_stack([np.cos(phi) * np.cos(lam),
-                                             np.cos(phi) * np.sin(lam), np.sin(phi)]))
-        with pytest.raises(SelfIntersection):
-            flow_engine.step(state_of(bad), 1e-6, check_simple=True)
-
     def test_tau_accumulates_trapezoidally(self):
         st = state_of(generators.parallel_curve(math.pi / 3, 128))
         dt = 1e-4
@@ -201,6 +191,23 @@ class TestRun:
         assert list(steps) == list(range(len(steps)))
         tau = series.column("tau")
         assert np.all(np.diff(tau) > 0)
+
+    def test_self_intersection_detected(self, monkeypatch):
+        # validate_simple admits the start curve and reports the first stepped
+        # curve it checks, the one of step simple_every, as not embedded
+        checked = []
+
+        def crossed_after_the_start(curve):
+            checked.append(curve)
+            return len(checked) == 1
+
+        monkeypatch.setattr(flow_engine, "validate_simple", crossed_after_the_start)
+        cfg = RunConfig(generator=GeneratorSpec(kind="parallel", theta0=1.0),
+                        n=128, dt=2e-4, t_max=0.05, simple_every=3)
+        with pytest.raises(SelfIntersection, match=r"^embeddedness lost at t=0\.0006$") as info:
+            flow_engine.run(cfg)
+        assert len(checked) == 2
+        assert list(info.value.series.column("step")) == [0, 1, 2]
 
     def test_nonconverging_resample_attaches_partial_series(self, tmp_path, monkeypatch):
         # a uniform non-circular start: the file needs no resample, the steps do

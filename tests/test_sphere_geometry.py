@@ -55,7 +55,7 @@ class TestMakeCurve:
         pts = clustered_points(6, 100)
         path = tmp_path / "curve.csv"
         run_io.write_curve_csv(sg.make_curve(pts), path)
-        for c in (sg.make_curve(pts), sg.reparametrize_uniform(pts, 128),
+        for c in (sg.make_curve(pts), sg.reparametrize_uniform(sg.make_curve(pts), 128),
                   run_io.read_curve_csv(path)):
             assert c.rows.shape == (3, c.n + 1) and not c.rows.flags.writeable
             assert np.array_equal(c.rows[:, -1], c.rows[:, 0])
@@ -146,7 +146,8 @@ class TestComponentRowsMatchReference:
 
     def test_frame_field(self, tmp_path):
         curves = [sg.make_curve(pts) for pts in reference_inputs()]
-        curves += [sg.reparametrize_uniform(pts, pts.shape[0]) for pts in reference_inputs()]
+        curves += [sg.reparametrize_uniform(sg.make_curve(pts), pts.shape[0])
+                   for pts in reference_inputs()]
         curves.append(sg.make_curve(read_back(clustered_points(7, 300), tmp_path)))
         for c in curves:
             f = sg.frame_field(c)
@@ -235,19 +236,11 @@ class TestReparametrize:
         r2 = sg.reparametrize_uniform(r1, 200)
         assert np.max(np.linalg.norm(r2.points - r1.points, axis=1)) < 1e-10
 
-    def test_accepts_vertex_array(self):
-        pts = 1.5 * clustered_points(5, 128)
-        r = sg.reparametrize_uniform(pts, 128)
-        assert np.array_equal(r.points, sg.reparametrize_uniform(sg.make_curve(pts), 128).points)
-        assert np.array_equal(r.seg_lengths, np.linalg.norm(
-            np.roll(r.points, -1, axis=0) - r.points, axis=1))
-
     @pytest.mark.parametrize("n_out_of_n", [lambda n: n, lambda n: n // 2, lambda n: 2 * n])
     def test_bitwise_equal_to_reference(self, n_out_of_n):
         for pts in reference_inputs():
             n_out = n_out_of_n(pts.shape[0])
             expect = ref_reparametrize_uniform(pts, n_out)
-            assert np.array_equal(sg.reparametrize_uniform(pts, n_out).points, expect)
             assert np.array_equal(
                 sg.reparametrize_uniform(sg.make_curve(pts), n_out).points, expect)
 
