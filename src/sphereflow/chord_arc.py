@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import barrier
 from .errors import InsufficientData, NotAdmissible, PreconditionViolation
-from .sphere_geometry import DiscreteCurve, _cyclic_shifts, _gap_blocks, _gap_pairs, frame_field
+from .sphere_geometry import DiscreteCurve, _cyclic_shifts, _gap_blocks, _gap_pairs, curvature_rows
 
 ADMISSIBLE_A_CAP = 1e6
 FILTER_SLACK = 1e-14           # relative to L, see min_Z and _run_binner
@@ -410,7 +410,7 @@ def resolve_a(curve: DiscreteCurve, tol: float = 1e-3) -> tuple[float, float]:
     admits. The bound is Z >= 0 in the limit y -> x, which pairs at cyclic gap
     m >= 2 cannot see: they see 1 - 1/m^2 of the curvature in ell - d. A run
     takes the larger part."""
-    kmax = float(np.max(np.abs(frame_field(curve).kappa)))
+    kmax = float(np.maximum.reduce(np.abs(curvature_rows(curve)[2])))
     return admissible_a(curve, tol), barrier.curvature_a(kmax * kmax + 1.0, curve.length)
 
 

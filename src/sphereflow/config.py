@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 
 from .errors import ConfigParseError
@@ -65,6 +66,15 @@ def _number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _finite(v) -> bool:
+    """A number that is a finite float: json reads NaN, Infinity and -Infinity
+    as floats, and an integer too large for a float is not one either."""
+    try:
+        return _number(v) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _boolean(v) -> bool:
     return isinstance(v, bool)
 
@@ -102,12 +112,12 @@ def generator_from_dict(raw: dict) -> GeneratorSpec:
 
     spec = GeneratorSpec(
         kind=kind,
-        theta0=get("theta0", None, _optional(_number), "a number"),
-        axis=tuple(float(v) for v in get("axis", (0.0, 0.0, 1.0), _list_of(_number, 3),
-                                         "a list of 3 numbers")),
+        theta0=get("theta0", None, _optional(_finite), "a finite number"),
+        axis=tuple(float(v) for v in get("axis", (0.0, 0.0, 1.0), _list_of(_finite, 3),
+                                         "a list of 3 finite numbers")),
         modes=tuple(get("modes", (), _list_of(_integer), "a list of integers")),
-        amplitudes=tuple(float(x) for x in get("amplitudes", (), _list_of(_number),
-                                               "a list of numbers")),
+        amplitudes=tuple(float(x) for x in get("amplitudes", (), _list_of(_finite),
+                                               "a list of finite numbers")),
         antipodal_symmetric=get("antipodal_symmetric", False, _boolean, "true or false"),
         path=get("path", None, _optional(_string), "a string"),
     )
@@ -135,8 +145,9 @@ def config_from_dict(raw: dict) -> RunConfig:
         kwargs[name] = _field(raw, name, getattr(defaults, name), _integer, "an integer")
     for name in ("dt", "t_max", "l_floor", "c_cfl", "dt_curvature_frac",
                  "gc_kappa_tol", "admissible_tol"):
-        kwargs[name] = float(_field(raw, name, getattr(defaults, name), _number, "a number"))
-    a = _field(raw, "a", None, _optional(_number), "a number")
+        kwargs[name] = float(_field(raw, name, getattr(defaults, name), _finite,
+                                    "a finite number"))
+    a = _field(raw, "a", None, _optional(_finite), "a finite number")
 
     cfg = RunConfig(
         generator=generator_from_dict(raw["generator"]),
@@ -154,7 +165,9 @@ def config_from_dict(raw: dict) -> RunConfig:
         _require(getattr(cfg, name) > 0.0, f"{name} must be positive")
     for name in ("checkpoint_every", "z_every", "simple_every"):
         _require(getattr(cfg, name) >= 1, f"{name} must be >= 1")
-    _require(cfg.seed >= 0, "seed must be nonnegative")
+    # splitmix64 keeps the low 64 bits of the seed, so a larger one would draw
+    # the same curve as a smaller seed under another config hash
+    _require(0 <= cfg.seed < 2 ** 64, "seed must be nonnegative and below 2**64")
     _require(cfg.a is None or cfg.a >= 0.0, "a must be nonnegative when given")
     unknown_checks = set(cfg.checks) - set(ALL_CHECKS)
     _require(not unknown_checks, f"unknown checks: {sorted(unknown_checks)}")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,8 +38,11 @@ from .errors import (
 )
 from .sphere_geometry import (
     DiscreteCurve,
+    _curve,
     _is_uniform,
-    frame_field,
+    _project_rows,
+    _segment_lengths,
+    curvature_rows,
     make_curve,
     orthonormal_basis,
     reparametrize_uniform,
@@ -113,20 +117,34 @@ class Outcome:
 
 def dt_max(state: FlowState, c_cfl: float = 5.0) -> float:
     """Accuracy cap on the step size: c_cfl * (min segment length)^2."""
-    return c_cfl * float(np.min(state.curve.seg_lengths)) ** 2
+    return c_cfl * float(np.minimum.reduce(state.curve.seg_lengths)) ** 2
+
+
+@lru_cache(maxsize=64)
+def _sin_sq(n: int) -> np.ndarray:
+    """Read-only sin^2(pi k / n) for k = 0 .. n // 2, made once per n."""
+    table = np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 2
+    table.flags.writeable = False
+    return table
 
 
 def _solve_circulant(rows: np.ndarray, dt: float, h: float) -> np.ndarray:
     """Solve (I - dt*Delta_h) x = p for the vertices p of closed (3, n+1)
     coordinate rows, where Delta_h is the cyclic second difference
-    (x_{i-1} - 2 x_i + x_{i+1}) / h^2. Returns x as (3, n) coordinate rows.
+    (x_{i-1} - 2 x_i + x_{i+1}) / h^2. Returns a new (3, n+1) array whose
+    first n columns are x; its last column is left for the caller to close.
 
     The matrix is circulant, so the DFT along each coordinate row
     diagonalises it with eigenvalues lambda_k = 1 + (4 dt / h^2) sin^2(pi k / n).
     """
     n = rows.shape[1] - 1
-    lam = 1.0 + (4.0 * dt / (h * h)) * np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 2
-    return np.fft.irfft(np.fft.rfft(rows[:, :n], axis=1) / lam, n=n, axis=1)
+    lam = (4.0 * dt / (h * h)) * _sin_sq(n)
+    lam += 1.0
+    spectrum = np.fft.rfft(rows[:, :n], axis=1)
+    spectrum /= lam
+    out = np.empty_like(rows)
+    np.fft.irfft(spectrum, n=n, axis=1, out=out[:, :n])
+    return out
 
 
 def step(state: FlowState, dt: float, *, c_cfl: float = 5.0) -> FlowState:
@@ -142,10 +160,12 @@ def step(state: FlowState, dt: float, *, c_cfl: float = 5.0) -> FlowState:
     if not _is_uniform(curve.seg_lengths):
         curve = reparametrize_uniform(curve, curve.n)
     n = curve.n
-    moved = _solve_circulant(curve.rows, dt, curve.length / n)
-    if not np.all(np.isfinite(moved)):
+    rows = _solve_circulant(curve.rows, dt, curve.length / n)
+    rows[:, n] = rows[:, 0]
+    if not np.isfinite(rows).all():
         raise Degenerate("non-finite coordinates after implicit solve")
-    new_curve = reparametrize_uniform(make_curve(moved.T), n)
+    _project_rows(rows)
+    new_curve = reparametrize_uniform(_curve(rows, _segment_lengths(rows)), n)
 
     L_old, L_new = state.curve.length, new_curve.length
     if L_new < HARD_LENGTH_FLOOR:
@@ -195,8 +215,7 @@ def run(cfg: RunConfig) -> tuple[DiagnosticsSeries, Outcome]:
     n0, L0 = curve.n, curve.length
 
     def record(st: FlowState, dldt: float, with_z: bool):
-        frame = frame_field(st.curve)
-        kmax = float(np.max(np.abs(frame.kappa)))
+        kmax = float(np.maximum.reduce(np.abs(curvature_rows(st.curve)[2])))
         mz = math.nan
         if with_z:
             mz = chord_arc.min_Z(st.curve, BarrierParams(a=a, tau=st.tau))

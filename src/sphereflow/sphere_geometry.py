@@ -14,7 +14,7 @@ curvature then satisfies kappa_bar^2 = 1 + kappa^2 by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -81,10 +81,10 @@ class DiscreteCurve:
         """Cumulative arclength S_0 = 0, ..., S_n = L, shape (n+1,)."""
         out = np.empty(self.n + 1)
         out[0] = 0.0
-        np.cumsum(self.seg_lengths, out=out[1:])
+        np.add.accumulate(self.seg_lengths, out=out[1:])
         return out
 
-    @property
+    @cached_property
     def length(self) -> float:
         return float(self.cum_lengths[-1])
 
@@ -108,12 +108,16 @@ class FrameField:
 def _project_rows(rows: np.ndarray) -> None:
     """Scale each vertex (column) of coordinate rows onto the unit sphere, in place."""
     sq = rows * rows
-    norms = np.sqrt((sq[0] + sq[1]) + sq[2])
-    if not (norms.min() > 0.0 and norms.max() < np.inf):
+    norms = sq[0] + sq[1]
+    norms += sq[2]
+    np.sqrt(norms, out=norms)
+    if not (np.minimum.reduce(norms) > 0.0 and np.maximum.reduce(norms) < np.inf):
         raise DegenerateSegment("zero or non-finite vertex cannot be projected to the sphere")
     # leave already-unit vertices untouched so ingest/serialise round-trips are
-    # bitwise stable (dividing by 1 +/- 1 ulp would still flip low bits)
-    np.divide(rows, norms, out=rows, where=np.abs(norms - 1.0) > 1e-13)
+    # bitwise stable (dividing by 1 +/- 1 ulp would still flip low bits):
+    # their norm becomes exactly 1.0, and x / 1.0 is x
+    np.copyto(norms, 1.0, where=np.abs(norms - 1.0) <= 1e-13)
+    rows /= norms
 
 
 def _segment_lengths(rows: np.ndarray) -> np.ndarray:
@@ -121,10 +125,17 @@ def _segment_lengths(rows: np.ndarray) -> np.ndarray:
 
     Raises DegenerateSegment where consecutive vertices coincide.
     """
-    d = rows[:, 1:] - rows[:, :-1]
+    # one contiguous difference of the flattened rows: entry k (n + 1) + i is
+    # segment i of coordinate k, and entries k (n + 1) + n, which mix two
+    # coordinate rows, are never read
+    n = rows.shape[1] - 1
+    flat = rows.reshape(-1)
+    d = flat[1:] - flat[:-1]
     d *= d
-    ds = np.sqrt((d[0] + d[1]) + d[2])
-    if ds.min() < 1e-14:
+    ds = d[:n] + d[n + 1:2 * n + 1]
+    ds += d[2 * n + 2:]
+    np.sqrt(ds, out=ds)
+    if np.minimum.reduce(ds) < 1e-14:
         bad = int(np.argmin(ds))
         raise DegenerateSegment(f"vertices {bad} and {(bad + 1) % ds.size} coincide")
     return ds
@@ -163,50 +174,63 @@ def make_curve(points) -> DiscreteCurve:
     return _curve(rows, _segment_lengths(rows))
 
 
-_NEXT = np.array([1, 2, 0])   # coordinate k+1 (mod 3)
-_PREV = np.array([2, 0, 1])   # coordinate k-1 (mod 3)
-
-
-def frame_field(curve: DiscreteCurve) -> FrameField:
-    """Tangent, normal and curvature estimates from centered differences.
+def curvature_rows(curve: DiscreteCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit tangent and normal as (3, n) coordinate rows, and the signed
+    geodesic curvature kappa (n,), from centered differences.
 
     The tangent is the centered arclength difference projected onto the
     sphere's tangent plane; the normal follows the gamma = N x T
     orientation; kappa comes from the N-component of gamma_ss + gamma.
     Second order accurate on smoothly-spaced vertices, exact on uniformly
-    sampled circles.
+    sampled circles. frame_field packages the same arrays per vertex.
     """
-    ds = curve.seg_lengths
     rows = curve.rows
-    p_mid, p_next = rows[:, :-1], rows[:, 1:]
-    p_prev = np.empty_like(p_mid)
-    p_prev[:, 1:] = rows[:, :-2]
-    p_prev[:, 0] = rows[:, -2]
-    ds_prev = np.empty_like(ds)
-    ds_prev[1:] = ds[:-1]
-    ds_prev[0] = ds[-1]
+    n = curve.n
+    # columns p_{n-1}, p_0, ..., p_{n-1}, p_0 and spacings ds_{n-1}, ds_0, ..., ds_{n-1}:
+    # vertex i has p_prev, p_mid, p_next at columns i, i+1, i+2
+    ext = np.concatenate((rows[:, n - 1:n], rows), axis=1)
+    p_mid = ext[:, 1:-1]
+    ds = curve.seg_lengths
+    ds_ext = np.concatenate((ds[-1:], ds))
 
-    t = p_next - p_prev
+    t = ext[:, 2:] - ext[:, :-2]
     tp = t * p_mid
-    t -= ((tp[0] + tp[1]) + tp[2]) * p_mid
+    dot = tp[0] + tp[1]
+    dot += tp[2]
+    t -= dot * p_mid
     tt = t * t
-    t_norm = np.sqrt((tt[0] + tt[1]) + tt[2])
-    if t_norm.min() < 1e-14:
+    t_norm = tt[0] + tt[1]
+    t_norm += tt[2]
+    np.sqrt(t_norm, out=t_norm)
+    if np.minimum.reduce(t_norm) < 1e-14:
         raise DegenerateSegment("tangent stencil collapsed (coincident neighbours)")
     t /= t_norm
 
-    # np.cross(tangent, p), component by component
-    normal = t.take(_NEXT, axis=0) * p_mid.take(_PREV, axis=0)
-    normal -= t.take(_PREV, axis=0) * p_mid.take(_NEXT, axis=0)
+    # np.cross(tangent, p), component by component: coordinate k of the
+    # normal is t[k+1] p[k+2] - t[k+2] p[k+1], read from rows 0, 1, 2, 0, 1
+    t5 = np.concatenate((t, t[:2]))
+    p5 = np.concatenate((p_mid, p_mid[:2]))
+    normal = t5[1:4] * p5[2:]
+    normal -= t5[2:] * p5[1:4]
 
-    # 3-point second derivative on nonuniform spacing, then add gamma.
-    inv = 2.0 / (ds_prev + ds)
-    g = inv * ((p_next - p_mid) / ds - (p_mid - p_prev) / ds_prev)
+    # 3-point second derivative on nonuniform spacing, then add gamma: the
+    # forward difference quotient of vertex i is the backward one of i + 1
+    slope = ext[:, 1:] - ext[:, :-1]
+    slope /= ds_ext
+    g = slope[:, 1:] - slope[:, :-1]
+    g *= 2.0 / (ds_ext[:-1] + ds_ext[1:])
     g += p_mid
     g *= normal
-    kappa = -((g[0] + g[1]) + g[2])
-    kappa_bar = np.sqrt(1.0 + kappa * kappa)
+    kappa = g[0] + g[1]
+    kappa += g[2]
+    np.negative(kappa, out=kappa)
+    return t, normal, kappa
 
+
+def frame_field(curve: DiscreteCurve) -> FrameField:
+    """Tangent, normal and curvatures per vertex; see curvature_rows."""
+    t, normal, kappa = curvature_rows(curve)
+    kappa_bar = np.sqrt(1.0 + kappa * kappa)
     tangent, normal = t.T, normal.T
     for arr in (tangent, normal, kappa, kappa_bar):
         arr.flags.writeable = False
@@ -215,7 +239,16 @@ def frame_field(curve: DiscreteCurve) -> FrameField:
 
 def _is_uniform(ds: np.ndarray) -> bool:
     """The resample's stopping rule: max ds - min ds <= _UNIFORM_RTOL * mean ds."""
-    return bool(ds.max() - ds.min() <= _UNIFORM_RTOL * (ds.sum() / ds.size))
+    spread = np.maximum.reduce(ds) - np.minimum.reduce(ds)
+    return bool(spread <= _UNIFORM_RTOL * (np.add.reduce(ds) / ds.size))
+
+
+@lru_cache(maxsize=64)
+def _vertex_grid(n: int) -> np.ndarray:
+    """Read-only 0.0, 1.0, ..., n - 1, made once per n."""
+    grid = np.arange(n, dtype=float)
+    grid.flags.writeable = False
+    return grid
 
 
 def reparametrize_uniform(curve: DiscreteCurve, n_out: int) -> DiscreteCurve:
@@ -239,8 +272,8 @@ def reparametrize_uniform(curve: DiscreteCurve, n_out: int) -> DiscreteCurve:
     for passes in range(1, _MAX_PASSES + 1):
         cum = np.empty(ds.size + 1)
         cum[0] = 0.0
-        np.cumsum(ds, out=cum[1:])
-        targets = np.arange(n_out) * (float(cum[-1]) / n_out)
+        np.add.accumulate(ds, out=cum[1:])
+        targets = _vertex_grid(n_out) * (float(cum[-1]) / n_out)
         rows_in, rows = rows, np.empty((3, n_out + 1))
         for k in range(3):
             rows[k, :n_out] = np.interp(targets, cum, rows_in[k])

@@ -812,3 +812,37 @@ class TestConfigValidation:
         assert err["error"] == "ConfigParseError"
         assert err["message"].startswith(f"{name} must be ")
         assert not (tmp_path / "run").exists()
+
+    # json.dumps writes math.inf as Infinity and math.nan as NaN, which
+    # json.load reads back; 10 ** 400 is an integer no float can hold
+    @pytest.mark.parametrize("overrides,message", [
+        ({"dt": math.inf}, "dt must be a finite number"),
+        ({"t_max": math.inf}, "t_max must be a finite number"),
+        ({"c_cfl": -math.inf}, "c_cfl must be a finite number"),
+        ({"gc_kappa_tol": math.nan}, "gc_kappa_tol must be a finite number"),
+        ({"dt": 10 ** 400}, "dt must be a finite number"),
+        ({"a": math.inf}, "a must be a finite number"),
+        ({"generator": {"kind": "parallel", "theta0": math.nan}},
+         "generator.theta0 must be a finite number"),
+        ({"generator": {"kind": "great_circle", "axis": [0.0, math.nan, 1.0]}},
+         "generator.axis must be a list of 3 finite numbers"),
+        ({"generator": {"kind": "fourier_perturbed", "modes": [2], "amplitudes": [math.nan]}},
+         "generator.amplitudes must be a list of finite numbers"),
+    ])
+    def test_non_finite_number_names_field(self, tmp_path, capsys, overrides, message):
+        cfgp = write_config(tmp_path / "cfg.json", **overrides)
+        assert any(word in cfgp.read_text() for word in ("Infinity", "NaN", "0" * 400))
+        assert cli.main(["simulate", "--config", str(cfgp), "--out", str(tmp_path / "run")]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert (err["error"], err["message"]) == ("ConfigParseError", message)
+        assert not (tmp_path / "run").exists()
+
+    def test_seed_below_2_to_the_64(self):
+        # splitmix64 keeps a seed's low 64 bits: s and s + 2**64 would draw one curve
+        gen = {"kind": "fourier_perturbed", "modes": [2, 3], "amplitudes": [0.1, 0.05]}
+        cfg = config_from_dict({"generator": gen, "seed": 2 ** 64 - 1})
+        assert cfg.seed == 2 ** 64 - 1
+        for seed in (2 ** 64, 2 ** 64 + 5, 10 ** 30):
+            with pytest.raises(ConfigParseError,
+                               match=r"^seed must be nonnegative and below 2\*\*64$"):
+                config_from_dict({"generator": gen, "seed": seed})

@@ -2,11 +2,19 @@ import math
 
 import numpy as np
 import pytest
+import step_reference
 
-from sphereflow import flow_engine, generators, run_io
+from sphereflow import chord_arc, flow_engine, generators, run_io
 from sphereflow import sphere_geometry as sg
 from sphereflow.config import GeneratorSpec, RunConfig
-from sphereflow.errors import InsufficientData, NonConvergent, SelfIntersection, StepTooLarge
+from sphereflow.errors import (
+    Degenerate,
+    DegenerateSegment,
+    InsufficientData,
+    NonConvergent,
+    SelfIntersection,
+    StepTooLarge,
+)
 
 
 def state_of(curve):
@@ -76,6 +84,21 @@ class TestStep:
         with pytest.raises(StepTooLarge):
             flow_engine.step(st, 1.0, c_cfl=5.0)
 
+    def test_non_finite_solve_is_degenerate(self, monkeypatch):
+        monkeypatch.setattr(flow_engine, "_solve_circulant",
+                            lambda rows, dt, h: np.full_like(rows, np.nan))
+        st = state_of(generators.parallel_curve(math.pi / 3, 64))
+        with pytest.raises(Degenerate, match="^non-finite coordinates after implicit solve$") as info:
+            flow_engine.step(st, 1e-4)
+        assert not isinstance(info.value, DegenerateSegment)
+
+    def test_length_below_the_hard_floor_is_degenerate(self, monkeypatch):
+        # a parallel shrinks, so with the floor at its length one step is below it
+        st = state_of(generators.parallel_curve(math.pi / 3, 64))
+        monkeypatch.setattr(flow_engine, "HARD_LENGTH_FLOOR", st.curve.length)
+        with pytest.raises(Degenerate, match=r"^length collapsed to 5\.439e\+00$"):
+            flow_engine.step(st, 1e-4)
+
     def test_tau_accumulates_trapezoidally(self):
         st = state_of(generators.parallel_curve(math.pi / 3, 128))
         dt = 1e-4
@@ -115,7 +138,7 @@ class TestCirculantSolve:
         for dt in (1e-6, 5.0 * h * h):
             lap = cyclic_laplacian(np.full(n, h))
             expect = np.linalg.solve(np.eye(n) - dt * lap, p)
-            got = flow_engine._solve_circulant(closed_rows(p), dt, h).T
+            got = flow_engine._solve_circulant(closed_rows(p), dt, h)[:, :n].T
             assert np.max(np.abs(got - expect)) < 1e-13
 
     @pytest.mark.parametrize("n", [8, 9, 63, 64, 511, 512, 1024])
@@ -127,8 +150,9 @@ class TestCirculantSolve:
             lam = 1.0 + (4.0 * dt / (h * h)) * np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 2
             expect = np.fft.irfft(np.fft.rfft(p, axis=0) / lam[:, None], n=n, axis=0)
             got = flow_engine._solve_circulant(closed_rows(p), dt, h)
-            assert got.shape == (3, n)
-            assert np.array_equal(got.T, expect)
+            assert got.shape == (3, n + 1)
+            assert np.array_equal(got[:, :n].T, expect)
+            assert np.array_equal(got[:, :n], step_reference.solve_circulant(closed_rows(p), dt, h))
 
     def test_uniform_spacing_to_tolerance_is_enough(self):
         # a resampled curve is uniform to 1e-12 of ds, not exactly; the
@@ -139,7 +163,7 @@ class TestCirculantSolve:
         assert 0.0 < ds.max() - ds.min() <= sg._UNIFORM_RTOL * ds.mean()
         dt = flow_engine.dt_max(state_of(c))
         expect = np.linalg.solve(np.eye(c.n) - dt * cyclic_laplacian(ds), c.points)
-        got = flow_engine._solve_circulant(c.rows, dt, c.length / c.n).T
+        got = flow_engine._solve_circulant(c.rows, dt, c.length / c.n)[:, :c.n].T
         assert np.max(np.abs(got - expect)) < 1e-13
 
     def test_nonuniform_input_is_resampled_first(self):
@@ -153,6 +177,58 @@ class TestCirculantSolve:
         a = flow_engine.step(state_of(clustered), 1e-5).curve.points
         b = flow_engine.step(state_of(uniform), 1e-5).curve.points
         assert np.array_equal(a, b)
+
+
+def clustered_parallel(n):
+    """A parallel at polar angle arccos(0.71) with vertices bunched near u = pi."""
+    u = 2 * np.pi * np.arange(n) / n
+    u = u + 0.4 * np.sin(u)
+    return sg.make_curve(np.column_stack([0.7 * np.cos(u), 0.7 * np.sin(u),
+                                          np.full(n, np.sqrt(1 - 0.49))]))
+
+
+class TestMatchesStepReference:
+    """step and the record's curvature agree bit for bit with the first
+    make_curve -> reparametrize_uniform step and frame_field record
+    (tests/step_reference.py), each following its own trajectory."""
+
+    @pytest.mark.parametrize("start", ["pipeline", "parallel", "nonuniform"])
+    def test_steps(self, start):
+        curve = {
+            "pipeline": lambda: generators.fourier_perturbed_curve(
+                (0, 0, 1), [1, 3], [0.2, 0.1], 512, seed=7, antipodal_symmetric=True),
+            "parallel": lambda: generators.parallel_curve(math.pi / 3, 64),
+            "nonuniform": lambda: clustered_parallel(256),
+        }[start]()
+        ours = theirs = state_of(curve)
+        for _ in range(300):
+            dt = min(2e-3, flow_engine.dt_max(ours))
+            ours, theirs = flow_engine.step(ours, dt), step_reference.step(theirs, dt)
+            assert np.array_equal(ours.curve.rows, theirs.curve.rows)
+            assert (ours.t, ours.tau) == (theirs.t, theirs.tau)
+            assert ours.curve.length == step_reference.length(theirs.curve)
+            ours_kmax = float(np.maximum.reduce(np.abs(sg.curvature_rows(ours.curve)[2])))
+            assert ours_kmax == step_reference.max_abs_kappa(theirs.curve)
+        assert ours.step_index == 300
+
+    def test_shrinking_run(self, perturbed_parallel_run, monkeypatch):
+        # the reference step, resample and curvature in every place run uses them
+        for module in (flow_engine, generators):
+            monkeypatch.setattr(module, "reparametrize_uniform",
+                                step_reference.reparametrize_uniform)
+        monkeypatch.setattr(flow_engine, "step", step_reference.step)
+        for module in (flow_engine, chord_arc):
+            monkeypatch.setattr(module, "curvature_rows",
+                                lambda curve: (None, None, step_reference.kappa(curve)))
+        series, outcome = flow_engine.run(perturbed_parallel_run["config"])
+        expect = perturbed_parallel_run["series"]
+        assert np.array_equal(series.rows(), expect.rows(), equal_nan=True)
+        steps = [k for k, _ in series.checkpoints]
+        assert steps == [k for k, _ in expect.checkpoints]
+        for (_, ref), (_, ours) in zip(series.checkpoints, expect.checkpoints):
+            assert np.array_equal(ref.rows, ours.rows)
+        assert expect.checkpoints[-1][1].n < expect.checkpoints[0][1].n   # n was halved
+        assert outcome.T_est == perturbed_parallel_run["outcome"].T_est
 
 
 class TestSymmetrize:
