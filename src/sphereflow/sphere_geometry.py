@@ -228,7 +228,8 @@ def curvature_rows(curve: DiscreteCurve) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 def frame_field(curve: DiscreteCurve) -> FrameField:
-    """Tangent, normal and curvatures per vertex; see curvature_rows."""
+    """Read-only (n, 3) tangent and normal, kappa, and kappa_bar = sqrt(1 + kappa^2)
+    per vertex, from curvature_rows."""
     t, normal, kappa = curvature_rows(curve)
     kappa_bar = np.sqrt(1.0 + kappa * kappa)
     tangent, normal = t.T, normal.T

@@ -129,6 +129,14 @@ def closed_rows(points):
     return np.concatenate([points.T, points[:1].T], axis=1)
 
 
+def clustered_parallel(n):
+    """The parallel of radius 0.7, with vertices bunched near u = pi."""
+    u = 2 * np.pi * np.arange(n) / n
+    u = u + 0.4 * np.sin(u)
+    return sg.make_curve(np.column_stack([0.7 * np.cos(u), 0.7 * np.sin(u),
+                                          np.full(n, np.sqrt(1 - 0.49))]))
+
+
 class TestCirculantSolve:
     @pytest.mark.parametrize("n", [8, 9, 64, 512])
     def test_matches_dense_solve(self, n):
@@ -168,23 +176,12 @@ class TestCirculantSolve:
 
     def test_nonuniform_input_is_resampled_first(self):
         n = 256
-        u = 2 * np.pi * np.arange(n) / n
-        u = u + 0.4 * np.sin(u)
-        clustered = sg.make_curve(np.column_stack([0.7 * np.cos(u), 0.7 * np.sin(u),
-                                                   np.full(n, np.sqrt(1 - 0.49))]))
+        clustered = clustered_parallel(n)
         uniform = sg.reparametrize_uniform(clustered, n)
         assert uniform is not clustered
         a = flow_engine.step(state_of(clustered), 1e-5).curve.points
         b = flow_engine.step(state_of(uniform), 1e-5).curve.points
         assert np.array_equal(a, b)
-
-
-def clustered_parallel(n):
-    """A parallel at polar angle arccos(0.71) with vertices bunched near u = pi."""
-    u = 2 * np.pi * np.arange(n) / n
-    u = u + 0.4 * np.sin(u)
-    return sg.make_curve(np.column_stack([0.7 * np.cos(u), 0.7 * np.sin(u),
-                                          np.full(n, np.sqrt(1 - 0.49))]))
 
 
 class TestMatchesStepReference:
