@@ -217,14 +217,13 @@ class TestMatchesStepReference:
         for module in (flow_engine, chord_arc):
             monkeypatch.setattr(module, "curvature_rows",
                                 lambda curve: (None, None, step_reference.kappa(curve)))
-        series, outcome = flow_engine.run(perturbed_parallel_run["config"])
-        expect = perturbed_parallel_run["series"]
-        assert np.array_equal(series.rows(), expect.rows(), equal_nan=True)
-        steps = [k for k, _ in series.checkpoints]
-        assert steps == [k for k, _ in expect.checkpoints]
-        for (_, ref), (_, ours) in zip(series.checkpoints, expect.checkpoints):
-            assert np.array_equal(ref.rows, ours.rows)
-        assert expect.checkpoints[-1][1].n < expect.checkpoints[0][1].n   # n was halved
+        theirs, outcome = flow_engine.run(perturbed_parallel_run["config"])
+        ours = perturbed_parallel_run["series"]
+        assert np.array_equal(ours.rows(), theirs.rows(), equal_nan=True)
+        assert [k for k, _ in ours.checkpoints] == [k for k, _ in theirs.checkpoints]
+        for (_, a), (_, b) in zip(ours.checkpoints, theirs.checkpoints):
+            assert np.array_equal(a.rows, b.rows)
+        assert ours.checkpoints[-1][1].n < ours.checkpoints[0][1].n   # n was halved
         assert outcome.T_est == perturbed_parallel_run["outcome"].T_est
 
 
