@@ -115,7 +115,8 @@ def generator_from_dict(raw: dict) -> GeneratorSpec:
         theta0=get("theta0", None, _optional(_finite), "a finite number"),
         axis=tuple(float(v) for v in get("axis", (0.0, 0.0, 1.0), _list_of(_finite, 3),
                                          "a list of 3 finite numbers")),
-        modes=tuple(get("modes", (), _list_of(_integer), "a list of integers")),
+        modes=tuple(get("modes", (), _list_of(lambda v: _integer(v) and _finite(v)),
+                        "a list of integers that a float can hold")),
         amplitudes=tuple(float(x) for x in get("amplitudes", (), _list_of(_finite),
                                                "a list of finite numbers")),
         antipodal_symmetric=get("antipodal_symmetric", False, _boolean, "true or false"),

@@ -828,6 +828,8 @@ class TestConfigValidation:
          "generator.axis must be a list of 3 finite numbers"),
         ({"generator": {"kind": "fourier_perturbed", "modes": [2], "amplitudes": [math.nan]}},
          "generator.amplitudes must be a list of finite numbers"),
+        ({"generator": {"kind": "fourier_perturbed", "modes": [10 ** 400], "amplitudes": [0.1]}},
+         "generator.modes must be a list of integers that a float can hold"),
     ])
     def test_non_finite_number_names_field(self, tmp_path, capsys, overrides, message):
         cfgp = write_config(tmp_path / "cfg.json", **overrides)
