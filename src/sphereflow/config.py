@@ -11,6 +11,9 @@ from .errors import ConfigParseError
 
 GENERATOR_KINDS = ("parallel", "great_circle", "fourier_perturbed", "from_file")
 
+# The largest n and n_floor; README.md ("Command line") gives the reason.
+MAX_VERTICES = 2 ** 20
+
 ALL_CHECKS = (
     "chord_arc", "curvature_bound", "length_sandwich", "improved_length",
     "tau_bracket", "roundness", "great_circle", "fenchel", "length_decay",
@@ -159,8 +162,9 @@ def config_from_dict(raw: dict) -> RunConfig:
         symmetrize=_field(raw, "symmetrize", False, _boolean, "true or false"),
         **kwargs,
     )
-    _require(cfg.n >= 8, "n must be at least 8")
-    _require(cfg.n_floor >= 8, "n_floor must be at least 8")
+    for name in ("n", "n_floor"):
+        _require(8 <= getattr(cfg, name) <= MAX_VERTICES,
+                 f"{name} must be at least 8 and at most 2**20 ({MAX_VERTICES})")
     for name in ("dt", "t_max", "l_floor", "c_cfl", "dt_curvature_frac",
                  "gc_kappa_tol", "admissible_tol"):
         _require(getattr(cfg, name) > 0.0, f"{name} must be positive")

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import chord_arc, generators
-from .barrier import FOUR_PI_SQ, BarrierParams, circle_radius, curvature_margin
+from .barrier import FOUR_PI_SQ, circle_radius, curvature_margin
 from .config import RunConfig
 from .errors import (
     Degenerate,
@@ -39,7 +39,6 @@ from .errors import (
 from .sphere_geometry import (
     DiscreteCurve,
     _curve,
-    _is_uniform,
     _project_rows,
     _segment_lengths,
     curvature_rows,
@@ -70,9 +69,11 @@ class DiagnosticsSeries:
     dLdt_obs is the flow-induced length rate, without resampling jumps;
     curv_margin is the relative clearance below the curvature bound. a_pairs
     and a_curv are resolve_a's parts of a_resolved (None for a given a), and
-    a_resolved is None until the run has an a."""
+    a_resolved is None until the run has an a. checkpoint_bytes maps a
+    checkpoint's step to its file bytes, for a run given a serializer."""
 
     checkpoints: list[tuple[int, DiscreteCurve]] = field(default_factory=list)
+    checkpoint_bytes: dict[int, bytes] = field(default_factory=dict)
     a_resolved: float | None = None
     a_pairs: float | None = None
     a_curv: float | None = None
@@ -86,6 +87,13 @@ class DiagnosticsSeries:
             self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
         self._rows[self._size] = values
         self._size += 1
+
+    def __len__(self) -> int:
+        return self._size
+
+    def put(self, row: int, name: str, value: float) -> None:
+        """Set column name of a record already appended."""
+        self._rows[row, DIAGNOSTICS_COLUMNS.index(name)] = value
 
     def column(self, name: str) -> np.ndarray:
         """Read-only view of one column over the records so far."""
@@ -117,7 +125,7 @@ class Outcome:
 
 def dt_max(state: FlowState, c_cfl: float = 5.0) -> float:
     """Accuracy cap on the step size: c_cfl * (min segment length)^2."""
-    return c_cfl * float(np.minimum.reduce(state.curve.seg_lengths)) ** 2
+    return c_cfl * state.curve.min_seg_length ** 2
 
 
 @lru_cache(maxsize=64)
@@ -157,7 +165,7 @@ def step(state: FlowState, dt: float, *, c_cfl: float = 5.0) -> FlowState:
     if dt > cap * (1.0 + 1e-12):
         raise StepTooLarge(f"dt={dt:.3e} exceeds cap {cap:.3e}")
     curve = state.curve
-    if not _is_uniform(curve.seg_lengths):
+    if not curve.uniform:
         curve = reparametrize_uniform(curve, curve.n)
     n = curve.n
     rows = _solve_circulant(curve.rows, dt, curve.length / n)
@@ -190,9 +198,14 @@ def _target_n(n0: int, L0: float, L: float, n_floor: int) -> int:
     return max(n_floor, n0 >> halvings) if halvings < 60 else n_floor
 
 
-def run(cfg: RunConfig) -> tuple[DiagnosticsSeries, Outcome]:
+def run(cfg: RunConfig, serialize=None) -> tuple[DiagnosticsSeries, Outcome]:
     """Integrate from the configured initial curve until shrink-out,
     great-circle plateau, or t_max; classify the outcome.
+
+    With serialize, each checkpoint's file bytes, serialize(curve), are kept in
+    the series' checkpoint_bytes. The scheduled min_Z records and those bytes
+    are made by offload (in a helper process where a second CPU is allowed),
+    and every one is in the series by the time run returns or raises.
 
     Raises NonConvergent when t_max arrives without a classifiable state or
     a resample does not converge. Any exception raised once the diagnostics
@@ -211,55 +224,60 @@ def run(cfg: RunConfig) -> tuple[DiagnosticsSeries, Outcome]:
 
     state = FlowState(curve=curve, t=0.0, tau=0.0, step_index=0)
     series = DiagnosticsSeries(a_resolved=a, a_pairs=a_pairs, a_curv=a_curv)
-    series.checkpoints.append((0, curve))
     n0, L0 = curve.n, curve.length
 
     def record(st: FlowState, dldt: float, with_z: bool):
         kmax = float(np.maximum.reduce(np.abs(curvature_rows(st.curve)[2])))
-        mz = math.nan
-        if with_z:
-            mz = chord_arc.min_Z(st.curve, BarrierParams(a=a, tau=st.tau))
+        mz = side.min_Z(st.curve, st.tau) if with_z else math.nan
         L = st.curve.length
         series.append(st.step_index, st.t, st.tau, L, kmax, mz, dldt,
                       curvature_margin(kmax, L, a, st.tau))
         return kmax
 
+    # imported here, so that a command that runs no flow does not load it
+    from . import offload
+
     finished = None
     try:
-        kappa_max = record(state, math.nan, with_z=True)
-        while finished is None:
-            # The spatial cap keeps the stencil resolved; the curvature cap keeps
-            # dt a fixed fraction of the flow timescale 1/kappa_bar^2, which near
-            # extinction bounds the accumulated timing drift proportionally at
-            # every scale (per-step defect is O(dt^2 kappa_bar^2)).
-            dt = min(cfg.dt, dt_max(state, cfg.c_cfl),
-                     cfg.dt_curvature_frac / (1.0 + kappa_max * kappa_max))
-            new_state = step(state, dt, c_cfl=cfg.c_cfl)
-            if (new_state.step_index % cfg.simple_every == 0
-                    and not validate_simple(new_state.curve)):
-                raise SelfIntersection(f"embeddedness lost at t={new_state.t:.6g}")
-            if cfg.symmetrize:
-                new_state = replace(new_state, curve=symmetrize(new_state.curve))
-            dldt = (new_state.curve.length - state.curve.length) / dt
+        # every min_Z and checkpoint's bytes is in the series once `with` ends
+        with offload.start(series, a, serialize) as side:
+            side.checkpoint(0, curve)
+            kappa_max = record(state, math.nan, with_z=True)
+            while finished is None:
+                # The spatial cap keeps the stencil resolved; the curvature cap
+                # keeps dt a fixed fraction of the flow timescale 1/kappa_bar^2,
+                # which near extinction bounds the accumulated timing drift
+                # proportionally at every scale (per-step defect is
+                # O(dt^2 kappa_bar^2)).
+                dt = min(cfg.dt, dt_max(state, cfg.c_cfl),
+                         cfg.dt_curvature_frac / (1.0 + kappa_max * kappa_max))
+                new_state = step(state, dt, c_cfl=cfg.c_cfl)
+                if (new_state.step_index % cfg.simple_every == 0
+                        and not validate_simple(new_state.curve)):
+                    raise SelfIntersection(f"embeddedness lost at t={new_state.t:.6g}")
+                if cfg.symmetrize:
+                    new_state = replace(new_state, curve=symmetrize(new_state.curve))
+                dldt = (new_state.curve.length - state.curve.length) / dt
 
-            resized = _target_n(n0, L0, new_state.curve.length, cfg.n_floor)
-            if resized < new_state.curve.n:
-                new_state = replace(new_state, curve=reparametrize_uniform(new_state.curve, resized))
+                resized = _target_n(n0, L0, new_state.curve.length, cfg.n_floor)
+                if resized < new_state.curve.n:
+                    new_state = replace(new_state,
+                                        curve=reparametrize_uniform(new_state.curve, resized))
 
-            state = new_state
-            shrunk = state.curve.length < cfg.l_floor
-            timed_out = state.t >= cfg.t_max
-            with_z = state.step_index % cfg.z_every == 0 or shrunk or timed_out
-            kappa_max = record(state, dldt, with_z)
+                state = new_state
+                shrunk = state.curve.length < cfg.l_floor
+                timed_out = state.t >= cfg.t_max
+                with_z = state.step_index % cfg.z_every == 0 or shrunk or timed_out
+                kappa_max = record(state, dldt, with_z)
 
-            plateau = state.step_index >= 10 and kappa_max < cfg.gc_kappa_tol
-            if shrunk:
-                finished = "shrunk"
-            elif plateau or timed_out:
-                finished = "flat"
+                plateau = state.step_index >= 10 and kappa_max < cfg.gc_kappa_tol
+                if shrunk:
+                    finished = "shrunk"
+                elif plateau or timed_out:
+                    finished = "flat"
 
-            if state.step_index % cfg.checkpoint_every == 0 or finished is not None:
-                series.checkpoints.append((state.step_index, state.curve))
+                if state.step_index % cfg.checkpoint_every == 0 or finished is not None:
+                    side.checkpoint(state.step_index, state.curve)
 
         L = state.curve.length
         if finished == "flat" and not (abs(L - 2.0 * math.pi) <= 0.05 * 2.0 * math.pi

@@ -105,9 +105,14 @@ def _bad_row(path: Path, lines: list[str], width: int, int_columns: int) -> str:
     return f"{path}: rows do not parse"
 
 
+def curve_csv(curve: DiscreteCurve) -> bytes:
+    """The curve's CSV file bytes."""
+    return _csv("x,y,z", "%r,%r,%r", curve.rows[:, :-1].T.ravel().tolist())
+
+
 def write_curve_csv(curve: DiscreteCurve, path) -> bytes:
     """Write the curve and return the bytes written."""
-    return _write(path, _csv("x,y,z", "%r,%r,%r", curve.rows[:, :-1].T.ravel().tolist()))
+    return _write(path, curve_csv(curve))
 
 
 def read_curve_csv(path) -> DiscreteCurve:
@@ -298,7 +303,9 @@ def write_run(run_dir: Path, cfg: RunConfig, series: DiagnosticsSeries,
               error: BaseException | None = None) -> dict:
     """Persist diagnostics, checkpoints, and the manifest (atomically, last).
 
-    Each inventory entry's size and SHA-256 are those of the bytes written.
+    A checkpoint whose bytes series.checkpoint_bytes holds is written from
+    them, any other is serialized here. Each inventory entry's size and
+    SHA-256 are those of the bytes written.
     """
     run_dir = Path(run_dir)
     (run_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
@@ -306,7 +313,8 @@ def write_run(run_dir: Path, cfg: RunConfig, series: DiagnosticsSeries,
                ("config.json", _atomic_write_json(config_to_dict(cfg), run_dir / "config.json"))]
     for step, curve in series.checkpoints:
         rel = f"checkpoints/{checkpoint_name(step)}"
-        written.append((rel, write_curve_csv(curve, run_dir / rel)))
+        data = series.checkpoint_bytes.get(step)
+        written.append((rel, _write(run_dir / rel, curve_csv(curve) if data is None else data)))
     inventory = [{"path": rel, "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
                  for rel, data in written]
 

@@ -94,6 +94,17 @@ class DiscreteCurve:
         ds = self.seg_lengths
         return 0.5 * (np.roll(ds, 1) + ds)
 
+    @cached_property
+    def min_seg_length(self) -> float:
+        """min_i ds_i, the spacing that caps a flow step."""
+        return float(np.minimum.reduce(self.seg_lengths))
+
+    @cached_property
+    def uniform(self) -> bool:
+        """Whether the spacing meets the resample's stopping rule (_is_uniform);
+        a resample records the answer it computed on the curve it returns."""
+        return _is_uniform(self.seg_lengths)
+
 
 @dataclass(frozen=True)
 class FrameField:
@@ -141,11 +152,14 @@ def _segment_lengths(rows: np.ndarray) -> np.ndarray:
     return ds
 
 
-def _curve(rows: np.ndarray, ds: np.ndarray) -> DiscreteCurve:
-    """DiscreteCurve from closed coordinate rows, with seg_lengths already known."""
+def _curve(rows: np.ndarray, ds: np.ndarray, uniform: bool | None = None) -> DiscreteCurve:
+    """DiscreteCurve from closed coordinate rows, with seg_lengths (and, when
+    not None, whether they are uniform) already known."""
     rows.flags.writeable = False
     curve = DiscreteCurve(rows=rows)
     curve.__dict__["seg_lengths"] = ds   # where cached_property keeps its value
+    if uniform is not None:
+        curve.__dict__["uniform"] = uniform
     return curve
 
 
@@ -267,7 +281,7 @@ def reparametrize_uniform(curve: DiscreteCurve, n_out: int) -> DiscreteCurve:
     """
     if n_out < MIN_VERTICES:
         raise TooFewVertices(f"need at least {MIN_VERTICES} vertices, got {n_out}")
-    if curve.n == n_out and _is_uniform(curve.seg_lengths):
+    if curve.n == n_out and curve.uniform:
         return curve
     rows, ds = curve.rows, curve.seg_lengths
     for passes in range(1, _MAX_PASSES + 1):
@@ -281,9 +295,9 @@ def reparametrize_uniform(curve: DiscreteCurve, n_out: int) -> DiscreteCurve:
         rows[:, n_out] = rows[:, 0]
         _project_rows(rows)
         ds = _segment_lengths(rows)
-        if _is_uniform(ds) or (passes >= _ROUNDOFF_PASSES
-                               and ds.max() - ds.min() <= _ROUNDOFF_SPREAD):
-            return _curve(rows, ds)
+        uniform = _is_uniform(ds)
+        if uniform or (passes >= _ROUNDOFF_PASSES and ds.max() - ds.min() <= _ROUNDOFF_SPREAD):
+            return _curve(rows, ds, uniform)
     raise NonConvergent(
         f"resample to {n_out} vertices did not converge in {_MAX_PASSES} passes: "
         f"spacing spread {(ds.max() - ds.min()) / ds.mean():.3e} of the mean")

@@ -839,6 +839,20 @@ class TestConfigValidation:
         assert (err["error"], err["message"]) == ("ConfigParseError", message)
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("name", ["n", "n_floor"])
+    def test_vertex_count_above_2_to_the_20_names_field(self, tmp_path, capsys, name):
+        # n = 10 ** 400 once reached np.arange(n), and simulate exited 1 with a traceback
+        gen = {"kind": "great_circle"}
+        assert getattr(config_from_dict({"generator": gen, name: 2 ** 20}), name) == 2 ** 20
+        for value in (10 ** 400, 2 ** 20 + 1):
+            cfgp = write_config(tmp_path / "cfg.json", **{name: value})
+            assert cli.main(["simulate", "--config", str(cfgp),
+                             "--out", str(tmp_path / "run")]) == 2
+            err = json.loads(capsys.readouterr().out)
+            assert (err["error"], err["message"]) == (
+                "ConfigParseError", f"{name} must be at least 8 and at most 2**20 (1048576)")
+            assert not (tmp_path / "run").exists()
+
     def test_seed_below_2_to_the_64(self):
         # splitmix64 keeps a seed's low 64 bits: s and s + 2**64 would draw one curve
         gen = {"kind": "fourier_perturbed", "modes": [2, 3], "amplitudes": [0.1, 0.05]}

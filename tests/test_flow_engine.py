@@ -84,6 +84,20 @@ class TestStep:
         with pytest.raises(StepTooLarge):
             flow_engine.step(st, 1.0, c_cfl=5.0)
 
+    def test_resampled_input_is_not_tested_again(self, monkeypatch):
+        # the resample that made the curve has tested its spacing already
+        c = sg.reparametrize_uniform(clustered_parallel(256), 256)
+        tested, is_uniform = [], sg._is_uniform
+
+        def recording(ds):
+            tested.append(ds)
+            return is_uniform(ds)
+
+        monkeypatch.setattr(sg, "_is_uniform", recording)
+        monkeypatch.setattr(flow_engine, "_is_uniform", recording, raising=False)
+        flow_engine.step(state_of(c), 1e-5)
+        assert tested and not any(ds is c.seg_lengths for ds in tested)
+
     def test_non_finite_solve_is_degenerate(self, monkeypatch):
         monkeypatch.setattr(flow_engine, "_solve_circulant",
                             lambda rows, dt, h: np.full_like(rows, np.nan))
