@@ -5,10 +5,10 @@ scheduled record and the file bytes of each checkpoint.
 forks one helper process of the same program and pins it to the allowed CPUs
 other than the one the run is on (Linux leaves a new process on its parent's
 CPU, so unpinned the two would share it). The run's process sends it each
-curve through a pipe and goes on stepping. Where fewer are allowed, or where
-the platform has no fork, InProcess does the same work in place, as a run
-always did. Both compute the same function of the same doubles, so a run's
-outputs do not depend on which one ran.
+curve through a pipe and goes on stepping. Where fewer are allowed, or the
+platform cannot say (os.sched_getaffinity is Linux's), InProcess does the
+same work in place, as a run always did. Both compute the same function of
+the same doubles, so a run's outputs do not depend on which one ran.
 
 The helper ignores SIGINT and exits at end-of-file on its pipe, so it ends
 when the run closes the pipe and when the run's process dies. On the way out
@@ -89,13 +89,12 @@ def _current_cpu() -> int | None:
 
 
 def start(series, a: float, serialize=None) -> InProcess:
-    """A Helper where at least two CPUs are allowed and a process can be
-    forked, else InProcess."""
+    """A Helper where at least two CPUs are allowed, else InProcess."""
     try:
         allowed = os.sched_getaffinity(0)
     except AttributeError:   # not Linux
         return InProcess(series, a, serialize)
-    if len(allowed) < 2 or not hasattr(os, "fork"):
+    if len(allowed) < 2:
         return InProcess(series, a, serialize)
     try:
         return Helper(series, a, serialize, allowed - {_current_cpu()})
@@ -182,6 +181,10 @@ class Helper(InProcess):
             self._send((False, step, curve, 0.0))
 
     def _send(self, entry: tuple) -> None:
+        # results before the task, never after it: run appends a record's row
+        # only once min_Z has returned, so a result stored here must be of an
+        # earlier task (the task being written cannot finish before it is sent)
+        self._receive()
         wants_z, _, curve, tau = entry
         self._pending.append(entry)
         if self._tasks is None:
@@ -200,7 +203,6 @@ class Helper(InProcess):
                     self._receive()
         except BrokenPipeError:
             self._drain()
-        self._receive()
 
     def _receive(self) -> None:
         """Store what the helper has sent so far; at its end-of-file, close

@@ -133,6 +133,22 @@ class TestSameOutputs:
         assert ours == simulate(tmp_path, SHRINKING, "in_process")
 
     @needs_two_cpus
+    def test_result_ready_before_its_record_is_appended(self, monkeypatch):
+        # each write is followed by a pause, so the helper's result for a
+        # record can be in the pipe before run has appended that record's row
+        write = os.write
+
+        def slow_write(fd, data):
+            written = write(fd, data)
+            time.sleep(0.002)
+            return written
+
+        monkeypatch.setattr(os, "write", slow_write)
+        series, _ = flow_engine.run(SHRINKING, serialize=run_io.curve_csv)
+        z = series.column("min_Z")
+        assert list(np.flatnonzero(~np.isnan(z))) == [step for step, _ in series.checkpoints]
+
+    @needs_two_cpus
     def test_tasks_larger_than_the_pipe(self):
         # at n = 2048 a task is 65.6 kB, more than a pipe holds, and each
         # min_Z takes longer than a step, so the run waits on the helper
@@ -186,6 +202,36 @@ class TestNoHelperLeft:
         series, _ = flow_engine.run(SHRINKING, serialize=run_io.curve_csv)
         assert os.waitstatus_to_exitcode(reaped[forked[0]]) == 0
         assert not np.isnan(series.column("min_Z")[::40]).any()
+
+    def test_work_of_a_killed_helper_is_done_in_place(self, helpers, monkeypatch):
+        forked, step = helpers[0], flow_engine.step
+
+        def killing_step(state, dt, **kwargs):
+            if state.step_index == 50:
+                os.kill(forked[0], signal.SIGKILL)
+            return step(state, dt, **kwargs)
+
+        monkeypatch.setattr(flow_engine, "step", killing_step)
+        ours, _ = flow_engine.run(SHRINKING, serialize=run_io.curve_csv)
+        assert os.waitstatus_to_exitcode(helpers[1][forked[0]]) == -signal.SIGKILL
+        monkeypatch.setattr(flow_engine, "step", step)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        theirs, _ = flow_engine.run(SHRINKING, serialize=run_io.curve_csv)
+        assert np.array_equal(ours.rows(), theirs.rows(), equal_nan=True)
+        assert ours.checkpoint_bytes == theirs.checkpoint_bytes
+
+    def test_helper_is_pinned_off_one_allowed_cpu(self, helpers, monkeypatch):
+        forked, step, seen = helpers[0], flow_engine.step, []
+
+        def watching_step(state, dt, **kwargs):
+            if state.step_index == 50:
+                seen.append(os.sched_getaffinity(forked[0]))
+            return step(state, dt, **kwargs)
+
+        monkeypatch.setattr(flow_engine, "step", watching_step)
+        flow_engine.run(SHRINKING)
+        allowed = os.sched_getaffinity(0)
+        assert seen[0] < allowed and len(seen[0]) == len(allowed) - 1
 
     def test_helper_exits_when_the_run_is_killed(self, tmp_path):
         # the helper reads end-of-file once its parent is gone, and exits
