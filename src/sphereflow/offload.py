@@ -64,7 +64,7 @@ class InProcess:
         """Append a checkpoint to series, and its bytes once serialized."""
         self.series.checkpoints.append((step, curve))
         if self.serialize is not None:
-            self._put(False, step, self._result(False, curve, 0.0))
+            self.series.checkpoint_bytes[step] = self.serialize(curve)
 
     def _result(self, wants_z: bool, curve: DiscreteCurve, tau: float):
         if wants_z:
