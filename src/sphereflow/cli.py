@@ -33,7 +33,7 @@ def cmd_simulate(config_path, out_dir=None, force: bool = False) -> int:
     with run_io.RunDirLock(run_dir / ".lock"):
         run_io.clear_run(run_dir, force)
         try:
-            series, outcome = flow_engine.run(cfg, serialize=run_io.curve_csv)
+            series, outcome = flow_engine.run(cfg)
         except BaseException as exc:
             # the run says what stopped it, with the diagnostics it got to;
             # an exception that is not the package's goes on after that

@@ -70,7 +70,7 @@ class DiagnosticsSeries:
     curv_margin is the relative clearance below the curvature bound. a_pairs
     and a_curv are resolve_a's parts of a_resolved (None for a given a), and
     a_resolved is None until the run has an a. checkpoint_bytes maps a
-    checkpoint's step to its file bytes, for a run given a serializer."""
+    checkpoint's step to its CSV file bytes, as run makes them."""
 
     checkpoints: list[tuple[int, DiscreteCurve]] = field(default_factory=list)
     checkpoint_bytes: dict[int, bytes] = field(default_factory=dict)
@@ -198,14 +198,14 @@ def _target_n(n0: int, L0: float, L: float, n_floor: int) -> int:
     return max(n_floor, n0 >> halvings) if halvings < 60 else n_floor
 
 
-def run(cfg: RunConfig, serialize=None) -> tuple[DiagnosticsSeries, Outcome]:
+def run(cfg: RunConfig) -> tuple[DiagnosticsSeries, Outcome]:
     """Integrate from the configured initial curve until shrink-out,
     great-circle plateau, or t_max; classify the outcome.
 
-    With serialize, each checkpoint's file bytes, serialize(curve), are kept in
-    the series' checkpoint_bytes. The scheduled min_Z records and those bytes
-    are made by offload (in a helper process where a second CPU is allowed),
-    and every one is in the series by the time run returns or raises.
+    The scheduled min_Z records and each checkpoint's CSV bytes (the series'
+    checkpoint_bytes) are made by offload, in a helper process where a second
+    CPU is to be had, and every one is in the series by the time run returns
+    or raises.
 
     Raises NonConvergent when t_max arrives without a classifiable state or
     a resample does not converge. Any exception raised once the diagnostics
@@ -228,10 +228,11 @@ def run(cfg: RunConfig, serialize=None) -> tuple[DiagnosticsSeries, Outcome]:
 
     def record(st: FlowState, dldt: float, with_z: bool):
         kmax = float(np.maximum.reduce(np.abs(curvature_rows(st.curve)[2])))
-        mz = side.min_Z(st.curve, st.tau) if with_z else math.nan
         L = st.curve.length
-        series.append(st.step_index, st.t, st.tau, L, kmax, mz, dldt,
+        series.append(st.step_index, st.t, st.tau, L, kmax, math.nan, dldt,
                       curvature_margin(kmax, L, a, st.tau))
+        if with_z:
+            side.min_Z(len(series) - 1, st.curve, st.tau)
         return kmax
 
     # imported here, so that a command that runs no flow does not load it
@@ -240,7 +241,7 @@ def run(cfg: RunConfig, serialize=None) -> tuple[DiagnosticsSeries, Outcome]:
     finished = None
     try:
         # every min_Z and checkpoint's bytes is in the series once `with` ends
-        with offload.start(series, a, serialize) as side:
+        with offload.start(series, a) as side:
             side.checkpoint(0, curve)
             kappa_max = record(state, math.nan, with_z=True)
             while finished is None:

@@ -1,14 +1,15 @@
 """The part of a flow run that no later step reads: the min_Z of each
-scheduled record and the file bytes of each checkpoint.
+scheduled record and the CSV bytes of each checkpoint.
 
-`start` picks where it runs. Where at least two CPUs are allowed, a Helper
-forks one helper process of the same program and pins it to the allowed CPUs
+`start` picks where it runs. Where at least two CPUs are allowed and no
+cgroup quota holds the process to less than two CPUs' time, a Helper forks
+one helper process of the same program and pins it to the allowed CPUs
 other than the one the run is on (Linux leaves a new process on its parent's
 CPU, so unpinned the two would share it). The run's process sends it each
-curve through a pipe and goes on stepping. Where fewer are allowed, or the
-platform cannot say (os.sched_getaffinity is Linux's), InProcess does the
-same work in place, as a run always did. Both compute the same function of
-the same doubles, so a run's outputs do not depend on which one ran.
+curve through a pipe and goes on stepping. Otherwise, or where the platform
+cannot say (os.sched_getaffinity is Linux's), InProcess does the same work
+in place, as a run always did. Both compute the same function of the same
+doubles, so a run's outputs do not depend on which one ran.
 
 The helper ignores SIGINT and exits at end-of-file on its pipe, so it ends
 when the run closes the pipe and when the run's process dies. On the way out
@@ -29,6 +30,7 @@ import numpy as np
 
 from . import chord_arc
 from .barrier import BarrierParams
+from .run_io import curve_csv
 from .sphere_geometry import DiscreteCurve, _curve
 
 # A task is (wants min_Z, else the checkpoint's bytes; tau; n), then the
@@ -38,16 +40,15 @@ _TASK = struct.Struct("<?dq")
 _SIZE = struct.Struct("<q")
 _FLOAT = struct.Struct("<d")
 
+_PROC_CGROUP, _CGROUP_ROOT = "/proc/self/cgroup", "/sys/fs/cgroup"
+
 
 class InProcess:
-    """The work done where it is asked for.
+    """The work done where it is asked for, into series, the run's
+    DiagnosticsSeries, with a its barrier parameter."""
 
-    series is the run's DiagnosticsSeries, a its barrier parameter, and
-    serialize, when not None, turns a checkpoint curve into its file bytes.
-    """
-
-    def __init__(self, series, a: float, serialize=None):
-        self.series, self.a, self.serialize = series, a, serialize
+    def __init__(self, series, a: float):
+        self.series, self.a = series, a
 
     def __enter__(self):
         return self
@@ -55,21 +56,21 @@ class InProcess:
     def __exit__(self, *exc) -> None:
         pass
 
-    def min_Z(self, curve: DiscreteCurve, tau: float) -> float:
-        """min_Z of the record about to be appended to series; NaN until
-        __exit__ when the work is done elsewhere."""
-        return self._result(True, curve, tau)
+    def min_Z(self, row: int, curve: DiscreteCurve, tau: float) -> None:
+        """Store min_Z in record row, already appended (until __exit__ where
+        the work is done elsewhere)."""
+        self._put(True, row, self._result(True, curve, tau))
 
     def checkpoint(self, step: int, curve: DiscreteCurve) -> None:
-        """Append a checkpoint to series, and its bytes once serialized."""
+        """Append a checkpoint to series, and keep its CSV bytes (until
+        __exit__ where the work is done elsewhere)."""
         self.series.checkpoints.append((step, curve))
-        if self.serialize is not None:
-            self.series.checkpoint_bytes[step] = self.serialize(curve)
+        self._put(False, step, self._result(False, curve, 0.0))
 
     def _result(self, wants_z: bool, curve: DiscreteCurve, tau: float):
         if wants_z:
             return chord_arc.min_Z(curve, BarrierParams(a=self.a, tau=tau))
-        return self.serialize(curve)
+        return curve_csv(curve)
 
     def _put(self, wants_z: bool, key: int, value) -> None:
         """Store min_Z in record row key, or the bytes of checkpoint step key."""
@@ -88,18 +89,56 @@ def _current_cpu() -> int | None:
         return None
 
 
-def start(series, a: float, serialize=None) -> InProcess:
-    """A Helper where at least two CPUs are allowed, else InProcess."""
+def _quota_at(directory: str, v2: bool) -> float:
+    """CPUs' worth of time one cgroup directory allows; inf for none."""
+    try:
+        if v2:
+            with open(os.path.join(directory, "cpu.max")) as fh:
+                quota, period = fh.read().split()
+        else:
+            with open(os.path.join(directory, "cpu.cfs_quota_us")) as fh:
+                quota = fh.read()
+            with open(os.path.join(directory, "cpu.cfs_period_us")) as fh:
+                period = fh.read()
+        cpus = int(quota) / int(period)
+    except (OSError, ValueError, ZeroDivisionError):   # "max", or unreadable
+        return math.inf
+    return cpus if cpus > 0 else math.inf               # v1's -1 is no quota
+
+
+def _cpu_quota() -> float:
+    """The least CPU quota of the process's cgroups and their ancestors
+    (cgroup v2 cpu.max, or v1 cpu.cfs_quota_us / cpu.cfs_period_us), in
+    CPUs; inf where none is set or readable."""
+    try:
+        with open(_PROC_CGROUP) as fh:
+            lines = fh.read().splitlines()
+    except OSError:
+        return math.inf
+    least = math.inf
+    for line in lines:
+        _, controllers, path = line.split(":", 2)
+        if controllers and "cpu" not in controllers.split(","):
+            continue
+        base = _CGROUP_ROOT if not controllers else os.path.join(_CGROUP_ROOT, "cpu")
+        parts = [part for part in path.split("/") if part]
+        for depth in range(len(parts) + 1):
+            least = min(least, _quota_at(os.path.join(base, *parts[:depth]), not controllers))
+    return least
+
+
+def start(series, a: float) -> InProcess:
+    """A Helper where two CPUs' time is to be had, else InProcess."""
     try:
         allowed = os.sched_getaffinity(0)
     except AttributeError:   # not Linux
-        return InProcess(series, a, serialize)
-    if len(allowed) < 2:
-        return InProcess(series, a, serialize)
+        return InProcess(series, a)
+    if len(allowed) < 2 or _cpu_quota() < 2:
+        return InProcess(series, a)
     try:
-        return Helper(series, a, serialize, allowed - {_current_cpu()})
+        return Helper(series, a, allowed - {_current_cpu()})
     except OSError:          # no process or pipe to be had: do it here
-        return InProcess(series, a, serialize)
+        return InProcess(series, a)
 
 
 def _write_all(fd: int, data: bytes) -> None:
@@ -111,8 +150,8 @@ def _write_all(fd: int, data: bytes) -> None:
 class Helper(InProcess):
     """The work done in one forked helper process pinned to cpus."""
 
-    def __init__(self, series, a: float, serialize, cpus: set[int]):
-        super().__init__(series, a, serialize)
+    def __init__(self, series, a: float, cpus: set[int]):
+        super().__init__(series, a)
         # (wants min_Z, row or step, curve, tau), oldest first. An entry is
         # added before its task is sent and dropped after its result is
         # stored, so an interrupt between the two leaves it for __exit__.
@@ -171,19 +210,15 @@ class Helper(InProcess):
             data = _FLOAT.pack(value) if wants_z else value
             _write_all(result_w, _SIZE.pack(len(data)) + data)
 
-    def min_Z(self, curve: DiscreteCurve, tau: float) -> float:
-        self._send((True, len(self.series), curve, tau))
-        return math.nan
+    def min_Z(self, row: int, curve: DiscreteCurve, tau: float) -> None:
+        self._send((True, row, curve, tau))
 
     def checkpoint(self, step: int, curve: DiscreteCurve) -> None:
         self.series.checkpoints.append((step, curve))
-        if self.serialize is not None:
-            self._send((False, step, curve, 0.0))
+        self._send((False, step, curve, 0.0))
 
     def _send(self, entry: tuple) -> None:
-        # results before the task, never after it: run appends a record's row
-        # only once min_Z has returned, so a result stored here must be of an
-        # earlier task (the task being written cannot finish before it is sent)
+        # store what has come back first, so the helper never waits to write
         self._receive()
         wants_z, _, curve, tau = entry
         self._pending.append(entry)

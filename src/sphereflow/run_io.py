@@ -303,8 +303,9 @@ def write_run(run_dir: Path, cfg: RunConfig, series: DiagnosticsSeries,
               error: BaseException | None = None) -> dict:
     """Persist diagnostics, checkpoints, and the manifest (atomically, last).
 
-    A checkpoint whose bytes series.checkpoint_bytes holds is written from
-    them, any other is serialized here. Each inventory entry's size and
+    A checkpoint whose bytes series.checkpoint_bytes holds (every one of a
+    series that flow_engine.run made) is written from them, any other is
+    serialized here. Each inventory entry's size and
     SHA-256 are those of the bytes written.
     """
     run_dir = Path(run_dir)

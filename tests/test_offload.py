@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,9 @@ from sphereflow.config import GeneratorSpec, RunConfig, config_to_dict
 from sphereflow.errors import Degenerate
 
 needs_two_cpus = pytest.mark.skipif(
-    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-    reason="the helper runs only where two CPUs are allowed")
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
+    or offload._cpu_quota() < 2,
+    reason="the helper runs only where two CPUs' time is to be had")
 
 # z_every == checkpoint_every: each min_Z record has its curve on disk
 SHRINKING = RunConfig(generator=GeneratorSpec(kind="parallel", theta0=math.pi / 3),
@@ -101,7 +103,7 @@ class TestSameOutputs:
     def test_min_Z_records_are_min_Z_of_checkpoints(self, request, where):
         if where == "in_process":
             request.getfixturevalue("one_cpu")
-        series, _ = flow_engine.run(SHRINKING, serialize=run_io.curve_csv)
+        series, _ = flow_engine.run(SHRINKING)
         z = series.column("min_Z")
         recorded = np.flatnonzero(~np.isnan(z))
         steps = [step for step, _ in series.checkpoints]
@@ -144,7 +146,7 @@ class TestSameOutputs:
             return written
 
         monkeypatch.setattr(os, "write", slow_write)
-        series, _ = flow_engine.run(SHRINKING, serialize=run_io.curve_csv)
+        series, _ = flow_engine.run(SHRINKING)
         z = series.column("min_Z")
         assert list(np.flatnonzero(~np.isnan(z))) == [step for step, _ in series.checkpoints]
 
@@ -154,13 +156,11 @@ class TestSameOutputs:
         # min_Z takes longer than a step, so the run waits on the helper
         cfg = RunConfig(generator=GeneratorSpec(kind="great_circle"), n=2048, dt=1e-6,
                         t_max=3e-5, checkpoint_every=1, z_every=1)
-        ours, _ = flow_engine.run(cfg, serialize=run_io.curve_csv)
+        ours, _ = flow_engine.run(cfg)
         assert len(ours.checkpoints) == 11   # the great circle's plateau, at step 10
-        theirs = offload.InProcess(flow_engine.DiagnosticsSeries(), ours.a_resolved,
-                                   run_io.curve_csv)
         for row, (step, curve) in enumerate(ours.checkpoints):
-            tau = ours.column("tau")[row]
-            assert ours.column("min_Z")[row] == theirs.min_Z(curve, tau)
+            params = BarrierParams(a=ours.a_resolved, tau=ours.column("tau")[row])
+            assert ours.column("min_Z")[row] == chord_arc.min_Z(curve, params)
             assert ours.checkpoint_bytes[step] == run_io.curve_csv(curve)
 
 
@@ -199,7 +199,7 @@ class TestNoHelperLeft:
             return step(state, dt, **kwargs)
 
         monkeypatch.setattr(flow_engine, "step", interrupting_step)
-        series, _ = flow_engine.run(SHRINKING, serialize=run_io.curve_csv)
+        series, _ = flow_engine.run(SHRINKING)
         assert os.waitstatus_to_exitcode(reaped[forked[0]]) == 0
         assert not np.isnan(series.column("min_Z")[::40]).any()
 
@@ -212,11 +212,11 @@ class TestNoHelperLeft:
             return step(state, dt, **kwargs)
 
         monkeypatch.setattr(flow_engine, "step", killing_step)
-        ours, _ = flow_engine.run(SHRINKING, serialize=run_io.curve_csv)
+        ours, _ = flow_engine.run(SHRINKING)
         assert os.waitstatus_to_exitcode(helpers[1][forked[0]]) == -signal.SIGKILL
         monkeypatch.setattr(flow_engine, "step", step)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        theirs, _ = flow_engine.run(SHRINKING, serialize=run_io.curve_csv)
+        theirs, _ = flow_engine.run(SHRINKING)
         assert np.array_equal(ours.rows(), theirs.rows(), equal_nan=True)
         assert ours.checkpoint_bytes == theirs.checkpoint_bytes
 
@@ -232,6 +232,36 @@ class TestNoHelperLeft:
         flow_engine.run(SHRINKING)
         allowed = os.sched_getaffinity(0)
         assert seen[0] < allowed and len(seen[0]) == len(allowed) - 1
+
+    def test_interrupt_while_sending_a_record_that_fills_the_rows(self, helpers, monkeypatch):
+        # row 256 is the first past the series' initial 256 rows; Ctrl-C while
+        # its task is being sent leaves the task for __exit__, which stores
+        # its min_Z in that row
+        cfg = replace(SHRINKING, z_every=16)
+        step, write, at_256 = flow_engine.step, os.write, []
+
+        def marking_step(state, dt, **kwargs):
+            new_state = step(state, dt, **kwargs)
+            if new_state.step_index == 256:
+                at_256.append(True)
+            return new_state
+
+        def interrupted_write(fd, data):
+            if at_256 and at_256.pop():   # the first write after step 256
+                raise KeyboardInterrupt
+            return write(fd, data)
+
+        monkeypatch.setattr(flow_engine, "step", marking_step)
+        monkeypatch.setattr(os, "write", interrupted_write)
+        with pytest.raises(KeyboardInterrupt) as info:
+            flow_engine.run(cfg)
+        ours = info.value.series
+        assert len(ours) == 257 and not math.isnan(ours.column("min_Z")[256])
+        assert_reaped(helpers[0])
+        monkeypatch.setattr(flow_engine, "step", step)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        theirs, _ = flow_engine.run(cfg)
+        assert np.array_equal(ours.rows(), theirs.rows()[:257], equal_nan=True)
 
     def test_helper_exits_when_the_run_is_killed(self, tmp_path):
         # the helper reads end-of-file once its parent is gone, and exits
@@ -254,6 +284,43 @@ class TestNoHelperLeft:
         while stat.exists() and stat.read_text().rsplit(")", 1)[1].split()[0] != "Z":
             assert time.monotonic() < deadline, "the helper outlived its run"
             time.sleep(0.01)
+
+
+class TestCpuQuota:
+    @pytest.fixture
+    def cgroups(self, tmp_path, monkeypatch):
+        """Write a /proc/self/cgroup and the files under a cgroup root."""
+        def write(proc_cgroup: str, files: dict[str, str]):
+            (tmp_path / "cgroup").write_text(proc_cgroup)
+            for rel, text in files.items():
+                (tmp_path / "root" / rel).parent.mkdir(parents=True, exist_ok=True)
+                (tmp_path / "root" / rel).write_text(text)
+            monkeypatch.setattr(offload, "_PROC_CGROUP", str(tmp_path / "cgroup"))
+            monkeypatch.setattr(offload, "_CGROUP_ROOT", str(tmp_path / "root"))
+        return write
+
+    def test_v2_least_along_the_path(self, cgroups):
+        cgroups("0::/a/b\n", {"cpu.max": "max 100000\n", "a/cpu.max": "150000 100000\n",
+                              "a/b/cpu.max": "400000 100000\n"})
+        assert offload._cpu_quota() == 1.5
+
+    def test_v1(self, cgroups):
+        cgroups("4:memory:/m\n3:cpu,cpuacct:/jobs\n",
+                {"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n",
+                 "cpu/jobs/cpu.cfs_quota_us": "50000\n", "cpu/jobs/cpu.cfs_period_us": "100000\n"})
+        assert offload._cpu_quota() == 0.5
+
+    def test_none_set(self, cgroups):
+        cgroups("0::/\n3:cpu:/\n", {"cpu/cpu.cfs_quota_us": "-1\n",
+                                     "cpu/cpu.cfs_period_us": "100000\n"})
+        assert offload._cpu_quota() == math.inf
+
+    def test_quota_below_two_cpus_runs_in_place(self, cgroups, helpers, monkeypatch):
+        cgroups("0::/\n", {"cpu.max": "150000 100000\n"})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        ours, _ = flow_engine.run(SHRINKING)
+        assert helpers[0] == []
+        assert not np.isnan(ours.column("min_Z")[::40]).any()
 
 
 # A run that prints its helper's pid, then stalls at step 45 until killed.
