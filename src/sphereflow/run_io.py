@@ -305,8 +305,8 @@ def write_run(run_dir: Path, cfg: RunConfig, series: DiagnosticsSeries,
 
     A checkpoint whose bytes series.checkpoint_bytes holds (every one of a
     series that flow_engine.run made) is written from them, any other is
-    serialized here. Each inventory entry's size and
-    SHA-256 are those of the bytes written.
+    serialized here. Each inventory entry's size and SHA-256 are those of
+    the bytes written.
     """
     run_dir = Path(run_dir)
     (run_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
