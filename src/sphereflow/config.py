@@ -128,6 +128,9 @@ def generator_from_dict(raw: dict) -> GeneratorSpec:
     if kind == "parallel":
         _require(spec.theta0 is not None and 0.0 < spec.theta0 < 3.141592653589793,
                  "parallel generator needs polar angle theta0 in (0, pi)")
+    if kind in ("great_circle", "fourier_perturbed"):
+        # orthonormal_basis's threshold, checked here so no run begins
+        _require(math.hypot(*spec.axis) >= 1e-14, "generator.axis must be a nonzero vector")
     if kind == "fourier_perturbed":
         _require(len(spec.modes) == len(spec.amplitudes) > 0,
                  "fourier_perturbed needs matching nonempty modes/amplitudes")

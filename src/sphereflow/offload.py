@@ -5,26 +5,30 @@ scheduled record and the CSV bytes of each checkpoint.
 cgroup quota holds the process to less than two CPUs' time, a Helper forks
 one helper process of the same program and pins it to the allowed CPUs
 other than the one the run is on (Linux leaves a new process on its parent's
-CPU, so unpinned the two would share it). The run's process sends it each
-curve through a pipe and goes on stepping. Otherwise, or where the platform
+CPU, so unpinned the two would share it). Otherwise, or where the platform
 cannot say (os.sched_getaffinity is Linux's), InProcess does the same work
 in place, as a run always did. Both compute the same function of the same
 doubles, so a run's outputs do not depend on which one ran.
 
-The helper ignores SIGINT and exits at end-of-file on its pipe, so it ends
-when the run closes the pipe and when the run's process dies. On the way out
-of `with`, a Helper collects every result, reaps the helper and computes in
-place whatever the helper did not send back (the helper died, or a task was
-cut short by an interrupt).
+Tasks go one way while the run steps; results come back only at its end. The
+run's process writes each curve to the task pipe with blocking writes and
+goes on stepping. The helper keeps every result, in task order, until
+end-of-file on that pipe, which comes when the run closes it on the way out
+of `with`, and only then writes them back; the run reads them one frame at a
+time. Neither process waits for the other to read, so neither polls a
+descriptor, and any descriptor number works. The run then reaps the helper
+and computes in place every task with no whole result: the helper died, or
+an interrupt cut a task short.
+
+The helper ignores SIGINT and exits at end-of-file on its task pipe, so it
+ends when the run closes the pipe and when the run's process dies.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import select
 import struct
-from collections import deque
 
 import numpy as np
 
@@ -152,11 +156,11 @@ class Helper(InProcess):
 
     def __init__(self, series, a: float, cpus: set[int]):
         super().__init__(series, a)
-        # (wants min_Z, row or step, curve, tau), oldest first. An entry is
-        # added before its task is sent and dropped after its result is
-        # stored, so an interrupt between the two leaves it for __exit__.
-        self._pending: deque = deque()
-        self._received = bytearray()
+        # (wants min_Z, row or step, curve.rows, curve.seg_lengths, tau) of
+        # each task in the order sent; not the curve, whose caches can go.
+        # An entry is added before its task is sent, so a task cut short by
+        # an interrupt is in it, and __exit__ does it in place.
+        self._sent: list = []
         fds = []
         try:
             fds += os.pipe()
@@ -166,7 +170,7 @@ class Helper(InProcess):
             for fd in fds:
                 os.close(fd)
             raise
-        task_r, self._tasks, self._results, result_w = fds
+        task_r, self._tasks, results, result_w = fds
         if self._pid == 0:
             code = 1
             try:
@@ -190,100 +194,67 @@ class Helper(InProcess):
                 os._exit(code)
         os.close(task_r)
         os.close(result_w)
-        os.set_blocking(self._tasks, False)
-        os.set_blocking(self._results, False)
+        self._results = os.fdopen(results, "rb")
 
     def _serve(self, task_r: int, result_w: int) -> None:
-        """The helper's loop: one result per task, until end-of-file."""
-        tasks = os.fdopen(task_r, "rb")
+        """The helper's work: one result per task, kept in task order and
+        written back once the run closes the task pipe. Until then the
+        helper only reads, so neither process waits for the other to read."""
+        tasks, results = os.fdopen(task_r, "rb"), []
         while True:
             head = tasks.read(_TASK.size)
             if len(head) < _TASK.size:
-                return
+                break
             wants_z, tau, n = _TASK.unpack(head)
             body = tasks.read(8 * (4 * n + 3))
             if len(body) < 8 * (4 * n + 3):
-                return   # a task cut short: __exit__ does it in place
+                break   # a task cut short: __exit__ does it in place
             rows = np.frombuffer(body, count=3 * (n + 1)).reshape(3, n + 1)
             ds = np.frombuffer(body, offset=rows.nbytes)
             value = self._result(wants_z, _curve(rows, ds), tau)
             data = _FLOAT.pack(value) if wants_z else value
-            _write_all(result_w, _SIZE.pack(len(data)) + data)
+            results.append(_SIZE.pack(len(data)) + data)
+        for frame in results:
+            _write_all(result_w, frame)
 
     def min_Z(self, row: int, curve: DiscreteCurve, tau: float) -> None:
-        self._send((True, row, curve, tau))
+        self._send(True, row, curve, tau)
 
     def checkpoint(self, step: int, curve: DiscreteCurve) -> None:
         self.series.checkpoints.append((step, curve))
-        self._send((False, step, curve, 0.0))
+        self._send(False, step, curve, 0.0)
 
-    def _send(self, entry: tuple) -> None:
-        # store what has come back first, so the helper never waits to write
-        self._receive()
-        wants_z, _, curve, tau = entry
-        self._pending.append(entry)
+    def _send(self, wants_z: bool, key: int, curve: DiscreteCurve, tau: float) -> None:
+        self._sent.append((wants_z, key, curve.rows, curve.seg_lengths, tau))
         if self._tasks is None:
             return   # the helper is gone
-        task = (_TASK.pack(wants_z, tau, curve.n)
-                + curve.rows.tobytes() + curve.seg_lengths.tobytes())
-        view = memoryview(task)
         try:
-            while view and self._tasks is not None:
-                try:
-                    view = view[os.write(self._tasks, view):]
-                except BlockingIOError:
-                    # the helper is behind: wait for room, or for a result
-                    # to read, which the helper may be waiting to write
-                    select.select([self._results], [self._tasks], [])
-                    self._receive()
+            _write_all(self._tasks, _TASK.pack(wants_z, tau, curve.n)
+                       + curve.rows.tobytes() + curve.seg_lengths.tobytes())
         except BrokenPipeError:
-            self._drain()
-
-    def _receive(self) -> None:
-        """Store what the helper has sent so far; at its end-of-file, close
-        both pipes."""
-        while self._results is not None:
-            try:
-                chunk = os.read(self._results, 1 << 16)
-            except BlockingIOError:
-                break
-            if not chunk:
-                self._close_pipes()
-            self._received += chunk
-        buf = self._received
-        while len(buf) >= _SIZE.size:
-            end = _SIZE.size + _SIZE.unpack_from(buf)[0]
-            if len(buf) < end:
-                break
-            wants_z, key, _, _ = self._pending[0]
-            self._put(wants_z, key, _FLOAT.unpack_from(buf, _SIZE.size)[0] if wants_z
-                      else bytes(buf[_SIZE.size:end]))
-            del buf[:end]
-            self._pending.popleft()
-
-    def _drain(self) -> None:
-        """Close the task pipe and read results until the helper's end-of-file."""
-        if self._tasks is not None:
-            os.close(self._tasks)   # the helper finishes its queue and exits
+            os.close(self._tasks)
             self._tasks = None
-        while self._results is not None:
-            select.select([self._results], [], [])
-            self._receive()
-
-    def _close_pipes(self) -> None:
-        tasks, results, self._tasks, self._results = self._tasks, self._results, None, None
-        for fd in (tasks, results):
-            if fd is not None:
-                os.close(fd)
 
     def __exit__(self, *exc) -> None:
         """Collect every result, reap the helper, and do in place what it did not."""
+        done = 0
         try:
-            self._drain()
+            if self._tasks is not None:
+                os.close(self._tasks)   # the helper's end-of-file: it writes back
+            # one frame at a time, so the run never holds the whole stream
+            for wants_z, key, *_ in self._sent:
+                head = self._results.read(_SIZE.size)
+                if len(head) < _SIZE.size:
+                    break   # no result for this task or any later one
+                (size,) = _SIZE.unpack(head)
+                data = self._results.read(size)
+                if len(data) < size:
+                    break   # the stream cut mid-frame: the helper died
+                self._put(wants_z, key, _FLOAT.unpack(data)[0] if wants_z else data)
+                done += 1
         finally:
-            self._close_pipes()
+            # closed before the wait, so a helper still writing gets EPIPE
+            self._results.close()
             os.waitpid(self._pid, 0)
-        while self._pending:
-            wants_z, key, curve, tau = self._pending[0]
-            self._put(wants_z, key, self._result(wants_z, curve, tau))
-            self._pending.popleft()
+        for wants_z, key, rows, ds, tau in self._sent[done:]:
+            self._put(wants_z, key, self._result(wants_z, _curve(rows, ds), tau))

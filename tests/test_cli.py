@@ -804,6 +804,7 @@ class TestConfigValidation:
         ({"generator": {"kind": "fourier_perturbed", "modes": ["a"], "amplitudes": [0.1]}},
          "generator.modes"),
         ({"generator": {"kind": "great_circle", "axis": 5}}, "generator.axis"),
+        ({"generator": {"kind": "great_circle", "axis": [0, 0, 0]}}, "generator.axis"),
     ])
     def test_wrong_json_type_names_field(self, tmp_path, capsys, overrides, name):
         cfgp = write_config(tmp_path / "cfg.json", **overrides)

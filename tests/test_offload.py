@@ -5,6 +5,7 @@ no helper left behind on any exit path."""
 import json
 import math
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -163,6 +164,26 @@ class TestSameOutputs:
             assert ours.column("min_Z")[row] == chord_arc.min_Z(curve, params)
             assert ours.checkpoint_bytes[step] == run_io.curve_csv(curve)
 
+    @needs_two_cpus
+    def test_descriptors_numbered_past_fd_setsize(self):
+        # with 1100 more files open, the pipes' descriptors are above 1024,
+        # which select() cannot take
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        if hard != resource.RLIM_INFINITY and hard < 1200:
+            pytest.skip(f"the hard limit on open files is {hard}, below 1200")
+        resource.setrlimit(resource.RLIMIT_NOFILE, (max(soft, 1200), hard))
+        held = []
+        try:
+            for _ in range(1100):
+                held.append(os.open(os.devnull, os.O_RDONLY))
+            series, _ = flow_engine.run(SHRINKING)
+        finally:
+            for fd in held:
+                os.close(fd)
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+        z = series.column("min_Z")
+        assert list(np.flatnonzero(~np.isnan(z))) == [step for step, _ in series.checkpoints]
+
 
 @needs_two_cpus
 class TestNoHelperLeft:
@@ -215,6 +236,28 @@ class TestNoHelperLeft:
         ours, _ = flow_engine.run(SHRINKING)
         assert os.waitstatus_to_exitcode(helpers[1][forked[0]]) == -signal.SIGKILL
         monkeypatch.setattr(flow_engine, "step", step)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        theirs, _ = flow_engine.run(SHRINKING)
+        assert np.array_equal(ours.rows(), theirs.rows(), equal_nan=True)
+        assert ours.checkpoint_bytes == theirs.checkpoint_bytes
+
+    def test_result_stream_cut_mid_frame(self, helpers, monkeypatch):
+        # the helper writes half of its third result and exits: that result
+        # and every later one are done in place
+        run_pid, write_all, frames = os.getpid(), offload._write_all, []
+
+        def cutting_write_all(fd, data):
+            if os.getpid() != run_pid:
+                frames.append(data)
+                if len(frames) == 3:
+                    write_all(fd, data[:len(data) // 2])
+                    os._exit(7)
+            write_all(fd, data)
+
+        monkeypatch.setattr(offload, "_write_all", cutting_write_all)
+        ours, _ = flow_engine.run(SHRINKING)
+        forked, reaped = helpers
+        assert os.waitstatus_to_exitcode(reaped[forked[0]]) == 7
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         theirs, _ = flow_engine.run(SHRINKING)
         assert np.array_equal(ours.rows(), theirs.rows(), equal_nan=True)
