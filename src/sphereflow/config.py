@@ -128,9 +128,6 @@ def generator_from_dict(raw: dict) -> GeneratorSpec:
     if kind == "parallel":
         _require(spec.theta0 is not None and 0.0 < spec.theta0 < 3.141592653589793,
                  "parallel generator needs polar angle theta0 in (0, pi)")
-    if kind in ("great_circle", "fourier_perturbed"):
-        # orthonormal_basis's threshold, checked here so no run begins
-        _require(math.hypot(*spec.axis) >= 1e-14, "generator.axis must be a nonzero vector")
     if kind == "fourier_perturbed":
         _require(len(spec.modes) == len(spec.amplitudes) > 0,
                  "fourier_perturbed needs matching nonempty modes/amplitudes")
@@ -192,7 +189,13 @@ def load_config(path) -> RunConfig:
         raise ConfigParseError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:   # JSONDecodeError and UnicodeDecodeError
         raise ConfigParseError(f"config {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(raw)
+    cfg = config_from_dict(raw)
+    # orthonormal_basis's threshold, checked here so that no run begins; not
+    # in config_from_dict, which also reads the manifests of earlier error runs
+    if cfg.generator.kind in ("great_circle", "fourier_perturbed"):
+        _require(math.hypot(*cfg.generator.axis) >= 1e-14,
+                 "generator.axis must be a nonzero vector")
+    return cfg
 
 
 def config_to_dict(cfg: RunConfig) -> dict:

@@ -10,16 +10,17 @@ cannot say (os.sched_getaffinity is Linux's), InProcess does the same work
 in place, as a run always did. Both compute the same function of the same
 doubles, so a run's outputs do not depend on which one ran.
 
-Tasks go one way while the run steps; results come back only at its end. The
-run's process writes each curve to the task pipe with blocking writes and
-goes on stepping. The helper keeps every result, in task order, until
-end-of-file on that pipe, which comes when the run closes it on the way out
-of `with`, and only then writes them back; the run reads them one frame at a
-time. Neither process waits for the other to read, so neither polls a
-descriptor, and any descriptor number works. The run then reaps the helper
-and computes in place every task with no whole result: the helper died, or
-an interrupt cut a task short.
-
+Tasks go one way while the run steps: the run's process writes each curve
+to the task pipe with blocking writes. The helper writes each min_Z back at
+once, and before each send the run stores those already in the pipe (the
+ioctl FIONREAD counts them), so it neither waits for them nor keeps a
+record's curve for long; a result is far smaller than its task, so they
+cannot fill their pipe. The helper keeps each checkpoint's bytes until
+end-of-file on the task pipe, when the run closes it on the way out of
+`with`, and the run, which keeps those curves in the series anyway, reads
+them one frame at a time. Nothing polls a descriptor, so any descriptor
+number works. The run then reaps the helper and computes in place every task
+with no whole result: the helper died, or an interrupt cut a task short.
 The helper ignores SIGINT and exits at end-of-file on its task pipe, so it
 ends when the run closes the pipe and when the run's process dies.
 """
@@ -37,12 +38,14 @@ from .barrier import BarrierParams
 from .run_io import curve_csv
 from .sphere_geometry import DiscreteCurve, _curve
 
-# A task is (wants min_Z, else the checkpoint's bytes; tau; n), then the
-# curve's (3, n + 1) rows and its n segment lengths as float64. A result is
-# its payload's size, then the payload: min_Z as one float64, or the bytes.
-_TASK = struct.Struct("<?dq")
-_SIZE = struct.Struct("<q")
+# A task is (wants min_Z, else the checkpoint's bytes; row or step; tau; n),
+# then the curve's (3, n + 1) rows and its n segment lengths as float64. A
+# result is (size of the checkpoint's bytes, step), then the bytes; or (-1,
+# row), then min_Z as a float64: 24 bytes written at once (under PIPE_BUF).
+_TASK = struct.Struct("<?qdq")
+_HEAD = struct.Struct("<qq")
 _FLOAT = struct.Struct("<d")
+_Z = struct.Struct("<qqd")
 
 _PROC_CGROUP, _CGROUP_ROOT = "/proc/self/cgroup", "/sys/fs/cgroup"
 
@@ -61,15 +64,16 @@ class InProcess:
         pass
 
     def min_Z(self, row: int, curve: DiscreteCurve, tau: float) -> None:
-        """Store min_Z in record row, already appended (until __exit__ where
-        the work is done elsewhere)."""
-        self._put(True, row, self._result(True, curve, tau))
+        """Store min_Z in record row, already appended (by __exit__ at latest)."""
+        self._task(True, row, curve, tau)
 
     def checkpoint(self, step: int, curve: DiscreteCurve) -> None:
-        """Append a checkpoint to series, and keep its CSV bytes (until
-        __exit__ where the work is done elsewhere)."""
+        """Append a checkpoint to series; keep its CSV bytes (by __exit__)."""
         self.series.checkpoints.append((step, curve))
-        self._put(False, step, self._result(False, curve, 0.0))
+        self._task(False, step, curve, 0.0)
+
+    def _task(self, wants_z: bool, key: int, curve: DiscreteCurve, tau: float) -> None:
+        self._put(wants_z, key, self._result(wants_z, curve, tau))
 
     def _result(self, wants_z: bool, curve: DiscreteCurve, tau: float):
         if wants_z:
@@ -133,10 +137,7 @@ def _cpu_quota() -> float:
 
 def start(series, a: float) -> InProcess:
     """A Helper where two CPUs' time is to be had, else InProcess."""
-    try:
-        allowed = os.sched_getaffinity(0)
-    except AttributeError:   # not Linux
-        return InProcess(series, a)
+    allowed = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()  # Linux's
     if len(allowed) < 2 or _cpu_quota() < 2:
         return InProcess(series, a)
     try:
@@ -156,11 +157,11 @@ class Helper(InProcess):
 
     def __init__(self, series, a: float, cpus: set[int]):
         super().__init__(series, a)
-        # (wants min_Z, row or step, curve.rows, curve.seg_lengths, tau) of
-        # each task in the order sent; not the curve, whose caches can go.
-        # An entry is added before its task is sent, so a task cut short by
-        # an interrupt is in it, and __exit__ does it in place.
-        self._sent: list = []
+        # (wants min_Z, row or step) -> (rows, segment lengths, tau) of each
+        # task with no result stored; added before the task is sent, so
+        # __exit__ does in place one an interrupt cut short. Not the curve,
+        # whose caches can go.
+        self._sent: dict[tuple[bool, int], tuple] = {}
         fds = []
         try:
             fds += os.pipe()
@@ -197,64 +198,63 @@ class Helper(InProcess):
         self._results = os.fdopen(results, "rb")
 
     def _serve(self, task_r: int, result_w: int) -> None:
-        """The helper's work: one result per task, kept in task order and
-        written back once the run closes the task pipe. Until then the
-        helper only reads, so neither process waits for the other to read."""
-        tasks, results = os.fdopen(task_r, "rb"), []
-        while True:
-            head = tasks.read(_TASK.size)
-            if len(head) < _TASK.size:
-                break
-            wants_z, tau, n = _TASK.unpack(head)
+        """The helper's work: min_Z back at once, checkpoint bytes at end-of-file."""
+        tasks, held = os.fdopen(task_r, "rb"), []
+        while len(head := tasks.read(_TASK.size)) == _TASK.size:
+            wants_z, key, tau, n = _TASK.unpack(head)
             body = tasks.read(8 * (4 * n + 3))
             if len(body) < 8 * (4 * n + 3):
                 break   # a task cut short: __exit__ does it in place
             rows = np.frombuffer(body, count=3 * (n + 1)).reshape(3, n + 1)
             ds = np.frombuffer(body, offset=rows.nbytes)
             value = self._result(wants_z, _curve(rows, ds), tau)
-            data = _FLOAT.pack(value) if wants_z else value
-            results.append(_SIZE.pack(len(data)) + data)
-        for frame in results:
-            _write_all(result_w, frame)
+            if wants_z:
+                _write_all(result_w, _Z.pack(-1, key, value))
+            else:
+                held.append((key, value))
+        for key, data in held:
+            _write_all(result_w, _HEAD.pack(len(data), key) + data)
 
-    def min_Z(self, row: int, curve: DiscreteCurve, tau: float) -> None:
-        self._send(True, row, curve, tau)
-
-    def checkpoint(self, step: int, curve: DiscreteCurve) -> None:
-        self.series.checkpoints.append((step, curve))
-        self._send(False, step, curve, 0.0)
-
-    def _send(self, wants_z: bool, key: int, curve: DiscreteCurve, tau: float) -> None:
-        self._sent.append((wants_z, key, curve.rows, curve.seg_lengths, tau))
+    def _task(self, wants_z: bool, key: int, curve: DiscreteCurve, tau: float) -> None:
+        self._receive()
+        self._sent[wants_z, key] = (curve.rows, curve.seg_lengths, tau)
         if self._tasks is None:
             return   # the helper is gone
         try:
-            _write_all(self._tasks, _TASK.pack(wants_z, tau, curve.n)
+            _write_all(self._tasks, _TASK.pack(wants_z, key, tau, curve.n)
                        + curve.rows.tobytes() + curve.seg_lengths.tobytes())
         except BrokenPipeError:
             os.close(self._tasks)
             self._tasks = None
 
+    def _receive(self) -> None:
+        """Store the min_Z values already in the pipe, without waiting."""
+        import fcntl, termios   # POSIX, as is a Helper
+        ready = fcntl.ioctl(self._results.fileno(), termios.FIONREAD, bytes(4))
+        count = struct.unpack("i", ready)[0] // _Z.size
+        data = os.read(self._results.fileno(), count * _Z.size)   # what is there: no wait
+        for _, row, value in _Z.iter_unpack(data):
+            self._store(True, row, value)
+
+    def _store(self, wants_z: bool, key: int, value) -> None:
+        self._put(wants_z, key, value)
+        del self._sent[wants_z, key]   # after: an interrupt leaves it to do again
+
     def __exit__(self, *exc) -> None:
         """Collect every result, reap the helper, and do in place what it did not."""
-        done = 0
         try:
             if self._tasks is not None:
-                os.close(self._tasks)   # the helper's end-of-file: it writes back
+                os.close(self._tasks)   # the helper's end-of-file: it writes the rest
             # one frame at a time, so the run never holds the whole stream
-            for wants_z, key, *_ in self._sent:
-                head = self._results.read(_SIZE.size)
-                if len(head) < _SIZE.size:
-                    break   # no result for this task or any later one
-                (size,) = _SIZE.unpack(head)
-                data = self._results.read(size)
-                if len(data) < size:
+            while len(head := self._results.read(_HEAD.size)) == _HEAD.size:
+                size, key = _HEAD.unpack(head)
+                wants_z, size = size < 0, _FLOAT.size if size < 0 else size
+                if len(data := self._results.read(size)) < size:
                     break   # the stream cut mid-frame: the helper died
-                self._put(wants_z, key, _FLOAT.unpack(data)[0] if wants_z else data)
-                done += 1
+                self._store(wants_z, key, _FLOAT.unpack(data)[0] if wants_z else data)
         finally:
             # closed before the wait, so a helper still writing gets EPIPE
             self._results.close()
             os.waitpid(self._pid, 0)
-        for wants_z, key, rows, ds, tau in self._sent[done:]:
+        for (wants_z, key), (rows, ds, tau) in self._sent.items():
             self._put(wants_z, key, self._result(wants_z, _curve(rows, ds), tau))

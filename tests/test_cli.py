@@ -814,6 +814,13 @@ class TestConfigValidation:
         assert err["message"].startswith(f"{name} must be ")
         assert not (tmp_path / "run").exists()
 
+    def test_zero_axis_is_read_from_a_manifest(self):
+        # simulate refuses it (above), but an error run written before it did
+        # keeps a manifest that verify and report read through config_from_dict
+        raw = {"generator": {"kind": "fourier_perturbed", "axis": [0, 0, 0],
+                             "modes": [1], "amplitudes": [0.1]}}
+        assert config_from_dict(raw).generator.axis == (0.0, 0.0, 0.0)
+
     # json.dumps writes math.inf as Infinity and math.nan as NaN, which
     # json.load reads back; 10 ** 400 is an integer no float can hold
     @pytest.mark.parametrize("overrides,message", [

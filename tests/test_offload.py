@@ -2,6 +2,8 @@
 (two or more CPUs allowed) or in place (one): the same bytes either way, and
 no helper left behind on any exit path."""
 
+import fcntl
+import io
 import json
 import math
 import os
@@ -165,7 +167,7 @@ class TestSameOutputs:
             assert ours.checkpoint_bytes[step] == run_io.curve_csv(curve)
 
     @needs_two_cpus
-    def test_descriptors_numbered_past_fd_setsize(self):
+    def test_descriptors_numbered_past_fd_setsize(self, helpers):
         # with 1100 more files open, the pipes' descriptors are above 1024,
         # which select() cannot take
         soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
@@ -181,8 +183,31 @@ class TestSameOutputs:
             for fd in held:
                 os.close(fd)
             resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+        forked, reaped = helpers
+        assert len(forked) == 1 and os.waitstatus_to_exitcode(reaped[forked[0]]) == 0
         z = series.column("min_Z")
         assert list(np.flatnonzero(~np.isnan(z))) == [step for step, _ in series.checkpoints]
+
+    @needs_two_cpus
+    def test_run_holds_only_the_min_Z_tasks_in_flight(self, helpers, monkeypatch):
+        # a min_Z record on every step, a checkpoint every 400: the run stores
+        # each min_Z as it comes back, so it keeps the curves of the tasks in
+        # the pipe and in the helper's read buffer, not of every record
+        task, held = offload.Helper._task, []
+
+        def counting_task(side, wants_z, key, curve, tau):
+            task(side, wants_z, key, curve, tau)
+            held.append(sum(wants_z for wants_z, _ in side._sent))
+
+        monkeypatch.setattr(offload.Helper, "_task", counting_task)
+        series, _ = flow_engine.run(replace(SHRINKING, z_every=1, checkpoint_every=400))
+        assert len(helpers[0]) == 1 and len(series) > 4000
+        assert not np.isnan(series.column("min_Z")).any()
+        r, w = os.pipe()
+        capacity = fcntl.fcntl(w, fcntl.F_GETPIPE_SZ)
+        os.close(r), os.close(w)
+        smallest_task = 25 + 8 * (4 * SHRINKING.n_floor + 3)
+        assert max(held) <= (capacity + io.DEFAULT_BUFFER_SIZE) // smallest_task + 2
 
 
 @needs_two_cpus
