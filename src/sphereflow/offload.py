@@ -216,8 +216,8 @@ class Helper(InProcess):
             _write_all(result_w, _HEAD.pack(len(data), key) + data)
 
     def _task(self, wants_z: bool, key: int, curve: DiscreteCurve, tau: float) -> None:
-        self._receive()
         self._sent[wants_z, key] = (curve.rows, curve.seg_lengths, tau)
+        self._receive()
         if self._tasks is None:
             return   # the helper is gone
         try:

@@ -331,6 +331,40 @@ class TestNoHelperLeft:
         theirs, _ = flow_engine.run(cfg)
         assert np.array_equal(ours.rows(), theirs.rows()[:257], equal_nan=True)
 
+    def test_interrupt_between_reading_min_Z_and_storing_it(self, helpers, monkeypatch):
+        # Ctrl-C after the run has read min_Z values from the pipe and before
+        # it stores them: they are gone from the pipe, and __exit__ does
+        # those records in place, and the record being sent. The pause at
+        # step 30 lets the helper answer the record at step 0 before the
+        # send at step 40 reads it.
+        step, read, lost = flow_engine.step, os.read, []
+
+        def pausing_step(state, dt, **kwargs):
+            if state.step_index == 30:
+                time.sleep(1.0)
+            return step(state, dt, **kwargs)
+
+        def interrupted_read(fd, size):
+            data = read(fd, size)
+            if data and not lost:
+                lost.append(data)
+                raise KeyboardInterrupt
+            return data
+
+        monkeypatch.setattr(flow_engine, "step", pausing_step)
+        monkeypatch.setattr(os, "read", interrupted_read)
+        with pytest.raises(KeyboardInterrupt) as info:
+            flow_engine.run(SHRINKING)
+        ours = info.value.series
+        assert len(lost) == 1 and len(ours) == 41
+        assert_reaped(helpers[0])
+        monkeypatch.setattr(flow_engine, "step", step)
+        monkeypatch.setattr(os, "read", read)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        theirs, _ = flow_engine.run(SHRINKING)
+        assert np.array_equal(ours.rows(), theirs.rows()[:41], equal_nan=True)
+        assert not np.isnan(ours.column("min_Z")[[0, 40]]).any()
+
     def test_helper_exits_when_the_run_is_killed(self, tmp_path):
         # the helper reads end-of-file once its parent is gone, and exits
         cfgp = tmp_path / "cfg.json"
