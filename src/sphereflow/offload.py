@@ -20,7 +20,7 @@ end-of-file on the task pipe, when the run closes it on the way out of
 `with`, and the run, which keeps those curves in the series anyway, reads
 them one frame at a time. Nothing polls a descriptor, so any descriptor
 number works. The run then reaps the helper and computes in place every task
-with no whole result: the helper died, or an interrupt cut a task short.
+whose result it has not stored: the helper died, or an interrupt came first.
 The helper ignores SIGINT and exits at end-of-file on its task pipe, so it
 ends when the run closes the pipe and when the run's process dies.
 """
