@@ -158,9 +158,9 @@ class Helper(InProcess):
     def __init__(self, series, a: float, cpus: set[int]):
         super().__init__(series, a)
         # (wants min_Z, row or step) -> (rows, segment lengths, tau) of each
-        # task with no result stored; added before the task is sent, so
-        # __exit__ does in place one an interrupt cut short. Not the curve,
-        # whose caches can go.
+        # task, added before it is sent and dropped once its result is stored,
+        # so __exit__ does in place what an interrupt left between the two.
+        # Not the curve, whose caches can go.
         self._sent: dict[tuple[bool, int], tuple] = {}
         fds = []
         try:
@@ -195,7 +195,7 @@ class Helper(InProcess):
                 os._exit(code)
         os.close(task_r)
         os.close(result_w)
-        self._results = os.fdopen(results, "rb")
+        self._results = os.fdopen(results, "rb")   # its buffer is used in __exit__ only
 
     def _serve(self, task_r: int, result_w: int) -> None:
         """The helper's work: min_Z back at once, checkpoint bytes at end-of-file."""
