@@ -14,12 +14,13 @@ to the arc) is the quantity the flow is supposed to keep nonnegative.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import barrier
+from . import barrier, worker
 from .errors import InsufficientData, NotAdmissible, PreconditionViolation
 from .sphere_geometry import DiscreteCurve, _cyclic_shifts, _gap_blocks, _gap_pairs, curvature_rows
 
@@ -35,6 +36,9 @@ PROFILE_MAX_BINS = 1 << 40
 # power of two, for the halving tree of the run minima
 _RUN = 8
 _NO_PAIR = np.iinfo(np.intp).max   # profile's key of a bin that no pair reached
+# profile splits its pass with a forked worker from this many pairs
+# n (n - 1) / 2 on: below it, the fork's cost exceeds what the worker saves
+_SPLIT_PAIRS = 1_500_000
 
 
 @dataclass(frozen=True)
@@ -201,7 +205,12 @@ def _fold_in(psi: np.ndarray, key: np.ndarray, d: np.ndarray, idx: np.ndarray,
     bins, keys = pairs_at(hit[d[hit] < np.inf], best)
     first = np.full(psi.size + 1, _NO_PAIR)
     np.minimum.at(first, bins, keys)
-    best, first = best[:-1], first[:-1]
+    _merge(psi, key, best[:-1], first[:-1])
+
+
+def _merge(psi: np.ndarray, key: np.ndarray, best: np.ndarray, first: np.ndarray) -> None:
+    """Take best and first into each bin of psi and key where best is the
+    smaller chord, or the same chord with the smaller key first."""
     better = (best < psi) | ((best == psi) & (first < key))
     psi[better] = best[better]
     key[better] = first[better]
@@ -266,6 +275,81 @@ def _fold_pair_rows(psi, key, k, d2, z, edges) -> None:
     _fold_in(psi, key, np.sqrt(d2, out=d2).ravel(), idx, pairs_at)
 
 
+def _fold_blocks(curve: DiscreteCurve, edges: np.ndarray, part: int,
+                 parts: int) -> tuple[np.ndarray, np.ndarray]:
+    """profile's (psi, key) over the _gap_blocks blocks part, part + parts, ..."""
+    n, length = curve.n, curve.length
+    w = _RUN
+    s = curve.cum_lengths[:-1]
+    s_shifted = _cyclic_shifts(s)
+    run_bins = _run_binner(curve, edges.size - 1, w)
+    psi = np.full(edges.size - 1, np.inf)
+    key = np.full(edges.size - 1, _NO_PAIR)
+    z_buf = far_buf = None
+    for k, d2 in _gap_blocks(curve.rows, 1, part, parts):
+        bins, single = run_bins(k)
+        by_run = 2 * np.count_nonzero(single, axis=1) > bins.shape[1]
+        if by_run.any():
+            r = _row_index(by_run)
+            _fold_run_rows(psi, key, k[r], d2[r], bins[r], single[r], curve, edges, w)
+        if not by_run.all():
+            r = _row_index(~by_run)
+            if z_buf is None:
+                z_buf, far_buf = np.empty_like(d2), np.empty_like(d2)
+            rows = k[r].size
+            z = _gap_separation(s_shifted[k[0]:k[-1] + 1][r], s, length,
+                                z_buf[:rows], far_buf[:rows])
+            _fold_pair_rows(psi, key, k[r], d2[r], z, edges)
+    return psi, key
+
+
+def _send(fd: int, curve: DiscreteCurve, edges: np.ndarray) -> None:
+    """The worker's part of _fold_split: psi then key of the odd blocks, to fd."""
+    psi, key = _fold_blocks(curve, edges, 1, 2)
+    with open(fd, "wb") as out:
+        out.write(psi.tobytes() + key.tobytes())
+
+
+def _fold_split(curve: DiscreteCurve, edges: np.ndarray,
+                cpus: set[int]) -> tuple[np.ndarray, np.ndarray]:
+    """_fold_blocks of every block: the odd blocks in a worker forked onto
+    cpus, the even ones here, the worker's (psi, key) merged in by _merge.
+
+    The worker writes its psi and key (16 bytes a bin) to a pipe and exits.
+    Where no worker can be forked, or it sends less than that, its blocks
+    are folded here. The worker is killed if this side's fold raises, and
+    reaped on every way out.
+    """
+    m = edges.size - 1
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return _fold_blocks(curve, edges, 0, 1)
+    try:
+        pid = worker.fork(cpus, (w,), lambda: _send(w, curve, edges))
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return _fold_blocks(curve, edges, 0, 1)
+    data = b""
+    try:
+        os.close(w)
+        with open(r, "rb") as results:
+            psi, key = _fold_blocks(curve, edges, 0, 2)
+            data = results.read(16 * m)
+    finally:
+        if len(data) < 16 * m:   # raised, or the worker failed: no wait for it
+            import signal
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    if len(data) == 16 * m:
+        _merge(psi, key, np.frombuffer(data, count=m),
+               np.frombuffer(data, dtype=np.intp, offset=8 * m))
+    else:
+        _merge(psi, key, *_fold_blocks(curve, edges, 1, 2))
+    return psi, key
+
+
 def profile(curve: DiscreteCurve, n_bins: int) -> ChordArcProfile:
     """Exact pairwise minimum chord per z-bin, bins (k/2m, (k+1)/2m].
 
@@ -294,33 +378,21 @@ def profile(curve: DiscreteCurve, n_bins: int) -> ChordArcProfile:
     chords recomputed, and every pair attaining it is a candidate for the
     first pair. The repeated half of gap n/2 is +inf (see _gap_blocks), and
     _fold_in takes no infinite chord as a candidate.
+
+    From _SPLIT_PAIRS pairs on, where worker.spare_cpus names a CPU other
+    than this process's, _fold_split has a forked worker fold every other
+    gap block while this process folds the rest. Each chord is bitwise
+    independent of the blocks (_gap_blocks), and a bin's least (chord, key)
+    over disjoint sets of pairs is the least of their least, so the output
+    is the bytes of the pass in place.
     """
     if not 16 <= n_bins <= PROFILE_MAX_BINS:
         raise PreconditionViolation(
             f"need 16 to {PROFILE_MAX_BINS} bins, got {n_bins}")
     edges = np.linspace(0.0, 0.5, n_bins + 1)
-    n, length = curve.n, curve.length
-    w = _RUN
-    s = curve.cum_lengths[:-1]
-    s_shifted = _cyclic_shifts(s)
-    run_bins = _run_binner(curve, n_bins, w)
-    psi = np.full(n_bins, np.inf)
-    key = np.full(n_bins, _NO_PAIR)
-    z_buf = far_buf = None
-    for k, d2 in _gap_blocks(curve.rows, 1):
-        bins, single = run_bins(k)
-        by_run = 2 * np.count_nonzero(single, axis=1) > bins.shape[1]
-        if by_run.any():
-            r = _row_index(by_run)
-            _fold_run_rows(psi, key, k[r], d2[r], bins[r], single[r], curve, edges, w)
-        if not by_run.all():
-            r = _row_index(~by_run)
-            if z_buf is None:
-                z_buf, far_buf = np.empty_like(d2), np.empty_like(d2)
-            rows = k[r].size
-            z = _gap_separation(s_shifted[k[0]:k[-1] + 1][r], s, length,
-                                z_buf[:rows], far_buf[:rows])
-            _fold_pair_rows(psi, key, k[r], d2[r], z, edges)
+    n = curve.n
+    cpus = worker.spare_cpus() if n * (n - 1) // 2 >= _SPLIT_PAIRS else set()
+    psi, key = _fold_split(curve, edges, cpus) if cpus else _fold_blocks(curve, edges, 0, 1)
 
     empty = key == _NO_PAIR
     pair_i = np.where(empty, -1, key // n)

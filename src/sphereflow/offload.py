@@ -1,14 +1,11 @@
 """The part of a flow run that no later step reads: the min_Z of each
 scheduled record and the CSV bytes of each checkpoint.
 
-`start` picks where it runs. Where at least two CPUs are allowed and no
-cgroup quota holds the process to less than two CPUs' time, a Helper forks
-one helper process of the same program and pins it to the allowed CPUs
-other than the one the run is on (Linux leaves a new process on its parent's
-CPU, so unpinned the two would share it). Otherwise, or where the platform
-cannot say (os.sched_getaffinity is Linux's), InProcess does the same work
-in place, as a run always did. Both compute the same function of the same
-doubles, so a run's outputs do not depend on which one ran.
+`start` picks where it runs. Where worker.spare_cpus names CPUs other than
+the run's, a Helper forks one helper process of the same program pinned to
+them. Otherwise InProcess does the same work in place, as a run always did.
+Both compute the same function of the same doubles, so a run's outputs do
+not depend on which one ran.
 
 Tasks go one way while the run steps: the run's process writes each curve
 to the task pipe with blocking writes. The helper writes each min_Z back at
@@ -27,13 +24,12 @@ ends when the run closes the pipe and when the run's process dies.
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 
 import numpy as np
 
-from . import chord_arc
+from . import chord_arc, worker
 from .barrier import BarrierParams
 from .run_io import curve_csv
 from .sphere_geometry import DiscreteCurve, _curve
@@ -46,8 +42,6 @@ _TASK = struct.Struct("<?qdq")
 _HEAD = struct.Struct("<qq")
 _FLOAT = struct.Struct("<d")
 _Z = struct.Struct("<qqd")
-
-_PROC_CGROUP, _CGROUP_ROOT = "/proc/self/cgroup", "/sys/fs/cgroup"
 
 
 class InProcess:
@@ -88,60 +82,13 @@ class InProcess:
             self.series.checkpoint_bytes[key] = value
 
 
-def _current_cpu() -> int | None:
-    """The CPU this process last ran on (field 39 of /proc/self/stat)."""
-    try:
-        with open("/proc/self/stat", "rb") as fh:
-            return int(fh.read().rsplit(b")", 1)[1].split()[36])
-    except (OSError, ValueError, IndexError):
-        return None
-
-
-def _quota_at(directory: str, v2: bool) -> float:
-    """CPUs' worth of time one cgroup directory allows; inf for none."""
-    try:
-        if v2:
-            with open(os.path.join(directory, "cpu.max")) as fh:
-                quota, period = fh.read().split()
-        else:
-            with open(os.path.join(directory, "cpu.cfs_quota_us")) as fh:
-                quota = fh.read()
-            with open(os.path.join(directory, "cpu.cfs_period_us")) as fh:
-                period = fh.read()
-        cpus = int(quota) / int(period)
-    except (OSError, ValueError, ZeroDivisionError):   # "max", or unreadable
-        return math.inf
-    return cpus if cpus > 0 else math.inf               # v1's -1 is no quota
-
-
-def _cpu_quota() -> float:
-    """The least CPU quota of the process's cgroups and their ancestors
-    (cgroup v2 cpu.max, or v1 cpu.cfs_quota_us / cpu.cfs_period_us), in
-    CPUs; inf where none is set or readable."""
-    try:
-        with open(_PROC_CGROUP) as fh:
-            lines = fh.read().splitlines()
-    except OSError:
-        return math.inf
-    least = math.inf
-    for line in lines:
-        _, controllers, path = line.split(":", 2)
-        if controllers and "cpu" not in controllers.split(","):
-            continue
-        base = _CGROUP_ROOT if not controllers else os.path.join(_CGROUP_ROOT, "cpu")
-        parts = [part for part in path.split("/") if part]
-        for depth in range(len(parts) + 1):
-            least = min(least, _quota_at(os.path.join(base, *parts[:depth]), not controllers))
-    return least
-
-
 def start(series, a: float) -> InProcess:
-    """A Helper where two CPUs' time is to be had, else InProcess."""
-    allowed = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()  # Linux's
-    if len(allowed) < 2 or _cpu_quota() < 2:
+    """A Helper where a spare CPU is to be had, else InProcess."""
+    cpus = worker.spare_cpus()
+    if not cpus:
         return InProcess(series, a)
     try:
-        return Helper(series, a, allowed - {_current_cpu()})
+        return Helper(series, a, cpus)
     except OSError:          # no process or pipe to be had: do it here
         return InProcess(series, a)
 
@@ -166,33 +113,13 @@ class Helper(InProcess):
         try:
             fds += os.pipe()
             fds += os.pipe()
-            self._pid = os.fork()
+            task_r, self._tasks, results, result_w = fds
+            self._pid = worker.fork(cpus, (task_r, result_w),
+                                    lambda: self._serve(task_r, result_w))
         except OSError:
             for fd in fds:
                 os.close(fd)
             raise
-        task_r, self._tasks, results, result_w = fds
-        if self._pid == 0:
-            code = 1
-            try:
-                import signal
-                signal.signal(signal.SIGINT, signal.SIG_IGN)
-                # hold nothing of the run's process but the two pipe ends:
-                # the run directory's lock, for one, goes with the run
-                low, high = sorted((task_r, result_w))
-                os.closerange(3, low)
-                os.closerange(low + 1, high)
-                os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
-                os.sched_setaffinity(0, cpus)
-                self._serve(task_r, result_w)
-                code = 0
-            except (BrokenPipeError, KeyboardInterrupt):
-                pass   # the run has stopped reading, or was interrupted at the fork
-            except BaseException:
-                import traceback
-                traceback.print_exc()
-            finally:
-                os._exit(code)
         os.close(task_r)
         os.close(result_w)
         self._results = os.fdopen(results, "rb")   # its buffer is used in __exit__ only

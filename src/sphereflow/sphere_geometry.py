@@ -348,8 +348,9 @@ def _cyclic_shifts(a: np.ndarray) -> np.ndarray:
     return sliding_window_view(np.concatenate([a, a[:-1]]), a.size)
 
 
-def _gap_blocks(rows: np.ndarray, k_min: int):
-    """Yield (k, d2) over the cyclic index gaps k = k_min .. n // 2, in order.
+def _gap_blocks(rows: np.ndarray, k_min: int, part: int = 0, parts: int = 1):
+    """Yield (k, d2) over the cyclic index gaps k = k_min .. n // 2, in order;
+    of those blocks, only every parts-th from block part on.
 
     rows are closed (3, n+1) coordinate rows, as DiscreteCurve.rows; only
     their first n columns are read.
@@ -381,7 +382,7 @@ def _gap_blocks(rows: np.ndarray, k_min: int):
     shifted = [_cyclic_shifts(c) for c in coords]
     per_block = max(1, _GAP_BLOCK_ENTRIES // n)
     d2_buf, diff_buf = np.empty((2, min(per_block, half + 1 - k_min), n))
-    for k0 in range(k_min, half + 1, per_block):
+    for k0 in range(k_min, half + 1, per_block)[part::parts]:
         k1 = min(k0 + per_block, half + 1)
         d2, diff = d2_buf[:k1 - k0], diff_buf[:k1 - k0]
         np.subtract(shifted[0][k0:k1], coords[0], out=d2)

@@ -1,6 +1,8 @@
-"""Shared flow runs for the harness and acceptance suites (computed once)."""
+"""Shared flow runs for the harness and acceptance suites (computed once),
+and the record of forked processes that the offload and profile tests keep."""
 
 import math
+import os
 import time
 
 import pytest
@@ -55,3 +57,30 @@ def perturbed_parallel_run():
     cfg = RunConfig(generator=gen, n=512, dt=1e-4, t_max=5.0, seed=11,
                     checkpoint_every=500)
     return _timed_run(cfg)
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """The pid of each helper or worker forked, and each exit status reaped, by pid."""
+    forked, reaped, fork, waitpid = [], {}, os.fork, os.waitpid
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def recording_waitpid(pid, options):
+        got = waitpid(pid, options)
+        reaped[got[0]] = got[1]
+        return got
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(os, "waitpid", recording_waitpid)
+    return forked, reaped
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):   # not a child of ours any more
+            os.waitpid(pid, os.WNOHANG)

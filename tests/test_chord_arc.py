@@ -1,10 +1,16 @@
+import math
+import os
+import signal
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import row_block_reference as row_blocks
 
-from sphereflow import barrier, chord_arc, flow_engine, generators
+from conftest import assert_reaped
+from sphereflow import barrier, chord_arc, flow_engine, generators, worker
 from sphereflow import sphere_geometry as sg
 from sphereflow.barrier import BarrierParams
 from sphereflow.errors import InsufficientData, NotAdmissible, PreconditionViolation
@@ -568,6 +574,8 @@ class TestRunPath:
         curve = latitude_curve(2048, 4001)
         covered = []
         fold = chord_arc._fold_run_rows
+        # all in this process: a forked worker's folds would not be counted
+        monkeypatch.setattr(chord_arc, "_SPLIT_PAIRS", math.inf)
 
         def spy(psi, key, k, d2, bins, single, *args):
             covered.append(np.count_nonzero(single) * chord_arc._RUN)
@@ -603,3 +611,180 @@ def test_fold_in_takes_no_infinite_chord():
                        lambda hit, best: (idx[hit], hit))
     assert np.all(psi == np.inf)
     assert np.all(key == chord_arc._NO_PAIR)
+
+
+PROFILE_FIELDS = ("psi", "pair_i", "pair_j", "pair_z")
+
+
+def in_place(curve, bins, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(chord_arc, "_SPLIT_PAIRS", math.inf)
+        return chord_arc.profile(curve, bins)
+
+
+def assert_same(got, want):
+    for name in PROFILE_FIELDS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+SPLIT_CURVES = {
+    # every pair at one gap ties
+    "parallel": lambda: generators.parallel_curve(np.pi / 3, 96),
+    # antipodal ties at gap n/2
+    "pipeline_1024": lambda: pipeline_curve(1024, 7),
+    "odd_97": lambda: generators.fourier_perturbed_curve(
+        (0, 0, 1), [0, 2, 3], [0.45, 0.08, 0.05], 97, seed=5),
+}
+
+
+class TestSplitPass:
+    """profile's pass split with a forked worker: the bytes of the pass in
+    place, and no worker left behind."""
+
+    @pytest.fixture
+    def split(self, monkeypatch, helpers):
+        """Every profile splits, its worker on the allowed CPUs."""
+        monkeypatch.setattr(chord_arc, "_SPLIT_PAIRS", 0)
+        monkeypatch.setattr(worker, "spare_cpus", lambda: set(os.sched_getaffinity(0)))
+        return helpers
+
+    def assert_one_worker(self, helpers, code=0):
+        forked, reaped = helpers
+        assert len(forked) == 1
+        if code is not None:
+            assert os.waitstatus_to_exitcode(reaped[forked[0]]) == code
+        assert_reaped(forked)
+
+    @pytest.mark.parametrize("bins", [16, 64, 256, 1000])
+    @pytest.mark.parametrize("entries", BLOCK_ENTRIES)
+    def test_generic_every_block_size(self, generic, monkeypatch, split, entries, bins):
+        monkeypatch.setattr(sg, "_GAP_BLOCK_ENTRIES", entries)
+        want = in_place(generic, bins, monkeypatch)
+        assert_same(chord_arc.profile(generic, bins), want)
+        self.assert_one_worker(split)
+
+    @pytest.mark.parametrize("bins", [16, 64, 256, 1000])
+    @pytest.mark.parametrize("name", sorted(SPLIT_CURVES))
+    def test_tied_and_odd_curves(self, monkeypatch, split, name, bins):
+        curve = SPLIT_CURVES[name]()
+        want = in_place(curve, bins, monkeypatch)
+        assert_same(chord_arc.profile(curve, bins), want)
+        self.assert_one_worker(split)
+
+    def test_equal_chords_across_the_split(self, monkeypatch, split):
+        # vertices 22.5 degrees apart on the equator, quadrants by exact
+        # rotation: pairs (0, 4) at gap 4 (the worker's block) and (5, 8) at
+        # gap 3 (this process's) tie in bin 13, and the first is (0, 4)
+        c, s = math.cos(math.pi / 8), math.sin(math.pi / 8)
+        quadrant = [(1.0, 0.0), (c, s), (math.sqrt(0.5), math.sqrt(0.5)), (s, c)]
+        points = []
+        for q in (12, 13, 1, 2, 3, 4, 6, 7, 11):
+            x, y = quadrant[q % 4]
+            for _ in range(q // 4):
+                x, y = -y, x
+            points.append((x, y, 0.0))
+        curve = sg.make_curve(np.array(points))
+        monkeypatch.setattr(sg, "_GAP_BLOCK_ENTRIES", curve.n)   # one gap a block
+        d2 = [np.sum(np.square(curve.points[i] - curve.points[j])) for i, j in ((0, 4), (5, 8))]
+        assert d2[0] == d2[1]
+        want = in_place(curve, 16, monkeypatch)
+        got = chord_arc.profile(curve, 16)
+        assert (got.pair_i[13], got.pair_j[13]) == (want.pair_i[13], want.pair_j[13]) == (0, 4)
+        assert_same(got, want)
+        self.assert_one_worker(split)
+
+    def test_threshold(self, generic, monkeypatch, helpers):
+        monkeypatch.setattr(worker, "spare_cpus", lambda: set(os.sched_getaffinity(0)))
+        pairs = generic.n * (generic.n - 1) // 2
+        monkeypatch.setattr(chord_arc, "_SPLIT_PAIRS", pairs + 1)
+        chord_arc.profile(generic, 64)
+        assert helpers[0] == []
+        monkeypatch.setattr(chord_arc, "_SPLIT_PAIRS", pairs)
+        chord_arc.profile(generic, 64)
+        self.assert_one_worker(helpers)
+
+    @pytest.mark.parametrize("where", ["one_cpu", "quota_1.5", "cpu_unread"])
+    def test_in_place_without_a_spare_cpu(self, generic, monkeypatch, helpers, where):
+        monkeypatch.setattr(chord_arc, "_SPLIT_PAIRS", 0)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: {0} if where == "one_cpu" else {0, 1})
+        monkeypatch.setattr(worker, "_cpu_quota", lambda: 1.5 if where == "quota_1.5" else math.inf)
+        if where == "cpu_unread":
+            monkeypatch.setattr(worker, "_current_cpu", lambda: None)
+        want = in_place(generic, 64, monkeypatch)
+        assert_same(chord_arc.profile(generic, 64), want)
+        assert helpers[0] == []
+
+    @pytest.mark.parametrize("sent", [0, 1, 8 * 64 + 8], ids=["nothing", "a byte", "half"])
+    def test_worker_that_sends_less_is_done_in_place(self, generic, monkeypatch, split, sent):
+        want = in_place(generic, 64, monkeypatch)
+        monkeypatch.setattr(chord_arc, "_send", lambda fd, curve, edges: os.write(fd, bytes(sent)))
+        assert_same(chord_arc.profile(generic, 64), want)
+        self.assert_one_worker(split)
+
+    def test_worker_that_dies_is_done_in_place(self, generic, monkeypatch, split):
+        want = in_place(generic, 64, monkeypatch)
+        monkeypatch.setattr(chord_arc, "_send", lambda fd, curve, edges: os._exit(3))
+        assert_same(chord_arc.profile(generic, 64), want)
+        self.assert_one_worker(split, code=3)
+
+    @pytest.mark.parametrize("exc", [PreconditionViolation("injected"), KeyboardInterrupt()],
+                             ids=["error", "KeyboardInterrupt"])
+    def test_raise_in_the_callers_fold_reaps_the_worker(self, generic, monkeypatch, split, exc):
+        # the worker, still folding, is killed, not waited for
+        fold, caller = chord_arc._fold_blocks, os.getpid()
+
+        def failing(curve, edges, part, parts):
+            if os.getpid() != caller:
+                time.sleep(60.0)
+            elif parts == 2:
+                raise exc
+            return fold(curve, edges, part, parts)
+
+        monkeypatch.setattr(chord_arc, "_fold_blocks", failing)
+        start = time.monotonic()
+        with pytest.raises(type(exc)):
+            chord_arc.profile(generic, 64)
+        assert time.monotonic() - start < 30.0
+        self.assert_one_worker(split, code=-signal.SIGKILL)
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
+        or worker._cpu_quota() < 2, reason="a worker is forked only with a spare CPU")
+    def test_worker_is_pinned_and_holds_only_its_pipe(self, generic, monkeypatch, helpers,
+                                                      tmp_path):
+        monkeypatch.setattr(chord_arc, "_SPLIT_PAIRS", 0)
+        ready, go = tmp_path / "ready", tmp_path / "go"
+        fold, caller, seen = chord_arc._fold_blocks, os.getpid(), {}
+
+        def watched(curve, edges, part, parts):
+            if os.getpid() != caller:          # the worker, set up: wait to be seen
+                ready.touch()
+                deadline = time.monotonic() + 30.0
+                while not go.exists() and time.monotonic() < deadline:
+                    time.sleep(0.001)
+            elif parts == 2:
+                try:
+                    deadline = time.monotonic() + 30.0
+                    while not ready.exists() and time.monotonic() < deadline:
+                        time.sleep(0.001)
+                    pid = helpers[0][0]
+                    seen["cpus"] = os.sched_getaffinity(pid)
+                    seen["fds"] = {int(fd): os.readlink(f"/proc/{pid}/fd/{fd}")
+                                   for fd in os.listdir(f"/proc/{pid}/fd")}
+                    status = Path(f"/proc/{pid}/status").read_text()
+                    ignored = int(status.split("SigIgn:")[1].split()[0], 16)
+                    seen["ignores_sigint"] = bool(ignored & 1 << (signal.SIGINT - 1))
+                finally:
+                    go.touch()
+            return fold(curve, edges, part, parts)
+
+        monkeypatch.setattr(chord_arc, "_fold_blocks", watched)
+        want = in_place(generic, 64, monkeypatch)
+        assert_same(chord_arc.profile(generic, 64), want)
+        self.assert_one_worker(helpers)
+        allowed = os.sched_getaffinity(0)
+        assert seen["cpus"] < allowed and len(seen["cpus"]) == len(allowed) - 1
+        extra = {fd: target for fd, target in seen["fds"].items() if fd > 2}
+        assert len(extra) == 1 and next(iter(extra.values())).startswith("pipe:")
+        assert seen["ignores_sigint"]

@@ -18,14 +18,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sphereflow import chord_arc, cli, flow_engine, offload, run_io
+from conftest import assert_reaped
+from sphereflow import chord_arc, cli, flow_engine, offload, run_io, worker
 from sphereflow.barrier import BarrierParams
 from sphereflow.config import GeneratorSpec, RunConfig, config_to_dict
 from sphereflow.errors import Degenerate
 
 needs_two_cpus = pytest.mark.skipif(
     not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
-    or offload._cpu_quota() < 2,
+    or worker._cpu_quota() < 2,
     reason="the helper runs only where two CPUs' time is to be had")
 
 # z_every == checkpoint_every: each min_Z record has its curve on disk
@@ -40,33 +41,6 @@ PIPELINE = RunConfig(
 @pytest.fixture
 def one_cpu(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-
-
-@pytest.fixture
-def helpers(monkeypatch):
-    """The pid of each helper forked, and each exit status reaped, by pid."""
-    forked, reaped, fork, waitpid = [], {}, os.fork, os.waitpid
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    def recording_waitpid(pid, options):
-        got = waitpid(pid, options)
-        reaped[got[0]] = got[1]
-        return got
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    monkeypatch.setattr(os, "waitpid", recording_waitpid)
-    return forked, reaped
-
-
-def assert_reaped(pids):
-    for pid in pids:
-        with pytest.raises(ChildProcessError):   # not a child of ours any more
-            os.waitpid(pid, os.WNOHANG)
 
 
 def ignores_sigint(pid: int) -> bool:
@@ -397,29 +371,39 @@ class TestCpuQuota:
             for rel, text in files.items():
                 (tmp_path / "root" / rel).parent.mkdir(parents=True, exist_ok=True)
                 (tmp_path / "root" / rel).write_text(text)
-            monkeypatch.setattr(offload, "_PROC_CGROUP", str(tmp_path / "cgroup"))
-            monkeypatch.setattr(offload, "_CGROUP_ROOT", str(tmp_path / "root"))
+            monkeypatch.setattr(worker, "_PROC_CGROUP", str(tmp_path / "cgroup"))
+            monkeypatch.setattr(worker, "_CGROUP_ROOT", str(tmp_path / "root"))
         return write
 
     def test_v2_least_along_the_path(self, cgroups):
         cgroups("0::/a/b\n", {"cpu.max": "max 100000\n", "a/cpu.max": "150000 100000\n",
                               "a/b/cpu.max": "400000 100000\n"})
-        assert offload._cpu_quota() == 1.5
+        assert worker._cpu_quota() == 1.5
 
     def test_v1(self, cgroups):
         cgroups("4:memory:/m\n3:cpu,cpuacct:/jobs\n",
                 {"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n",
                  "cpu/jobs/cpu.cfs_quota_us": "50000\n", "cpu/jobs/cpu.cfs_period_us": "100000\n"})
-        assert offload._cpu_quota() == 0.5
+        assert worker._cpu_quota() == 0.5
 
     def test_none_set(self, cgroups):
         cgroups("0::/\n3:cpu:/\n", {"cpu/cpu.cfs_quota_us": "-1\n",
                                      "cpu/cpu.cfs_period_us": "100000\n"})
-        assert offload._cpu_quota() == math.inf
+        assert worker._cpu_quota() == math.inf
 
     def test_quota_below_two_cpus_runs_in_place(self, cgroups, helpers, monkeypatch):
         cgroups("0::/\n", {"cpu.max": "150000 100000\n"})
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        ours, _ = flow_engine.run(SHRINKING)
+        assert helpers[0] == []
+        assert not np.isnan(ours.column("min_Z")[::40]).any()
+
+    def test_unread_cpu_runs_in_place(self, helpers, monkeypatch):
+        # the run's CPU unknown, a helper could be pinned to it as well
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(worker, "_cpu_quota", lambda: math.inf)
+        monkeypatch.setattr(worker, "_current_cpu", lambda: None)
+        assert worker.spare_cpus() == set()
         ours, _ = flow_engine.run(SHRINKING)
         assert helpers[0] == []
         assert not np.isnan(ours.column("min_Z")[::40]).any()
