@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import os
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -339,7 +340,6 @@ def _fold_split(curve: DiscreteCurve, edges: np.ndarray,
             data = results.read(16 * m)
     finally:
         if len(data) < 16 * m:   # raised, or the worker failed: no wait for it
-            import signal
             os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
     if len(data) == 16 * m:

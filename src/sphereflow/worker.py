@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 import os
+# at start-up: in a worker, the import took 7-8 ms of copy-on-write faults
+import signal
 
 _PROC_CGROUP, _CGROUP_ROOT = "/proc/self/cgroup", "/sys/fs/cgroup"
 
@@ -96,7 +98,6 @@ def fork(cpus: set[int], keep: tuple[int, ...], work) -> int:
         return pid
     code = 1
     try:
-        import signal   # in the worker only: start-up does not load it
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         low = 3
         for fd in sorted(keep):
