@@ -38,7 +38,9 @@ PROFILE_MAX_BINS = 1 << 40
 _RUN = 8
 _NO_PAIR = np.iinfo(np.intp).max   # profile's key of a bin that no pair reached
 # profile splits its pass with a forked worker from this many pairs
-# n (n - 1) / 2 on: below it, the fork's cost exceeds what the worker saves
+# n (n - 1) / 2 on (n >= 1733). The split costs about 5 ms (the fork,
+# copy-on-write faults, the worker's exit), which half a pass outweighs
+# from here on a 2-vCPU guest (README, "Profile worker")
 _SPLIT_PAIRS = 1_500_000
 
 
@@ -322,15 +324,14 @@ def _fold_split(curve: DiscreteCurve, edges: np.ndarray,
     reaped on every way out.
     """
     m = edges.size - 1
+    fds = []
     try:
-        r, w = os.pipe()
-    except OSError:
-        return _fold_blocks(curve, edges, 0, 1)
-    try:
+        fds += os.pipe()
+        r, w = fds
         pid = worker.fork(cpus, (w,), lambda: _send(w, curve, edges))
-    except OSError:
-        os.close(r)
-        os.close(w)
+    except OSError:          # no pipe or process to be had
+        for fd in fds:
+            os.close(fd)
         return _fold_blocks(curve, edges, 0, 1)
     data = b""
     try:
@@ -343,10 +344,10 @@ def _fold_split(curve: DiscreteCurve, edges: np.ndarray,
             os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
     if len(data) == 16 * m:
-        _merge(psi, key, np.frombuffer(data, count=m),
-               np.frombuffer(data, dtype=np.intp, offset=8 * m))
+        theirs = np.frombuffer(data, count=m), np.frombuffer(data, dtype=np.intp, offset=8 * m)
     else:
-        _merge(psi, key, *_fold_blocks(curve, edges, 1, 2))
+        theirs = _fold_blocks(curve, edges, 1, 2)
+    _merge(psi, key, *theirs)
     return psi, key
 
 

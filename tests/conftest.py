@@ -3,12 +3,19 @@ and the record of forked processes that the offload and profile tests keep."""
 
 import math
 import os
+import signal
 import time
+from pathlib import Path
 
 import pytest
 
-from sphereflow import flow_engine
+from sphereflow import flow_engine, worker
 from sphereflow.config import GeneratorSpec, RunConfig
+
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
+    or worker._cpu_quota() < 2,
+    reason="a helper or worker is forked only where two CPUs' time is to be had")
 
 
 def _timed_run(cfg):
@@ -84,3 +91,10 @@ def assert_reaped(pids):
     for pid in pids:
         with pytest.raises(ChildProcessError):   # not a child of ours any more
             os.waitpid(pid, os.WNOHANG)
+
+
+def ignores_sigint(pid: int) -> bool:
+    for line in Path(f"/proc/{pid}/status").read_text().splitlines():
+        if line.startswith("SigIgn:"):
+            return bool(int(line.split()[1], 16) & 1 << (signal.SIGINT - 1))
+    return False

@@ -3,13 +3,12 @@ import os
 import signal
 import time
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 import row_block_reference as row_blocks
 
-from conftest import assert_reaped
+from conftest import assert_reaped, ignores_sigint, needs_two_cpus
 from sphereflow import barrier, chord_arc, flow_engine, generators, worker
 from sphereflow import sphere_geometry as sg
 from sphereflow.barrier import BarrierParams
@@ -722,6 +721,17 @@ class TestSplitPass:
         assert_same(chord_arc.profile(generic, 64), want)
         self.assert_one_worker(split)
 
+    def test_no_process_to_be_had(self, generic, monkeypatch, split):
+        want = in_place(generic, 64, monkeypatch)
+
+        def no_fork():
+            raise BlockingIOError("fork: no process to be had")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        held = len(os.listdir("/proc/self/fd"))
+        assert_same(chord_arc.profile(generic, 64), want)
+        assert len(os.listdir("/proc/self/fd")) == held   # the pipe is closed
+
     def test_worker_that_dies_is_done_in_place(self, generic, monkeypatch, split):
         want = in_place(generic, 64, monkeypatch)
         monkeypatch.setattr(chord_arc, "_send", lambda fd, curve, edges: os._exit(3))
@@ -748,9 +758,7 @@ class TestSplitPass:
         assert time.monotonic() - start < 30.0
         self.assert_one_worker(split, code=-signal.SIGKILL)
 
-    @pytest.mark.skipif(
-        not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
-        or worker._cpu_quota() < 2, reason="a worker is forked only with a spare CPU")
+    @needs_two_cpus
     def test_worker_is_pinned_and_holds_only_its_pipe(self, generic, monkeypatch, helpers,
                                                       tmp_path):
         monkeypatch.setattr(chord_arc, "_SPLIT_PAIRS", 0)
@@ -772,9 +780,7 @@ class TestSplitPass:
                     seen["cpus"] = os.sched_getaffinity(pid)
                     seen["fds"] = {int(fd): os.readlink(f"/proc/{pid}/fd/{fd}")
                                    for fd in os.listdir(f"/proc/{pid}/fd")}
-                    status = Path(f"/proc/{pid}/status").read_text()
-                    ignored = int(status.split("SigIgn:")[1].split()[0], 16)
-                    seen["ignores_sigint"] = bool(ignored & 1 << (signal.SIGINT - 1))
+                    seen["ignores_sigint"] = ignores_sigint(pid)
                 finally:
                     go.touch()
             return fold(curve, edges, part, parts)

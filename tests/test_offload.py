@@ -18,16 +18,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import assert_reaped
+from conftest import assert_reaped, ignores_sigint, needs_two_cpus
 from sphereflow import chord_arc, cli, flow_engine, offload, run_io, worker
 from sphereflow.barrier import BarrierParams
 from sphereflow.config import GeneratorSpec, RunConfig, config_to_dict
 from sphereflow.errors import Degenerate
-
-needs_two_cpus = pytest.mark.skipif(
-    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
-    or worker._cpu_quota() < 2,
-    reason="the helper runs only where two CPUs' time is to be had")
 
 # z_every == checkpoint_every: each min_Z record has its curve on disk
 SHRINKING = RunConfig(generator=GeneratorSpec(kind="parallel", theta0=math.pi / 3),
@@ -41,13 +36,6 @@ PIPELINE = RunConfig(
 @pytest.fixture
 def one_cpu(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-
-
-def ignores_sigint(pid: int) -> bool:
-    for line in Path(f"/proc/{pid}/status").read_text().splitlines():
-        if line.startswith("SigIgn:"):
-            return bool(int(line.split()[1], 16) & 1 << (signal.SIGINT - 1))
-    return False
 
 
 def failing_step(monkeypatch, at: int, exc: BaseException):
